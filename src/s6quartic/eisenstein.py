@@ -1,98 +1,182 @@
 """Exact arithmetic in the Eisenstein field Q(w), where w^2 + w + 1 = 0.
 
-Elements are written on the basis {1, w} as a pair of rationals, and every
-operation eagerly rewrites w^2 as -1 - w, so equality is plain component
-equality.  The rational layer is fractions.Fraction, which already keeps
-numerators and denominators coprime with a positive denominator.
+An element is stored as three plain ints (a, b, den) meaning
+(a + b*w) / den, with den > 0 and gcd(a, b, den) == 1.  That form is
+unique, so equality and hashing compare the triples directly, and every
+operation eagerly rewrites w^2 as -1 - w.  Most values in the checks are
+Eisenstein integers (den == 1), for which no gcd is taken at all.
 
-Division uses the field norm N(a + b*w) = a^2 - a*b + b^2: the inverse of a
-nonzero element is its conjugate divided by its norm.
+Results of arithmetic are built by the private _make, which skips the
+coercion and validation of the public constructor.  The components on the
+basis {1, w} are available as the Fraction properties re and om.
+
+Division uses the field norm N(a + b*w) = a^2 - a*b + b^2: the inverse of
+(a + b*w)/d is d*((a - b) - b*w)/N(a + b*w).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, den: int) -> "Eisenstein":
+    """Wrap a triple that is already normalised (den > 0, gcd 1)."""
+    e = _new(Eisenstein)
+    e._a = a
+    e._b = b
+    e._den = den
+    return e
+
+
+def _reduced(a: int, b: int, den: int) -> "Eisenstein":
+    """Normalise (a + b*w)/den for a positive den."""
+    if den != 1:
+        g = gcd(a, b, den)
+        if g != 1:
+            a //= g
+            b //= g
+            den //= g
+    return _make(a, b, den)
+
+
+def _operand(value):
+    """The Eisenstein for an int, Fraction or Eisenstein; else NotImplemented."""
+    if isinstance(value, Eisenstein):
+        return value
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
+    return NotImplemented
 
 
 class Eisenstein:
     """An element a + b*w of Q(w); immutable and hashable."""
 
-    __slots__ = ("re", "om")
+    __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, re=0, om=0):
         if not isinstance(re, (int, Fraction)) or not isinstance(om, (int, Fraction)):
             raise TypeError("field components must be int or Fraction")
-        self.re = Fraction(re)
-        self.om = Fraction(om)
+        re = Fraction(re)
+        om = Fraction(om)
+        p, q = re.denominator, om.denominator
+        den = p * q // gcd(p, q)
+        # The common denominator of two reduced fractions leaves the triple
+        # coprime: a prime dividing den survives in one of the quotients.
+        self._a = re.numerator * (den // p)
+        self._b = om.numerator * (den // q)
+        self._den = den
 
     @classmethod
     def coerce(cls, value) -> "Eisenstein":
         """Accept int, Fraction, or Eisenstein; reject everything else."""
-        if isinstance(value, Eisenstein):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a field element")
+        result = _operand(value)
+        if result is NotImplemented:
+            raise TypeError(f"cannot interpret {value!r} as a field element")
+        return result
+
+    @property
+    def re(self) -> Fraction:
+        """The coefficient of 1."""
+        return Fraction(self._a, self._den)
+
+    @property
+    def om(self) -> Fraction:
+        """The coefficient of w."""
+        return Fraction(self._b, self._den)
 
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (Eisenstein, int, Fraction)):
-            return NotImplemented
-        other = Eisenstein.coerce(other)
-        return Eisenstein(self.re + other.re, self.om + other.om)
+        if type(other) is not Eisenstein:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._den, other._den
+        if d == f:
+            if d == 1:
+                return _make(self._a + other._a, self._b + other._b, 1)
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(
+            self._a * f + other._a * d, self._b * f + other._b * d, d * f
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Eisenstein(-self.re, -self.om)
+        return _make(-self._a, -self._b, self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, (Eisenstein, int, Fraction)):
-            return NotImplemented
-        return self + (-Eisenstein.coerce(other))
+        if type(other) is not Eisenstein:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._den, other._den
+        if d == f:
+            if d == 1:
+                return _make(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(
+            self._a * f - other._a * d, self._b * f - other._b * d, d * f
+        )
 
     def __rsub__(self, other):
-        if not isinstance(other, (Eisenstein, int, Fraction)):
+        other = _operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        return Eisenstein.coerce(other) + (-self)
+        return other - self
 
     def __mul__(self, other):
-        if not isinstance(other, (Eisenstein, int, Fraction)):
-            return NotImplemented
-        other = Eisenstein.coerce(other)
-        a, b, c, d = self.re, self.om, other.re, other.om
+        if type(other) is not Eisenstein:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._a, self._b
+        c, d = other._a, other._b
+        bd = b * d
         # (a + b*w)(c + d*w) = ac + (ad + bc)*w + bd*w^2,  w^2 = -1 - w
-        return Eisenstein(a * c - b * d, a * d + b * c - b * d)
+        den = self._den * other._den
+        if den == 1:
+            return _make(a * c - bd, a * d + b * c - bd, 1)
+        return _reduced(a * c - bd, a * d + b * c - bd, den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Eisenstein":
         """The image under w -> w^2, the nontrivial field automorphism."""
-        return Eisenstein(self.re - self.om, -self.om)
+        # gcd(a - b, b, den) == gcd(a, b, den), so the result stays reduced.
+        return _make(self._a - self._b, -self._b, self._den)
 
     def norm(self) -> Fraction:
         """N(a + b*w) = a^2 - a*b + b^2, multiplicative and 0 only at 0."""
-        return self.re * self.re - self.re * self.om + self.om * self.om
+        a, b, d = self._a, self._b, self._den
+        return Fraction(a * a - a * b + b * b, d * d)
 
     def inverse(self) -> "Eisenstein":
-        n = self.norm()
+        a, b, d = self._a, self._b, self._den
+        n = a * a - a * b + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        conj = self.conjugate()
-        return Eisenstein(conj.re / n, conj.om / n)
+        # n > 0 for every nonzero element, so the denominator stays positive.
+        return _reduced(d * (a - b), -d * b, n)
 
     def __truediv__(self, other):
-        if not isinstance(other, (Eisenstein, int, Fraction)):
+        other = _operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self * Eisenstein.coerce(other).inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (Eisenstein, int, Fraction)):
+        other = _operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        return Eisenstein.coerce(other) * self.inverse()
+        return other * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -101,31 +185,53 @@ class Eisenstein:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        result = ONE
-        while exponent:
+        if exponent == 0:
+            return ONE
+        result = None
+        while True:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     # -- structure queries ------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.om == 0
+        return self._b == 0
 
     def __bool__(self):
-        return self.re != 0 or self.om != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        try:
-            other = Eisenstein.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.om == other.om
+        if isinstance(other, Eisenstein):
+            return (
+                self._a == other._a
+                and self._b == other._b
+                and self._den == other._den
+            )
+        if isinstance(other, int):
+            return self._b == 0 and self._den == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._den == other.denominator
+            )
+        return NotImplemented
+
+    def _parts(self) -> tuple:
+        """The normalised (a, b, den) triple: an ordered, hashable identity."""
+        return (self._a, self._b, self._den)
 
     def __hash__(self):
-        return hash((self.re, self.om))
+        if self._b:
+            return hash(self._parts())
+        # A rational value hashes like the int or Fraction it equals.
+        if self._den == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._den))
 
     def sort_key(self):
         """Arbitrary but fixed total order, used for deterministic output."""
@@ -135,19 +241,20 @@ class Eisenstein:
         return f"Eisenstein({self.re!r}, {self.om!r})"
 
     def __str__(self):
-        if self.om == 0:
-            return str(self.re)
-        if self.om == 1:
+        re, om = self.re, self.om
+        if om == 0:
+            return str(re)
+        if om == 1:
             wpart = "w"
-        elif self.om == -1:
+        elif om == -1:
             wpart = "-w"
         else:
-            wpart = f"{self.om}*w"
-        if self.re == 0:
+            wpart = f"{om}*w"
+        if re == 0:
             return wpart
-        sign = "-" if self.om < 0 else "+"
+        sign = "-" if om < 0 else "+"
         mag = wpart.lstrip("-")
-        return f"{self.re} {sign} {mag}"
+        return f"{re} {sign} {mag}"
 
 
 ZERO = Eisenstein(0)

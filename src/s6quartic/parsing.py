@@ -10,6 +10,7 @@
 unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
+Parentheses nest at most MAX_NESTING deep.
 
 Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
 """
@@ -20,6 +21,7 @@ from .eisenstein import Eisenstein, OMEGA
 from .poly import NVARS, Polynomial
 
 MAX_EXPONENT = 1000
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -79,6 +81,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -153,8 +156,16 @@ class _Parser:
         if kind == "var":
             return Polynomial.variable(value)
         if kind == "(":
+            # Each level recurses through every grammar rule, so the depth
+            # is bounded well below the interpreter's recursion limit.
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
+            self.depth += 1
             inner = self.expression()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token '{kind}'", pos)
 

@@ -135,15 +135,18 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = Polynomial.constant(1)
+        if exponent == 0:
+            return Polynomial.constant(1)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- queries -------------------------------------------------------------
 
@@ -189,13 +192,26 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Eisenstein:
         if len(point) != NVARS:
             raise ValueError(f"point must have {NVARS} coordinates")
-        vals = [Eisenstein.coerce(c) for c in point]
+        # powers[i][e] is the e-th power of coordinate i, built once per call
+        # up to the highest exponent of x_i in any term.
+        tops = [0] * NVARS
+        for mono in self.terms:
+            for i, e in enumerate(mono):
+                if e > tops[i]:
+                    tops[i] = e
+        powers = []
+        for c, top in zip(point, tops):
+            v = Eisenstein.coerce(c)
+            row = [ONE, v]
+            for _ in range(top - 1):
+                row.append(row[-1] * v)
+            powers.append(row)
         total = ZERO
         for mono, coeff in self.terms.items():
             acc = coeff
-            for i, e in enumerate(mono):
+            for row, e in zip(powers, mono):
                 if e:
-                    acc = acc * vals[i] ** e
+                    acc = acc * row[e]
             total = total + acc
         return total
 
@@ -258,10 +274,14 @@ class Polynomial:
     # -- identity ---------------------------------------------------------------
 
     def key(self):
-        """Sorted term tuple; the canonical identity of the polynomial."""
+        """Sorted term tuple; the canonical identity of the polynomial.
+
+        Coefficients enter as their normalised int triples, which are
+        ordered and hash without building Fractions.
+        """
         if self._key is None:
             self._key = tuple(
-                (m, (c.re, c.om))
+                (m, c._parts())
                 for m, c in sorted(self.terms.items(), reverse=True)
             )
         return self._key

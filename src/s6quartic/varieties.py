@@ -266,13 +266,18 @@ _NSQ_GRADIENT = _NEG_SQUARE_SQ.gradient()
 _ONES_ROW = tuple([ONE] * NVARS)
 
 
-@lru_cache(maxsize=None)
+# Family members are memoised per t, but a scan over many fresh t values
+# must not grow memory with every one of them.
+FAMILY_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family(t: Fraction):
     linear, quartic = quartic_family(t)
     return linear, quartic, quartic.gradient()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family_second_partials(t: Fraction):
     _, _, grad = _family(t)
     return tuple(

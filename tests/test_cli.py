@@ -188,3 +188,14 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "smooth-quadrics" in result.stdout
+
+
+class TestHostileInput:
+    def test_deeply_nested_poly_is_a_clean_error(self, capsys):
+        poly = "(" * 5000 + "x0" + ")" * 5000
+        code = main(["eval", "--poly", poly, "--point", "[1, 0, 0, 0, 0, 0]"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: parentheses nested deeper than")
+        assert "Traceback" not in err

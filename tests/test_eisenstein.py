@@ -159,3 +159,21 @@ class TestFormatting:
 
     def test_repr_is_constructor_like(self):
         assert "Eisenstein" in repr(OMEGA)
+
+
+class TestPowerProductCount:
+    def test_power_makes_no_wasted_squaring(self, monkeypatch):
+        calls = []
+        original = Eisenstein.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Eisenstein, "__mul__", counting)
+        x = Eisenstein(Fraction(2, 3), -1)
+        assert x**8 == Eisenstein(Fraction(119695, 6561), Fraction(46277, 2187))
+        assert len(calls) == 3
+        calls.clear()
+        assert x**-8 * x**8 == ONE
+        assert len(calls) == 7

@@ -1,0 +1,219 @@
+"""The integer-backed field kernel against a Fraction-pair reference.
+
+The reference below stores an element a + b*w of Q(w) as a pair of
+Fractions and does schoolbook arithmetic with w^2 = -1 - w.  It shares no
+code with the kernel, so agreement on seeded random operands (integral and
+not, zero and negative included) checks every operation independently.
+The same reference evaluates polynomials term by term, as an oracle for the
+power-table evaluation.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from s6quartic import NVARS, Eisenstein, Polynomial
+
+
+class Ref:
+    """Reference element: a pair of Fractions on the basis {1, w}."""
+
+    def __init__(self, re, om=0):
+        self.re = Fraction(re)
+        self.om = Fraction(om)
+
+    def pair(self):
+        return (self.re, self.om)
+
+    def __add__(self, other):
+        return Ref(self.re + other.re, self.om + other.om)
+
+    def __sub__(self, other):
+        return Ref(self.re - other.re, self.om - other.om)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.om, other.re, other.om
+        return Ref(a * c - b * d, a * d + b * c - b * d)
+
+    def norm(self):
+        return self.re * self.re - self.re * self.om + self.om * self.om
+
+    def conjugate(self):
+        return Ref(self.re - self.om, -self.om)
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError
+        return Ref((self.re - self.om) / n, -self.om / n)
+
+    def power(self, k):
+        base = self.inverse() if k < 0 else self
+        result = Ref(1)
+        for _ in range(abs(k)):
+            result = result * base
+        return result
+
+    def text(self):
+        re, om = self.re, self.om
+        if om == 0:
+            return str(re)
+        wpart = {1: "w", -1: "-w"}.get(om, f"{om}*w")
+        if re == 0:
+            return wpart
+        return f"{re} {'-' if om < 0 else '+'} {wpart.lstrip('-')}"
+
+
+def _rational(rng):
+    if rng.random() < 0.2:
+        return Fraction(0)
+    den = 1 if rng.random() < 0.4 else rng.randint(2, 12)
+    return Fraction(rng.randint(-20, 20), den)
+
+
+def _pairs(seed, count):
+    rng = random.Random(seed)
+    return [(_rational(rng), _rational(rng)) for _ in range(count)]
+
+
+def _check(e, ref):
+    """e equals the reference value and is stored in normal form."""
+    assert (e.re, e.om) == ref.pair()
+    assert e._den > 0
+    assert gcd(e._a, e._b, e._den) == 1
+
+
+OPERANDS = _pairs(7, 40)
+
+
+class TestAgainstReference:
+    def test_construction_and_components(self):
+        for re, om in OPERANDS:
+            _check(Eisenstein(re, om), Ref(re, om))
+
+    def test_ring_operations(self):
+        for (a, b), (c, d) in zip(OPERANDS, OPERANDS[1:] + OPERANDS[:1]):
+            x, y = Eisenstein(a, b), Eisenstein(c, d)
+            rx, ry = Ref(a, b), Ref(c, d)
+            _check(x + y, rx + ry)
+            _check(x - y, rx - ry)
+            _check(x * y, rx * ry)
+            _check(-x, Ref(0) - rx)
+            if ry.norm():
+                _check(x / y, rx * ry.inverse())
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+
+    def test_mixed_operands(self):
+        rng = random.Random(11)
+        for re, om in OPERANDS:
+            x, rx = Eisenstein(re, om), Ref(re, om)
+            for q in (rng.randint(-9, 9), _rational(rng)):
+                rq = Ref(q)
+                _check(x + q, rx + rq)
+                _check(q + x, rx + rq)
+                _check(x - q, rx - rq)
+                _check(q - x, rq - rx)
+                _check(x * q, rx * rq)
+                _check(q * x, rx * rq)
+                if q:
+                    _check(x / q, rx * rq.inverse())
+                if rx.norm():
+                    _check(q / x, rq * rx.inverse())
+
+    def test_inverse_norm_conjugate(self):
+        for re, om in OPERANDS:
+            x, rx = Eisenstein(re, om), Ref(re, om)
+            assert x.norm() == rx.norm()
+            assert isinstance(x.norm(), Fraction)
+            _check(x.conjugate(), rx.conjugate())
+            if rx.norm():
+                _check(x.inverse(), rx.inverse())
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+
+    def test_inverse_of_negative_values_keeps_denominator_positive(self):
+        for value in (Eisenstein(-3), Eisenstein(Fraction(-2, 7), -5),
+                      Eisenstein(0, Fraction(-4, 9)), Eisenstein(-1, -1)):
+            inv = value.inverse()
+            assert inv._den > 0
+            assert inv * value == 1
+
+    def test_powers_with_negative_exponents(self):
+        for re, om in OPERANDS[:20]:
+            x, rx = Eisenstein(re, om), Ref(re, om)
+            for k in range(-4, 7):
+                if k < 0 and not rx.norm():
+                    with pytest.raises(ZeroDivisionError):
+                        x ** k
+                    continue
+                _check(x ** k, rx.power(k))
+
+    def test_equality_and_hash_with_plain_numbers(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(-50, 50)
+            q = _rational(rng)
+            for value in (n, q):
+                e = Eisenstein(value)
+                assert e == value and value == e
+                assert hash(e) == hash(value)
+                assert e == Eisenstein.coerce(value)
+                assert hash(e) == hash(Eisenstein(Fraction(value)))
+            assert Eisenstein(q, 1) != q
+
+    def test_equal_values_built_differently_hash_equally(self):
+        for (a, b), (c, d) in zip(OPERANDS, OPERANDS[2:]):
+            x, y = Eisenstein(a, b), Eisenstein(c, d)
+            via = (x + y) - y
+            assert via == x and hash(via) == hash(x)
+            assert hash(x * y) == hash(y * x)
+            assert len({x, via, Eisenstein(a, b)}) == 1
+
+    def test_text_and_order(self):
+        elements = [Eisenstein(re, om) for re, om in OPERANDS]
+        for e, (re, om) in zip(elements, OPERANDS):
+            assert str(e) == Ref(re, om).text()
+            assert e.sort_key() == (re, om)
+        ordered = sorted(elements, key=Eisenstein.sort_key)
+        assert [(e.re, e.om) for e in ordered] == sorted(OPERANDS)
+
+
+def _random_polynomial(rng, nterms, max_exp):
+    terms = {}
+    for _ in range(nterms):
+        mono = tuple(rng.randint(0, max_exp) for _ in range(NVARS))
+        terms[mono] = Eisenstein(_rational(rng), _rational(rng))
+    return Polynomial(terms)
+
+
+def _naive_evaluate(poly, point):
+    total = Ref(0)
+    for mono, coeff in poly.terms.items():
+        acc = Ref(coeff.re, coeff.om)
+        for (re, om), e in zip(point, mono):
+            for _ in range(e):
+                acc = acc * Ref(re, om)
+        total = total + acc
+    return total
+
+
+class TestEvaluateAgainstNaive:
+    def test_power_table_matches_term_by_term(self):
+        rng = random.Random(3)
+        for _ in range(25):
+            poly = _random_polynomial(rng, rng.randint(1, 12), rng.randint(0, 5))
+            point = [(_rational(rng), _rational(rng)) for _ in range(NVARS)]
+            value = poly.evaluate([Eisenstein(re, om) for re, om in point])
+            _check(value, _naive_evaluate(poly, point))
+
+    def test_plain_number_coordinates(self):
+        rng = random.Random(4)
+        poly = _random_polynomial(rng, 10, 4)
+        point = [rng.randint(-3, 3) for _ in range(NVARS - 1)] + [Fraction(1, 3)]
+        value = poly.evaluate(point)
+        _check(value, _naive_evaluate(poly, [(Fraction(c), 0) for c in point]))

@@ -19,6 +19,7 @@ from s6quartic import (
     parse_polynomial,
     parse_scalar_list,
 )
+from s6quartic.parsing import MAX_NESTING
 
 X0, X1, X2, X3, X4, X5 = X
 
@@ -167,3 +168,27 @@ class TestRoundTrip:
         p = parse_polynomial(text)
         assert parse_polynomial(format_polynomial(p)) == p
         assert format_polynomial(p) == text
+
+
+class TestNesting:
+    def test_nesting_up_to_the_limit_parses(self):
+        text = "(" * MAX_NESTING + "x0 + w" + ")" * MAX_NESTING
+        assert parse_polynomial(text) == X0 + OMEGA
+
+    def test_nesting_past_the_limit_is_a_parse_error(self):
+        text = "(" * (MAX_NESTING + 1) + "x0" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == (
+            f"parentheses nested deeper than {MAX_NESTING} "
+            f"(at position {MAX_NESTING})"
+        )
+
+    def test_sibling_groups_do_not_accumulate_depth(self):
+        text = " + ".join(["(" * MAX_NESTING + "1" + ")" * MAX_NESTING] * 3)
+        assert parse_polynomial(text) == Polynomial.constant(3)
+
+    def test_deep_nesting_in_a_point_list(self):
+        deep = "(" * 5000 + "1" + ")" * 5000
+        with pytest.raises(ParseError):
+            parse_point_coordinates(f"[{deep}, 0, 0, 0, 0, 0]")

@@ -299,3 +299,36 @@ class TestFormatting:
             str(q2)
             == "x0^2 + x0*x2 + (-1 - w)*x1^2 + (-1 - w)*x1*x3 + x2^2 + (-1 - w)*x3^2"
         )
+
+
+def _count_products(monkeypatch, cls):
+    """Count calls of cls.__mul__ and cls.__rmul__ from here on."""
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(cls, name)
+
+        def counting(self, other, original=original):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+class TestPowerProductCount:
+    def test_power_makes_no_wasted_squaring(self, monkeypatch):
+        p = X0 + 2 * X1 - OMEGA * X2
+        expected = p * p * p * p * p * p * p * p
+        calls = _count_products(monkeypatch, Polynomial)
+        assert p**8 == expected
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("exponent,products", [(1, 0), (2, 1), (5, 3), (7, 4)])
+    def test_square_and_multiply_counts(self, monkeypatch, exponent, products):
+        p = X0 + X1
+        expected = Polynomial.constant(1)
+        for _ in range(exponent):
+            expected = expected * p
+        calls = _count_products(monkeypatch, Polynomial)
+        assert p**exponent == expected
+        assert len(calls) == products

@@ -39,6 +39,11 @@ from s6quartic import (
     singular_t_values,
     variety_eq,
 )
+from s6quartic.varieties import (
+    FAMILY_CACHE_SIZE,
+    _family,
+    _family_second_partials,
+)
 
 X0, X1, X2, X3, X4, X5 = X
 W = OMEGA
@@ -378,3 +383,15 @@ class TestPlaneRestriction:
     def test_quotient_rejects_non_multiples(self):
         assert quadric_pair_quotient(X0**4) is None
         assert quadric_pair_quotient(QUADRIC_PAIR[0] ** 2) is None
+
+
+class TestFamilyCacheBound:
+    def test_many_fresh_parameters_stay_within_the_bound(self):
+        for k in range(100):
+            t = Fraction(2 * k + 1, 7)
+            assert is_singular_on_family(t, CUBE_ROOT_POINT)
+            is_node(t, CUBE_ROOT_POINT)
+        for cached in (_family, _family_second_partials):
+            info = cached.cache_info()
+            assert info.maxsize == FAMILY_CACHE_SIZE
+            assert info.currsize <= FAMILY_CACHE_SIZE
