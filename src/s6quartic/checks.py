@@ -218,7 +218,6 @@ def _check_divisor_incidence(cfg: RunConfig):
         group,
         QUADRIC_SURFACES[0],
         lambda g, v: act_on_variety(_induced(g), v),
-        eq=variety_eq,
     )
     table = incidence_table(
         group, STANDARD_LABELS, QUADRIC_SURFACES[0], CUBE_ROOT_POINT

@@ -10,18 +10,22 @@
 unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
-Parentheses nest at most MAX_NESTING deep.
+Parentheses nest at most MAX_NESTING deep, and no product or power may
+expand to more than MAX_TERMS terms.
 
 Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .eisenstein import Eisenstein, OMEGA
 from .poly import NVARS, Polynomial
 
 MAX_EXPONENT = 1000
 MAX_NESTING = 100
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -97,6 +101,18 @@ class _Parser:
             raise ParseError(f"expected '{kind}', found '{tok[0]}'", tok[2])
         return tok
 
+    def bound_monomials(self, operands, degree: int, pos: int):
+        """Refuse an expansion that multiplying out term by term could grow
+        past MAX_TERMS terms, unless its degree keeps it small.
+
+        A result of degree d in the k variables of the operands has at most
+        C(k + d, k) monomials.  When that bound also passes the cap, the
+        input is refused before any of the expansion is computed.
+        """
+        k = len(set().union(*(p.variables_used() for p in operands)))
+        if comb(k + degree, k) > MAX_TERMS:
+            raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
+
     # grammar rules, lowest precedence first
 
     def expression(self) -> Polynomial:
@@ -113,6 +129,10 @@ class _Parser:
             kind, _, pos = self.advance()
             rhs = self.factor()
             if kind == "*":
+                if len(result.terms) * len(rhs.terms) > MAX_TERMS:
+                    self.bound_monomials(
+                        (result, rhs), result.degree() + rhs.degree(), pos
+                    )
                 result = result * rhs
             else:
                 if not rhs.is_constant():
@@ -136,7 +156,7 @@ class _Parser:
     def power(self) -> Polynomial:
         result = self.atom()
         while self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()[2]
             kind, value, pos = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", pos)
@@ -144,6 +164,8 @@ class _Parser:
                 raise ParseError(
                     f"exponent overflow ({value} > {MAX_EXPONENT})", pos
                 )
+            if len(result.terms) ** value > MAX_TERMS:
+                self.bound_monomials((result,), result.degree() * value, caret)
             result = result ** value
         return result
 

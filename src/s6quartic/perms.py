@@ -262,28 +262,24 @@ class PermGroup:
         return PermGroup.generate(sorted(commutators), cap=self.order)
 
 
-def orbit_and_stabilizer(
-    group: PermGroup, x, act: Callable, eq: Callable | None = None
-):
+def orbit_and_stabilizer(group: PermGroup, x, act: Callable):
     """Orbit of x under the callback action and the stabilizer subgroup.
 
-    act(g, x) must define a left action; eq defaults to ==.  The identity is
-    checked first so inconsistent callbacks fail loudly instead of silently
-    producing a wrong orbit.
+    act(g, x) must define a left action with hashable images; the orbit
+    lists the distinct images (by hash and ==) in order of first
+    appearance.  The identity is checked first so inconsistent callbacks
+    fail loudly instead of silently producing a wrong orbit.
     """
-    eq_fn = eq if eq is not None else (lambda u, v: u == v)
-    ident = group.identity()
-    if not eq_fn(act(ident, x), x):
+    if act(group.identity(), x) != x:
         raise ValueError("action inconsistency detected (act(id, x) != x)")
-    orbit = []
+    orbit = {}
     stabilizer = []
     for g in group:
         image = act(g, x)
-        if not any(eq_fn(image, seen) for seen in orbit):
-            orbit.append(image)
-        if eq_fn(image, x):
+        orbit.setdefault(image)
+        if image == x:
             stabilizer.append(g)
-    return orbit, PermGroup._closed(stabilizer, group.degree)
+    return list(orbit), PermGroup._closed(stabilizer, group.degree)
 
 
 def semidirect_structure_check(

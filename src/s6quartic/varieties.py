@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
+from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
 from .linalg import (
     Matrix,
     TSolutionSet,
@@ -93,11 +93,15 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     """
     if perm.degree != NVARS:
         raise ValueError(f"need a permutation of the {NVARS} coordinates")
-    m = perm.index_map()
-    coords = [None] * NVARS
-    for i, c in enumerate(point.coords):
-        coords[m[i]] = c
-    return ProjectivePoint(coords)
+    return ProjectivePoint(_permuted(perm.index_map(), point.coords))
+
+
+def _permuted(index_map, coords) -> tuple:
+    """The coordinate tuple with entry i moved to position index_map[i]."""
+    image = [None] * NVARS
+    for i, c in enumerate(coords):
+        image[index_map[i]] = c
+    return tuple(image)
 
 
 class LinearSliceVariety:
@@ -165,41 +169,37 @@ def act_on_variety(
 def canonicalize(variety: LinearSliceVariety):
     """Canonical form deciding equality of slices.
 
-    For the complete-intersection shape of two linear forms and one
-    quadric the canonical form is exact: the two pivot variables of the
-    echelon basis are substituted out of the quadric, and the reduced
-    quadric is scaled to lex-leading coefficient 1.  A quadric that
+    The linear forms are already a reduced echelon basis.  Their pivot
+    variables are substituted out of every higher form, so each form is
+    reduced modulo the linear span; the reduced forms are then scaled to
+    lex-leading coefficient 1, deduplicated and sorted.  A form that
     vanishes identically after reduction means the input was degenerate
-    (the "quadric" contained the linear span) and is rejected.
+    (the form contained the linear span) and is rejected.
 
-    Other shapes get a structural canonical form: echelon linear forms
-    plus the higher forms scaled monic, deduplicated, and sorted.
+    Two slices get the same canonical form iff their linear spans agree
+    and their higher forms agree up to scalars modulo that span.  This
+    decides equality of the defining data, not of the zero sets: slices
+    cut out by different forms with the same radical stay distinct.
     """
-    linear_key = tuple(f.key() for f in variety.linear_forms)
-    if (
-        len(variety.linear_forms) == 2
-        and len(variety.forms) == 1
-        and variety.forms[0].degree() == 2
-    ):
-        assignments = {}
-        for f in variety.linear_forms:
-            pivot = f.leading_monomial().index(1)
-            assignments[pivot] = X[pivot] - f
-        reduced = variety.forms[0].substitute_linear(assignments)
+    assignments = {}
+    for f in variety.linear_forms:
+        pivot = f.leading_monomial().index(1)
+        assignments[pivot] = X[pivot] - f
+    monic_keys = set()
+    for form in variety.forms:
+        reduced = form.substitute_linear(assignments)
         if reduced.is_zero():
             raise ValueError(
-                "degenerate slice: the quadric vanishes on the linear span"
+                "degenerate slice: a form vanishes on the linear span"
             )
-        monic = reduced / reduced.leading_coefficient()
-        return (linear_key, (monic.key(),))
-    monic_keys = {
-        (form / form.leading_coefficient()).key() for form in variety.forms
-    }
+        monic_keys.add((reduced / reduced.leading_coefficient()).key())
+    linear_key = tuple(f.key() for f in variety.linear_forms)
     return (linear_key, tuple(sorted(monic_keys)))
 
 
 def variety_eq(v1: LinearSliceVariety, v2: LinearSliceVariety) -> bool:
-    return canonicalize(v1) == canonicalize(v2)
+    """Equality of the cached canonical forms, the same test as ==."""
+    return v1.canonical() == v2.canonical()
 
 
 @dataclass
@@ -253,16 +253,23 @@ def projective_orbit(group: PermGroup, point: ProjectivePoint) -> tuple:
     deduplicated projectively and sorted deterministically."""
     if group.degree != NVARS:
         raise ValueError(f"need a group permuting the {NVARS} coordinates")
-    seen = {act_on_point(g, point) for g in group}
+    # Distinct permuted tuples are far fewer than group elements, and only
+    # they need normalising.
+    images = {_permuted(g.index_map(), point.coords) for g in group}
+    seen = {ProjectivePoint(coords) for coords in images}
     return tuple(sorted(seen, key=ProjectivePoint.sort_key))
 
 
 # -- the quartic family -------------------------------------------------------
+#
+# The member at t is L = sum x_i and Q = t*p4 - p2^2, where pk = sum x_i^k.
+# Its geometry has a closed form in p2, p4 and the coordinates:
+#
+#   dQ/dx_i = 4*(t*x_i^2 - p2)*x_i,
+#   H_ij    = (12*t*x_i^2 - 4*p2)*delta_ij - 8*x_i*x_j,
+#
+# so no symbolic derivative is ever taken.
 
-_POWER_SUM_4 = X[0] ** 4 + X[1] ** 4 + X[2] ** 4 + X[3] ** 4 + X[4] ** 4 + X[5] ** 4
-_NEG_SQUARE_SQ = -((X[0] ** 2 + X[1] ** 2 + X[2] ** 2 + X[3] ** 2 + X[4] ** 2 + X[5] ** 2) ** 2)
-_P4_GRADIENT = _POWER_SUM_4.gradient()
-_NSQ_GRADIENT = _NEG_SQUARE_SQ.gradient()
 _ONES_ROW = tuple([ONE] * NVARS)
 
 
@@ -273,36 +280,42 @@ FAMILY_CACHE_SIZE = 16
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family(t: Fraction):
-    linear, quartic = quartic_family(t)
-    return linear, quartic, quartic.gradient()
-
-
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family_second_partials(t: Fraction):
-    _, _, grad = _family(t)
-    return tuple(
-        tuple(g.partial_derivative(j) for j in range(NVARS)) for g in grad
-    )
+    return quartic_family(t)
 
 
 def family_member(t) -> LinearSliceVariety:
     """The slice (hyperplane, degree-4 member) of the family at parameter t."""
-    linear, quartic, _ = _family(Fraction(t))
+    linear, quartic = _family(Fraction(t))
     return LinearSliceVariety([linear], [quartic])
+
+
+def _power_sums(coords) -> tuple:
+    """(squares of the coordinates, p2, p4) at a coordinate vector."""
+    squares = [c * c for c in coords]
+    p2 = sum(squares, ZERO)
+    p4 = sum((s * s for s in squares), ZERO)
+    return squares, p2, p4
 
 
 def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     """Jacobian test on the pair (linear form, quartic) in P^5.
 
     The point is singular iff it lies on both forms and the 2x6 matrix of
-    their gradients has rank at most 1.
+    their gradients has rank at most 1, i.e. the gradient of Q is a
+    multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the
+    same for every i.
     """
-    linear, quartic, grad = _family(Fraction(t))
+    t = Eisenstein.coerce(Fraction(t))
     coords = point.coords
-    if linear.evaluate(coords) or quartic.evaluate(coords):
+    if sum(coords, ZERO):
         return False
-    rows = [_ONES_ROW, [g.evaluate(coords) for g in grad]]
-    return Matrix(rows).rank() <= 1
+    squares, p2, p4 = _power_sums(coords)
+    if t * p4 != p2 * p2:
+        return False
+    first = (t * squares[0] - p2) * coords[0]
+    return all(
+        (t * s - p2) * c == first for s, c in zip(squares[1:], coords[1:])
+    )
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -331,12 +344,15 @@ def is_node(t, point: ProjectivePoint) -> bool:
     # whose column for the variable r is e_r - e_eliminated, i.e. entrywise
     # H[r][s] - H[r][e] - H[e][s] + H[e][e] on the full Hessian H at the
     # point.
-    second = _family_second_partials(t)
+    squares, p2, _ = _power_sums(coords)
+    twelve_t = Eisenstein.coerce(12 * t)
+    four_p2 = 4 * p2
     involved = rest + [eliminated]
     vals = {}
     for a, i in enumerate(involved):
-        for j in involved[a:]:
-            value = second[i][j].evaluate(coords)
+        vals[i, i] = twelve_t * squares[i] - four_p2 - 8 * squares[i]
+        for j in involved[a + 1:]:
+            value = -8 * coords[i] * coords[j]
             vals[i, j] = value
             vals[j, i] = value
     e = eliminated
@@ -352,21 +368,21 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
 
     Requires the point to lie on the hyperplane (the t-independent linear
     condition).  The singularity conditions are linear in t: the gradient
-    of the quartic must be proportional to the all-ones vector, and the
-    quartic itself must vanish.  Both are solved exactly and intersected.
+    v0 + t*v1 of the quartic, with v0 = -4*p2*x and v1 = 4*x^3, must be
+    proportional to the all-ones vector, and the quartic -p2^2 + t*p4
+    itself must vanish.  Both are solved exactly and intersected.
     """
     coords = point.coords
-    if sum(coords, Eisenstein(0)):
+    if sum(coords, ZERO):
         raise ValueError(
             f"singular-parameter analysis requires the linear form to vanish "
             f"at {point}"
         )
-    v0 = [g.evaluate(coords) for g in _NSQ_GRADIENT]
-    v1 = [g.evaluate(coords) for g in _P4_GRADIENT]
+    squares, p2, p4 = _power_sums(coords)
+    v0 = [-4 * p2 * c for c in coords]
+    v1 = [4 * s * c for s, c in zip(squares, coords)]
     proportional = solve_parametric_proportionality(v0, v1, _ONES_ROW)
-    alpha = _NEG_SQUARE_SQ.evaluate(coords)
-    beta = _POWER_SUM_4.evaluate(coords)
-    on_member = solve_linear_in_t([(alpha, beta)])
+    on_member = solve_linear_in_t([(-(p2 * p2), p4)])
     return proportional.intersect(on_member)
 
 
@@ -448,6 +464,6 @@ class FactorizationResult:
 def restriction_factorization_check(t) -> FactorizationResult:
     """Whether the t-member restricted to the distinguished plane splits as
     a scalar times the product of the two quadrics, and the scalar."""
-    _, quartic, _ = _family(Fraction(t))
+    _, quartic = _family(Fraction(t))
     scalar = quadric_pair_quotient(restrict_to_plane(quartic))
     return FactorizationResult(scalar is not None, scalar)

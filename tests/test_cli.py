@@ -199,3 +199,11 @@ class TestHostileInput:
         assert out == ""
         assert err.startswith("error: parentheses nested deeper than")
         assert "Traceback" not in err
+
+    def test_huge_expansion_is_a_clean_error(self, capsys):
+        poly = "(x0+x1+x2+x3+x4+x5+w)^60"
+        code = main(["eval", "--poly", poly, "--point", "[1, 0, 0, 0, 0, 0]"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expansion exceeds")

@@ -19,7 +19,7 @@ from s6quartic import (
     parse_polynomial,
     parse_scalar_list,
 )
-from s6quartic.parsing import MAX_NESTING
+from s6quartic.parsing import MAX_NESTING, MAX_TERMS
 
 X0, X1, X2, X3, X4, X5 = X
 
@@ -192,3 +192,32 @@ class TestNesting:
         deep = "(" * 5000 + "1" + ")" * 5000
         with pytest.raises(ParseError):
             parse_point_coordinates(f"[{deep}, 0, 0, 0, 0, 0]")
+
+
+class TestTermCap:
+    SUM = "(x0 + x1 + x2 + x3 + x4 + x5 + w)"
+
+    def test_power_within_the_cap_expands(self):
+        # C(6 + 8, 6) = 3003 monomials of degree <= 8 in six variables.
+        assert len(parse_polynomial(f"{self.SUM}^8").terms) == 3003
+
+    @pytest.mark.parametrize("exponent", [11, 60, MAX_EXPONENT])
+    def test_power_past_the_cap_is_refused(self, exponent):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"{self.SUM}^{exponent}")
+        assert str(info.value) == (
+            f"expansion exceeds {MAX_TERMS} terms (at position 33)"
+        )
+
+    def test_product_past_the_cap_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"{self.SUM}^6 * {self.SUM}^5")
+        assert "expansion exceeds" in str(info.value)
+
+    def test_many_term_products_that_collapse_are_allowed(self):
+        # 101 * 101 products of terms, but at most 201 monomials of degree
+        # <= 200 in one variable.
+        assert len(parse_polynomial("(x0 + 1)^100 * (x0 + 1)^100").terms) == 201
+
+    def test_high_powers_of_monomials_are_allowed(self):
+        assert parse_polynomial("(w*x0)^1000") == OMEGA * X0**1000

@@ -207,12 +207,11 @@ class TestOrbitStabilizer:
 
     def test_custom_equality(self):
         g = PermGroup.generate([Permutation((2, 3, 1))])
-        # Act on strings via positions using a custom comparator.
+        # Act on strings via positions; images are keyed by hash and ==.
         orbit, stab = orbit_and_stabilizer(
             g,
             "abc",
             lambda p, s: "".join(s[p(i) - 1] for i in range(1, 4)),
-            eq=lambda a, b: a == b,
         )
         assert len(orbit) * stab.order == g.order
 

@@ -39,11 +39,7 @@ from s6quartic import (
     singular_t_values,
     variety_eq,
 )
-from s6quartic.varieties import (
-    FAMILY_CACHE_SIZE,
-    _family,
-    _family_second_partials,
-)
+from s6quartic.varieties import FAMILY_CACHE_SIZE, _family
 
 X0, X1, X2, X3, X4, X5 = X
 W = OMEGA
@@ -203,6 +199,24 @@ class TestCanonicalization:
         linear, quartic = (a.linear_forms[0], a.forms[0])
         scaled = LinearSliceVariety([linear], [W * quartic])
         assert scaled == a
+
+    def test_higher_forms_reduced_modulo_the_span(self):
+        # Q + L*x0^3 and Q agree on the hyperplane L = 0.
+        member = family_member(6)
+        linear, quartic = member.linear_forms[0], member.forms[0]
+        shifted = LinearSliceVariety([linear], [quartic + linear * X0**3])
+        assert shifted == member
+        assert hash(shifted) == hash(member)
+
+    def test_reduction_with_three_linear_forms(self):
+        span = [X0 + X1, X2 - X3, X4 + X5]
+        a = LinearSliceVariety(span, [X1**2 + X3 * X5, X1 * X3 * X5])
+        b = LinearSliceVariety(
+            [span[2], 3 * span[0], span[1] + span[0]],
+            [-X1 * X3 * X4 + span[1] * X2**2, X0**2 - X2 * X4],
+        )
+        assert a == b
+        assert a != LinearSliceVariety(span, [X1**2 + X3 * X5])
 
     def test_quadric_image_identities(self):
         # tau^2 and h^4 push the first quadric surface to the same image,
@@ -391,7 +405,7 @@ class TestFamilyCacheBound:
             t = Fraction(2 * k + 1, 7)
             assert is_singular_on_family(t, CUBE_ROOT_POINT)
             is_node(t, CUBE_ROOT_POINT)
-        for cached in (_family, _family_second_partials):
-            info = cached.cache_info()
-            assert info.maxsize == FAMILY_CACHE_SIZE
-            assert info.currsize <= FAMILY_CACHE_SIZE
+            assert family_member(t).contains(CUBE_ROOT_POINT)
+        info = _family.cache_info()
+        assert info.maxsize == FAMILY_CACHE_SIZE
+        assert info.currsize <= FAMILY_CACHE_SIZE
