@@ -162,7 +162,16 @@ def _cmd_scan(args) -> int:
 def _cmd_eval(args) -> int:
     poly = parse_polynomial(args.poly)
     coords = parse_point_coordinates(args.point)
-    print(poly.evaluate(coords))
+    value = poly.evaluate(coords)
+    try:
+        text = str(value)
+    except ValueError:
+        # Python refuses int -> str past its limit on decimal digits.
+        raise ConfigError(
+            "result too large to print (more than "
+            f"{sys.get_int_max_str_digits()} digits)"
+        ) from None
+    print(text)
     return 0
 
 

@@ -13,15 +13,21 @@ nonzero constant, which is how rational scalars like 2/3 are written.
 Parentheses nest at most MAX_NESTING deep, and no product or power may
 expand to more than MAX_TERMS terms.
 
+Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
+a-z.  A literal longer than Python's limit on decimal conversion is a
+ParseError.  Constant subexpressions are folded as field elements; only a
+variable makes a value a Polynomial.
+
 Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
 """
 
 from __future__ import annotations
 
+import string
 from math import comb
 
 from .eisenstein import Eisenstein, OMEGA
-from .poly import NVARS, Polynomial
+from .poly import NVARS, Polynomial, X
 
 MAX_EXPONENT = 1000
 MAX_NESTING = 100
@@ -37,6 +43,20 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = set("+-*/^()[],")
+# ASCII classes: str.isdigit and str.isalpha accept other scripts too.
+_DIGITS = set(string.digits)
+_LETTERS = set(string.ascii_letters)
+_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
+
+
+def _literal(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # Python refuses to convert decimal strings past its digit limit.
+        raise ParseError(
+            f"integer literal too long ({len(digits)} digits)", pos
+        ) from None
 
 
 def _tokenize(text: str):
@@ -52,25 +72,27 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _literal(text[i:j], i), i))
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             name = text[i:j]
             if name == "w":
                 tokens.append(("w", name, i))
-            elif name.startswith("x") and name[1:].isdigit():
-                index = int(name[1:])
-                if index >= NVARS:
+            elif name[0] == "x" and name[1:].isdigit():
+                # Leading zeros are allowed (x01 is x1); a longer index is
+                # refused without converting it, whatever its length.
+                digits = name[1:].lstrip("0") or "0"
+                if len(digits) > 1 or int(digits) >= NVARS:
                     raise ParseError(f"unknown variable '{name}'", i)
-                tokens.append(("var", index, i))
+                tokens.append(("var", int(digits), i))
             else:
                 raise ParseError(f"unknown name '{name}'", i)
             i = j
@@ -113,9 +135,10 @@ class _Parser:
         if comb(k + degree, k) > MAX_TERMS:
             raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
 
-    # grammar rules, lowest precedence first
+    # Grammar rules, lowest precedence first.  A value stays an Eisenstein
+    # while it is constant and becomes a Polynomial once a variable enters.
 
-    def expression(self) -> Polynomial:
+    def expression(self):
         result = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
@@ -123,29 +146,33 @@ class _Parser:
             result = result + rhs if op == "+" else result - rhs
         return result
 
-    def term(self) -> Polynomial:
+    def term(self):
         result = self.factor()
         while self.peek()[0] in ("*", "/"):
             kind, _, pos = self.advance()
             rhs = self.factor()
             if kind == "*":
-                if len(result.terms) * len(rhs.terms) > MAX_TERMS:
+                if (
+                    isinstance(result, Polynomial)
+                    and isinstance(rhs, Polynomial)
+                    and len(result.terms) * len(rhs.terms) > MAX_TERMS
+                ):
                     self.bound_monomials(
                         (result, rhs), result.degree() + rhs.degree(), pos
                     )
                 result = result * rhs
             else:
-                if not rhs.is_constant():
+                value = _constant(rhs)
+                if value is None:
                     raise ParseError(
                         "division is only defined by constants", pos
                     )
-                value = rhs.constant_value()
                 if not value:
                     raise ParseError("division by zero", pos)
-                result = result * Polynomial.constant(value.inverse())
+                result = result * value.inverse()
         return result
 
-    def factor(self) -> Polynomial:
+    def factor(self):
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.advance()[0] == "-":
@@ -153,7 +180,7 @@ class _Parser:
         p = self.power()
         return p if sign > 0 else -p
 
-    def power(self) -> Polynomial:
+    def power(self):
         result = self.atom()
         while self.peek()[0] == "^":
             caret = self.advance()[2]
@@ -164,19 +191,22 @@ class _Parser:
                 raise ParseError(
                     f"exponent overflow ({value} > {MAX_EXPONENT})", pos
                 )
-            if len(result.terms) ** value > MAX_TERMS:
+            if (
+                isinstance(result, Polynomial)
+                and len(result.terms) ** value > MAX_TERMS
+            ):
                 self.bound_monomials((result,), result.degree() * value, caret)
             result = result ** value
         return result
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return Polynomial.constant(value)
+            return Eisenstein.coerce(value)
         if kind == "w":
-            return Polynomial.constant(OMEGA)
+            return OMEGA
         if kind == "var":
-            return Polynomial.variable(value)
+            return X[value]
         if kind == "(":
             # Each level recurses through every grammar rule, so the depth
             # is bounded well below the interpreter's recursion limit.
@@ -191,14 +221,28 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token '{kind}'", pos)
 
+    def finish(self):
+        end = self.peek()
+        if end[0] != "end":
+            raise ParseError(f"trailing input '{end[0]}'", end[2])
+
+
+def _constant(value):
+    """The field element a parsed value stands for; None if not constant."""
+    if isinstance(value, Polynomial):
+        if not value.is_constant():
+            return None
+        return value.constant_value()
+    return value
+
 
 def parse_polynomial(text: str) -> Polynomial:
     parser = _Parser(text)
     result = parser.expression()
-    end = parser.peek()
-    if end[0] != "end":
-        raise ParseError(f"trailing input '{end[0]}'", end[2])
-    return result
+    parser.finish()
+    if isinstance(result, Polynomial):
+        return result
+    return Polynomial.constant(result)
 
 
 def parse_field_element(text: str) -> Eisenstein:
@@ -213,19 +257,17 @@ def _parse_bracketed(parser: _Parser):
     entries = []
     if parser.peek()[0] != "]":
         while True:
-            q = parser.expression()
-            kind, _, pos = parser.peek()
-            if not q.is_constant():
+            value = _constant(parser.expression())
+            if value is None:
+                pos = parser.peek()[2]
                 raise ParseError("list entries must be constants", pos)
-            entries.append(q.constant_value())
+            entries.append(value)
             if parser.peek()[0] == ",":
                 parser.advance()
                 continue
             break
     parser.expect("]")
-    end = parser.peek()
-    if end[0] != "end":
-        raise ParseError(f"trailing input '{end[0]}'", end[2])
+    parser.finish()
     return tuple(entries)
 
 

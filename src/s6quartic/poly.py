@@ -13,9 +13,11 @@ output) is lexicographic on the exponent vector with x0 most significant.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
-from .eisenstein import Eisenstein, ONE, Rational, ZERO
+from .eisenstein import Eisenstein, ONE, Rational, ZERO, _operand, _reduced
 
 NVARS = 6
 
@@ -70,14 +72,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
-        return cls({_CONST: Eisenstein.coerce(value)})
+        c = Eisenstein.coerce(value)
+        return _raw({_CONST: c} if c else {})
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         if not 0 <= index < NVARS:
             raise ValueError(f"variable index {index} out of range")
-        mono = tuple(1 if i == index else 0 for i in range(NVARS))
-        return cls({mono: ONE})
+        return _raw({tuple(int(i == index) for i in range(NVARS)): ONE})
 
     # -- ring structure -----------------------------------------------------
 
@@ -112,19 +114,33 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = monomial_mul(m1, m2)
-                acc = terms.get(mono, ZERO) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return _raw(terms)
+        if not isinstance(other, Polynomial):
+            c = _operand(other)
+            if c is NotImplemented:
+                return NotImplemented
+            if not c:
+                return _raw({})
+            return _raw({m: coeff * c for m, coeff in self.terms.items()})
+        # Both operands as (monomial, a, b) over one common denominator each,
+        # so every term product is plain int arithmetic and the only gcds are
+        # taken once per surviving monomial of the result.
+        d1, left = _int_pairs(self)
+        d2, right = _int_pairs(other)
+        acc: dict = {}
+        get = acc.get
+        for m1, a, b in left:
+            for m2, c, d in right:
+                mono = tuple(map(add, m1, m2))
+                # (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
+                bd = b * d
+                x = a * c - bd
+                y = a * d + b * c - bd
+                old = get(mono)
+                acc[mono] = (x, y) if old is None else (old[0] + x, old[1] + y)
+        den = d1 * d2
+        return _raw(
+            {m: _reduced(x, y, den) for m, (x, y) in acc.items() if x or y}
+        )
 
     __rmul__ = __mul__
 
@@ -312,6 +328,17 @@ def _raw(terms: dict) -> Polynomial:
     p.terms = terms
     p._key = None
     return p
+
+
+def _int_pairs(p: Polynomial):
+    """(D, [(monomial, a, b)]) with every coefficient equal to (a + b*w)/D."""
+    den = lcm(*(c._den for c in p.terms.values()))
+    pairs = []
+    for mono, c in p.terms.items():
+        a, b, d = c._parts()
+        k = den // d
+        pairs.append((mono, a * k, b * k))
+    return den, pairs
 
 
 def _coerce_poly(value):

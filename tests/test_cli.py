@@ -207,3 +207,45 @@ class TestHostileInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: expansion exceeds")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["eval", "--poly", "x0²", "--point", "[1, 2, 3, 4, 5, 6]"],
+                "error: unexpected character '²' (at position 2)",
+            ),
+            (
+                ["eval", "--poly", "x0", "--point", "[1,2,3,4,5,²]"],
+                "error: unexpected character '²' (at position 11)",
+            ),
+            (
+                ["scan", "--t", "6", "--alphabet", "[²]"],
+                "error: bad alphabet list: unexpected character '²' "
+                "(at position 1)",
+            ),
+            (
+                # Arabic-Indic three is a Unicode digit but not a grammar one,
+                # so this is not x3.
+                ["eval", "--poly", "x٣", "--point", "[1, 2, 3, 4, 5, 6]"],
+                "error: unknown name 'x' (at position 0)",
+            ),
+            (
+                ["eval", "--poly", "1" + "0" * 5000, "--point", "[1, 0, 0, 0, 0, 0]"],
+                "error: integer literal too long (5001 digits) (at position 0)",
+            ),
+            (
+                ["eval", "--poly", "x0^1000", "--point", "[100000, 1, 1, 1, 1, 1]"],
+                "error: result too large to print (more than "
+                f"{sys.get_int_max_str_digits()} digits)",
+            ),
+        ],
+    )
+    def test_non_ascii_and_oversized_numbers_are_clean_errors(
+        self, capsys, argv, message
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"

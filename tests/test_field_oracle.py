@@ -5,7 +5,9 @@ Fractions and does schoolbook arithmetic with w^2 = -1 - w.  It shares no
 code with the kernel, so agreement on seeded random operands (integral and
 not, zero and negative included) checks every operation independently.
 The same reference evaluates polynomials term by term, as an oracle for the
-power-table evaluation.
+power-table evaluation, and evaluates seeded expression trees, as an oracle
+for the constant-folding parser.  The term-by-term Eisenstein product is
+kept here as the oracle for the integer-pair polynomial product.
 """
 
 import random
@@ -14,7 +16,17 @@ from math import gcd
 
 import pytest
 
-from s6quartic import NVARS, Eisenstein, Polynomial
+from s6quartic import (
+    NVARS,
+    OMEGA,
+    ZERO,
+    Eisenstein,
+    Polynomial,
+    X,
+    parse_field_element,
+    parse_point_coordinates,
+    parse_polynomial,
+)
 
 
 class Ref:
@@ -217,3 +229,167 @@ class TestEvaluateAgainstNaive:
         point = [rng.randint(-3, 3) for _ in range(NVARS - 1)] + [Fraction(1, 3)]
         value = poly.evaluate(point)
         _check(value, _naive_evaluate(poly, [(Fraction(c), 0) for c in point]))
+
+
+def _termwise_product(p, q):
+    """The product with one Eisenstein operation per pair of terms."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            acc = terms.get(mono, ZERO) + c1 * c2
+            if acc:
+                terms[mono] = acc
+            else:
+                terms.pop(mono, None)
+    return terms
+
+
+def _check_product(product, p, q):
+    assert product.terms == _termwise_product(p, q)
+    for coeff in product.terms.values():
+        assert coeff and coeff._den > 0
+        assert gcd(coeff._a, coeff._b, coeff._den) == 1
+
+
+class TestProductAgainstTermwise:
+    def test_random_products(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            p = _random_polynomial(rng, rng.randint(1, 10), rng.randint(0, 3))
+            q = _random_polynomial(rng, rng.randint(1, 10), rng.randint(0, 3))
+            _check_product(p * q, p, q)
+
+    def test_mixed_and_shared_denominators(self):
+        halves = Polynomial({(1, 0, 0, 0, 0, 0): Fraction(1, 2),
+                             (0, 1, 0, 0, 0, 0): Eisenstein(Fraction(3, 2), 1)})
+        sixths = Polynomial({(1, 0, 0, 0, 0, 0): Eisenstein(0, Fraction(1, 6)),
+                             (0, 0, 0, 0, 0, 0): Fraction(-5, 6)})
+        for p, q in ((halves, sixths), (halves, halves), (sixths, halves)):
+            _check_product(p * q, p, q)
+
+    def test_common_denominator_is_divided_out(self):
+        # (x0/2 + x1/2)(2*x0 - 2*x1) is computed over denominator 2, and
+        # every coefficient of the result reduces to an integer.
+        x0, x1 = X[0], X[1]
+        p, q = x0 / 2 + x1 / 2, 2 * x0 - 2 * x1
+        product = p * q
+        _check_product(product, p, q)
+        assert product == x0**2 - x1**2
+        assert all(c._den == 1 for c in product.terms.values())
+
+    def test_products_that_cancel_to_zero(self):
+        x0, x1 = X[0], X[1]
+        assert ((x0 - x1) * (x0 + x1) - (x0**2 - x1**2)).is_zero()
+        rng = random.Random(9)
+        for _ in range(10):
+            p = _random_polynomial(rng, rng.randint(1, 8), 2)
+            assert (p * (-p) + p**2).terms == {}
+            q = p * (OMEGA * p) - (OMEGA * p) * p
+            assert q.terms == {}
+
+    def test_scalar_and_zero_operands_on_both_sides(self):
+        rng = random.Random(10)
+        zero = Polynomial.zero()
+        for _ in range(10):
+            p = _random_polynomial(rng, rng.randint(1, 8), 3)
+            scalars = (0, rng.randint(-9, 9) or 1, _rational(rng),
+                       Eisenstein(_rational(rng), _rational(rng)), OMEGA)
+            for c in scalars:
+                ref = _termwise_product(p, Polynomial.constant(c))
+                assert (p * c).terms == ref
+                assert (c * p).terms == ref
+                assert (p * Polynomial.constant(c)).terms == ref
+                assert (Polynomial.constant(c) * p).terms == ref
+            for left, right in ((p, zero), (zero, p), (zero, zero)):
+                assert (left * right).terms == {}
+
+
+# -- the parser against a direct evaluation of the expression tree -----------
+
+
+def _tree(rng, depth, constant_only=False):
+    """A random expression tree; constant_only trees contain no variable."""
+    if depth <= 0 or rng.random() < 0.15:
+        if not constant_only and rng.random() < 0.5:
+            return ("var", rng.randrange(NVARS))
+        return ("const", _rational(rng), _rational(rng))
+    kind = rng.choice(("add", "sub", "mul", "mul", "div", "pow", "neg"))
+    if kind == "div":
+        while True:
+            divisor = _tree(rng, depth - 2, constant_only=True)
+            if _tree_value(divisor, None).norm():
+                break
+        return ("div", _tree(rng, depth - 1, constant_only), divisor)
+    if kind == "pow":
+        exponents = [rng.choice((0, 1, 2, 2, 3)) for _ in range(rng.randint(1, 2))]
+        return ("pow", _tree(rng, depth - 2, constant_only), exponents)
+    if kind == "neg":
+        return ("neg", _tree(rng, depth - 1, constant_only))
+    # Mix constant-only and variable subtrees under one node.
+    return (kind, _tree(rng, depth - 1, constant_only or rng.random() < 0.3),
+            _tree(rng, depth - 1, constant_only))
+
+
+def _const_text(re, om):
+    return f"({re.numerator}/{re.denominator} + ({om.numerator})/{om.denominator}*w)"
+
+
+def _tree_text(node):
+    kind = node[0]
+    if kind == "var":
+        return f"x{node[1]}"
+    if kind == "const":
+        return _const_text(node[1], node[2])
+    if kind == "neg":
+        return f"-({_tree_text(node[1])})"
+    if kind == "pow":
+        return f"({_tree_text(node[1])})" + "".join(f"^{k}" for k in node[2])
+    symbol = {"add": " + ", "sub": " - ", "mul": " * ", "div": " / "}[kind]
+    return f"({_tree_text(node[1])}{symbol}{_tree_text(node[2])})"
+
+
+def _tree_value(node, point):
+    kind = node[0]
+    if kind == "var":
+        return Ref(*point[node[1]])
+    if kind == "const":
+        return Ref(node[1], node[2])
+    if kind == "neg":
+        return Ref(0) - _tree_value(node[1], point)
+    if kind == "pow":
+        value = _tree_value(node[1], point)
+        for k in node[2]:
+            value = value.power(k)
+        return value
+    left, right = _tree_value(node[1], point), _tree_value(node[2], point)
+    if kind == "add":
+        return left + right
+    if kind == "sub":
+        return left - right
+    if kind == "mul":
+        return left * right
+    return left * right.inverse()
+
+
+class TestParserAgainstTreeEvaluation:
+    def test_parsed_polynomials_evaluate_like_their_trees(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            tree = _tree(rng, 6)
+            point = [(_rational(rng), _rational(rng)) for _ in range(NVARS)]
+            text = "[" + ", ".join(_const_text(*c) for c in point) + "]"
+            value = parse_polynomial(_tree_text(tree)).evaluate(
+                parse_point_coordinates(text)
+            )
+            _check(value, _tree_value(tree, point))
+
+    def test_constant_trees_parse_to_field_elements(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            tree = _tree(rng, 5, constant_only=True)
+            expected = _tree_value(tree, None)
+            _check(parse_field_element(_tree_text(tree)), expected)
+            poly = parse_polynomial(_tree_text(tree))
+            assert poly.is_constant()
+            _check(poly.constant_value(), expected)

@@ -221,3 +221,41 @@ class TestTermCap:
 
     def test_high_powers_of_monomials_are_allowed(self):
         assert parse_polynomial("(w*x0)^1000") == OMEGA * X0**1000
+
+
+class TestAsciiTokens:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x0²", "unexpected character '²' (at position 2)"),
+            ("x٣", "unknown name 'x' (at position 0)"),
+            ("１ + x0", "unexpected character '１' (at position 0)"),
+            ("xé", "unknown name 'x' (at position 0)"),
+        ],
+    )
+    def test_non_ascii_digits_and_letters_are_refused(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == message
+
+    def test_unicode_whitespace_separates_tokens(self):
+        assert parse_polynomial("x0\u00a0+\u2003x1") == X0 + X1
+
+    def test_variable_indices(self):
+        assert parse_polynomial("x0001") == X1
+        long_name = "x" + "1" * 5000
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(long_name)
+        assert str(info.value) == f"unknown variable '{long_name}' (at position 0)"
+
+    def test_over_long_literal_is_a_parse_error(self):
+        digits = "7" * 5000
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"x0 + {digits}")
+        assert str(info.value) == (
+            "integer literal too long (5000 digits) (at position 5)"
+        )
+
+    def test_long_literal_within_the_limit_parses(self):
+        digits = "3" * 4000
+        assert parse_field_element(digits) == Eisenstein(int(digits))
