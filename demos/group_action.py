@@ -8,8 +8,8 @@ from s6quartic import (
     H_SHIFT,
     QUADRIC_SURFACES,
     SIGN_POINT,
+    STANDARD_LABELS,
     TAU,
-    LabelDictionary,
     PermGroup,
     act_on_variety,
     incidence_table,
@@ -54,9 +54,8 @@ def main() -> None:
 
     print("A dictionary identifies labels with coordinates (label 5 is spare,")
     print("the sixth coordinate is fixed):")
-    dictionary = LabelDictionary()
-    print(f"  label -> variable: {dictionary.label_to_var}")
-    induced_tau = dictionary.induced_variable_permutation(TAU)
+    print(f"  label -> variable: {STANDARD_LABELS.label_to_var}")
+    induced_tau = STANDARD_LABELS.induced_variable_permutation(TAU)
     print(f"  tau acts on (x0..x5) by index map {induced_tau.index_map()}")
     print()
 
@@ -73,16 +72,16 @@ def main() -> None:
     print("How translates of one quadric surface pass through o: the group")
     print("has order 20, 8 translates hit the point, and they bunch into 4")
     print("distinct surfaces counted twice each:")
-    table = incidence_table(group, dictionary, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
-    multiplicities = [table.multiplicity[v] for v in table.distinct_through_point]
-    print(f"  hits: {table.hit_count}")
-    print(f"  distinct surfaces through o: {len(table.distinct_through_point)}")
+    table = incidence_table(group, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
+    multiplicities = list(table.values())
+    print(f"  hits: {sum(multiplicities)}")
+    print(f"  distinct surfaces through o: {len(table)}")
     print(f"  multiplicities: {multiplicities}")
-    assert table.hit_count == 8 and multiplicities == [2, 2, 2, 2]
+    assert sum(multiplicities) == 8 and multiplicities == [2, 2, 2, 2]
     print()
 
     print("The stabilizing element h*tau^2 genuinely fixes the surface:")
-    ht2 = dictionary.induced_variable_permutation(H_SHIFT * TAU**2)
+    ht2 = STANDARD_LABELS.induced_variable_permutation(H_SHIFT * TAU**2)
     fixed = act_on_variety(ht2, QUADRIC_SURFACES[0]) == QUADRIC_SURFACES[0]
     print(f"  h*tau^2 = {H_SHIFT * TAU ** 2} fixes the surface: {fixed}")
     assert fixed

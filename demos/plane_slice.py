@@ -34,9 +34,9 @@ def main() -> None:
     print()
 
     print("The restriction factors exactly as a scalar times q1*q2:")
-    result = restriction_factorization_check(6)
-    print(f"  factors: {result.factors}   scalar: {result.scalar}")
-    assert result.factors and str(result.scalar) == "8"
+    scalar = restriction_factorization_check(6)
+    print(f"  factors: {scalar is not None}   scalar: {scalar}")
+    assert str(scalar) == "8"
     assert restricted == 8 * q1 * q2
     print()
 
@@ -49,9 +49,9 @@ def main() -> None:
 
     print("Away from t = 6 the factorization breaks down:")
     for t in (0, 2, 7):
-        result = restriction_factorization_check(t)
-        print(f"  t = {t}: factors? {result.factors}")
-        assert not result.factors
+        scalar = restriction_factorization_check(t)
+        print(f"  t = {t}: factors? {scalar is not None}")
+        assert scalar is None
     print()
 
     print("Each quadric is a smooth surface in the 3-space: its symmetric")

@@ -5,47 +5,32 @@ The package is a small exact kernel — the field Q(w), sparse polynomials
 in six variables, exact linear algebra, permutation groups — plus the
 geometry of the quartic family and a registry of named checks with a
 command-line front end (``s6quartic verify | scan | eval``).
+
+``__all__`` is the supported surface: the names the demos, the README and
+the benchmark use, plus the entry points of a verification run.  Every
+other name is importable from its submodule.
 """
 
 from .eisenstein import (
     Eisenstein,
     OMEGA,
-    OMEGA_SQUARED,
-    ONE,
-    Rational,
-    ZERO,
 )
 from .poly import (
-    NVARS,
     Polynomial,
-    X,
     divide_exact,
-    format_polynomial,
     quartic_family,
 )
 from .parsing import (
-    MAX_EXPONENT,
     ParseError,
-    parse_field_element,
     parse_point_coordinates,
     parse_polynomial,
-    parse_scalar_list,
 )
 from .linalg import (
-    ALL_T,
-    EMPTY,
-    Matrix,
     NonRationalRootError,
-    TSolutionSet,
     gram_matrix,
-    rref_linear_forms,
-    solve_linear_in_t,
-    solve_parametric_proportionality,
 )
 from .perms import (
-    LabelDictionary,
     PermGroup,
-    Permutation,
     STANDARD_LABELS,
     irreducible_degrees,
     orbit_and_stabilizer,
@@ -53,120 +38,71 @@ from .perms import (
 )
 from .varieties import (
     CUBE_ROOT_POINT,
-    DEFAULT_SCAN_CAP,
-    FactorizationResult,
-    IncidenceMultiset,
-    LinearSliceVariety,
     PLANE_FORMS,
     ProjectivePoint,
     QUADRIC_PAIR,
     QUADRIC_SURFACES,
     SIGN_POINT,
-    act_on_point,
     act_on_variety,
-    canonicalize,
     family_member,
     incidence_table,
     is_node,
     is_singular_on_family,
     projective_orbit,
-    quadric_pair_quotient,
     restrict_to_plane,
     restriction_factorization_check,
     scan_alphabet,
     singular_t_values,
-    variety_eq,
 )
 from .checks import (
-    ALL_CHECK_IDS,
-    CheckRecord,
-    ConfigError,
     DEFAULT_ALPHABETS,
     H_SHIFT,
-    REGISTRY_CHECK_IDS,
     RunConfig,
-    S_SWAP,
     TAU,
     all_passed,
-    apply_overrides,
     emit_report,
-    load_config,
     run_checks,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CHECK_IDS",
-    "ALL_T",
     "CUBE_ROOT_POINT",
-    "CheckRecord",
-    "ConfigError",
     "DEFAULT_ALPHABETS",
-    "DEFAULT_SCAN_CAP",
-    "EMPTY",
     "Eisenstein",
-    "FactorizationResult",
     "H_SHIFT",
-    "IncidenceMultiset",
-    "LabelDictionary",
-    "LinearSliceVariety",
-    "MAX_EXPONENT",
-    "Matrix",
-    "NVARS",
     "NonRationalRootError",
     "OMEGA",
-    "OMEGA_SQUARED",
-    "ONE",
     "PLANE_FORMS",
     "ParseError",
     "PermGroup",
-    "Permutation",
     "Polynomial",
     "ProjectivePoint",
     "QUADRIC_PAIR",
     "QUADRIC_SURFACES",
-    "REGISTRY_CHECK_IDS",
-    "Rational",
     "RunConfig",
     "SIGN_POINT",
     "STANDARD_LABELS",
-    "S_SWAP",
     "TAU",
-    "TSolutionSet",
-    "X",
-    "ZERO",
-    "act_on_point",
     "act_on_variety",
     "all_passed",
-    "apply_overrides",
-    "canonicalize",
     "divide_exact",
     "emit_report",
     "family_member",
-    "format_polynomial",
     "gram_matrix",
     "incidence_table",
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",
-    "load_config",
     "orbit_and_stabilizer",
-    "parse_field_element",
     "parse_point_coordinates",
     "parse_polynomial",
-    "parse_scalar_list",
     "projective_orbit",
-    "quadric_pair_quotient",
     "quartic_family",
     "restrict_to_plane",
     "restriction_factorization_check",
-    "rref_linear_forms",
     "run_checks",
     "scan_alphabet",
     "semidirect_structure_check",
     "singular_t_values",
-    "solve_linear_in_t",
-    "solve_parametric_proportionality",
-    "variety_eq",
 ]

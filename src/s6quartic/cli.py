@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .checks import (
     ALL_CHECK_IDS,
@@ -21,7 +22,6 @@ from .checks import (
     DEFAULT_ALPHABETS,
     RunConfig,
     all_passed,
-    apply_overrides,
     emit_report,
     load_config,
     normalize_format,
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     cfg = RunConfig()
     if args.config:
-        cfg = apply_overrides(cfg, load_config(args.config))
+        cfg = replace(cfg, **load_config(args.config))
     overrides = {}
     if args.check:
         overrides["selected_checks"] = tuple(args.check)
@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
         overrides["t_values"] = tuple(parse_rational(raw) for raw in args.t)
     if args.cap is not None:
         overrides["enum_cap"] = args.cap
-    cfg = apply_overrides(cfg, overrides)
+    cfg = replace(cfg, **overrides)
     records = run_checks(cfg)
     sys.stdout.buffer.write(emit_report(records, cfg.output))
     sys.stdout.buffer.flush()

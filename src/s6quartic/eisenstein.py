@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 _new = object.__new__
 
 

@@ -41,15 +41,6 @@ class Matrix:
         self.nrows = len(coerced)
         self.ncols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def entry(self, i: int, j: int) -> Eisenstein:
-        return self.rows[i][j]
-
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
 

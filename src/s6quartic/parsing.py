@@ -10,8 +10,9 @@
 unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
-Parentheses nest at most MAX_NESTING deep, and no product or power may
-expand to more than MAX_TERMS terms.
+Parentheses nest at most MAX_NESTING deep, no product or power may
+expand to more than MAX_TERMS terms, and no power of a constant may have
+more than MAX_CONSTANT_BITS bits.
 
 Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
 a-z.  A literal longer than Python's limit on decimal conversion is a
@@ -32,6 +33,8 @@ from .poly import NVARS, Polynomial, X
 MAX_EXPONENT = 1000
 MAX_NESTING = 100
 MAX_TERMS = 10_000
+# About 4.5 times the 14,284 bits of Python's 4,300-digit print limit.
+MAX_CONSTANT_BITS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -191,11 +194,15 @@ class _Parser:
                 raise ParseError(
                     f"exponent overflow ({value} > {MAX_EXPONENT})", pos
                 )
-            if (
-                isinstance(result, Polynomial)
-                and len(result.terms) ** value > MAX_TERMS
-            ):
-                self.bound_monomials((result,), result.degree() * value, caret)
+            if isinstance(result, Polynomial):
+                if len(result.terms) ** value > MAX_TERMS:
+                    self.bound_monomials(
+                        (result,), result.degree() * value, caret
+                    )
+            elif value * (_bit_length(result) + 2) > MAX_CONSTANT_BITS:
+                raise ParseError(
+                    f"constant exceeds {MAX_CONSTANT_BITS} bits", caret
+                )
             result = result ** value
         return result
 
@@ -225,6 +232,16 @@ class _Parser:
         end = self.peek()
         if end[0] != "end":
             raise ParseError(f"trailing input '{end[0]}'", end[2])
+
+
+def _bit_length(value: Eisenstein) -> int:
+    """Bits of the largest of the normalised triple (a, b, den).
+
+    Each component of (a + b*w)^n is below 3^n * max(|a|, |b|)^n, so n
+    times (this + 2) bounds the bits of a power.
+    """
+    a, b, den = value._parts()
+    return max(abs(a), abs(b), den).bit_length()
 
 
 def _constant(value):

@@ -34,18 +34,6 @@ class Permutation:
         return cls(range(1, degree + 1))
 
     @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        """Parse the one-line syntax '[1,3,5,2,4]' (whitespace optional)."""
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"expected bracketed one-line images: {text!r}")
-        try:
-            images = [int(part) for part in body[1:-1].split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad one-line images: {text!r}") from exc
-        return cls(images)
-
-    @classmethod
     def from_index_map(cls, index_map: Sequence[int]) -> "Permutation":
         """Build from a 0-based image map (index_map[i] = image of i)."""
         return cls(tuple(v + 1 for v in index_map))
@@ -116,36 +104,17 @@ class Permutation:
 
 
 class PermGroup:
-    """A finite permutation group as an explicit sorted element tuple."""
+    """A finite permutation group as an explicit sorted element tuple.
 
-    __slots__ = ("degree", "elements", "generators")
+    The constructor trusts its caller: the elements must already be a
+    closed set of permutations of the given degree.
+    """
 
-    def __init__(self, elements: Iterable[Permutation], generators=()):
-        elems = tuple(sorted(set(elements)))
-        if not elems:
-            raise ValueError("a group needs at least the identity")
-        degree = elems[0].degree
-        if any(e.degree != degree for e in elems):
-            raise ValueError("mixed degrees")
-        elem_set = set(elems)
-        for a in elems:
-            for b in elems:
-                if a * b not in elem_set:
-                    raise ValueError(
-                        f"element set is not closed: {a} * {b} missing"
-                    )
+    __slots__ = ("degree", "elements")
+
+    def __init__(self, elements: Iterable[Permutation], degree: int):
         self.degree = degree
-        self.elements = elems
-        self.generators = tuple(generators)
-
-    @classmethod
-    def _closed(cls, elements, degree, generators=()) -> "PermGroup":
-        """Internal: wrap a set already known to be closed."""
-        group = cls.__new__(cls)
-        group.degree = degree
-        group.elements = tuple(sorted(elements))
-        group.generators = tuple(generators)
-        return group
+        self.elements = tuple(sorted(elements))
 
     @classmethod
     def generate(
@@ -171,7 +140,7 @@ class PermGroup:
             if len(seen) > cap:
                 raise ValueError(f"group order exceeds cap {cap}")
             frontier = new
-        return cls._closed(seen, degree, gens)
+        return cls(seen, degree)
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
@@ -180,11 +149,11 @@ class PermGroup:
         if degree < 1 or degree > 7:
             raise ValueError("symmetric groups supported for degree 1..7")
         elems = [Permutation(p) for p in iter_perms(range(1, degree + 1))]
-        return cls._closed(elems, degree)
+        return cls(elems, degree)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls._closed([Permutation.identity(degree)], degree)
+        return cls([Permutation.identity(degree)], degree)
 
     @property
     def order(self) -> int:
@@ -192,9 +161,6 @@ class PermGroup:
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -247,9 +213,7 @@ class PermGroup:
                 if self.order % len(union) != 0:
                     continue
                 if all(a * b in union for a in union for b in union):
-                    found.append(
-                        PermGroup._closed(union, self.degree)
-                    )
+                    found.append(PermGroup(union, self.degree))
         found.sort(key=lambda g: (g.order, g.elements))
         return found
 
@@ -279,7 +243,7 @@ def orbit_and_stabilizer(group: PermGroup, x, act: Callable):
         orbit.setdefault(image)
         if image == x:
             stabilizer.append(g)
-    return list(orbit), PermGroup._closed(stabilizer, group.degree)
+    return list(orbit), PermGroup(stabilizer, group.degree)
 
 
 def semidirect_structure_check(
@@ -343,28 +307,14 @@ def irreducible_degrees(group: PermGroup, cap: int = SUBGROUP_SCAN_CAP) -> tuple
 
 
 class LabelDictionary:
-    """The fixed identification of the labels {1..5} with five variables.
-
-    The default is 1 -> x2, 2 -> x0, 3 -> x4, 4 -> x3, 5 -> x1, with x5
-    untouched by every label permutation.
+    """The fixed identification of the labels {1..5} with five variables:
+    1 -> x2, 2 -> x0, 3 -> x4, 4 -> x3, 5 -> x1, with x5 untouched by
+    every label permutation.
     """
 
-    DEFAULT = {1: 2, 2: 0, 3: 4, 4: 3, 5: 1}
+    __slots__ = ()
 
-    __slots__ = ("label_to_var",)
-
-    def __init__(self, label_to_var: dict | None = None):
-        mapping = dict(label_to_var or self.DEFAULT)
-        if sorted(mapping) != [1, 2, 3, 4, 5] or sorted(
-            mapping.values()
-        ) != [0, 1, 2, 3, 4]:
-            raise ValueError(
-                "dictionary must biject labels 1..5 onto variables 0..4"
-            )
-        self.label_to_var = mapping
-
-    def var(self, label: int) -> int:
-        return self.label_to_var[label]
+    label_to_var = {1: 2, 2: 0, 3: 4, 4: 3, 5: 1}
 
     def induced_variable_permutation(self, sigma: Permutation) -> Permutation:
         """The degree-6 variable permutation with gamma(dict(i)) =

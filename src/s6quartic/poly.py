@@ -14,32 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Mapping, Sequence
 
-from .eisenstein import Eisenstein, ONE, Rational, ZERO, _operand, _reduced
+from .eisenstein import Eisenstein, ONE, ZERO, _operand, _reduced
 
 NVARS = 6
 
 Monomial = tuple  # 6-tuple of non-negative ints
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(numer: Monomial, denom: Monomial) -> Monomial:
-    return tuple(n - d for n, d in zip(numer, denom))
-
 
 _CONST = (0,) * NVARS
 
@@ -181,10 +163,10 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {monomial_degree(m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
     def leading_monomial(self) -> Monomial:
@@ -368,10 +350,6 @@ def _monomial_text(mono: Monomial) -> str:
     return "*".join(parts)
 
 
-def _rational_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _term_text(mono: Monomial, coeff: Eisenstein):
     """Return (sign, body) with sign in {+1, -1} and body free of a sign."""
     mtext = _monomial_text(mono)
@@ -380,17 +358,17 @@ def _term_text(mono: Monomial, coeff: Eisenstein):
         mag = abs(coeff.re)
         if mtext and mag == 1:
             return sign, mtext
-        ctext = _rational_text(mag)
+        ctext = str(mag)
         return sign, f"{ctext}*{mtext}" if mtext else ctext
     if coeff.re == 0:
         sign = 1 if coeff.om > 0 else -1
         mag = abs(coeff.om)
-        ctext = "w" if mag == 1 else f"{_rational_text(mag)}*w"
+        ctext = "w" if mag == 1 else f"{mag}*w"
         return sign, f"{ctext}*{mtext}" if mtext else ctext
     inner_sign = "+" if coeff.om > 0 else "-"
     om_mag = abs(coeff.om)
-    wtext = "w" if om_mag == 1 else f"{_rational_text(om_mag)}*w"
-    ctext = f"({_rational_text(coeff.re)} {inner_sign} {wtext})"
+    wtext = "w" if om_mag == 1 else f"{om_mag}*w"
+    ctext = f"({coeff.re} {inner_sign} {wtext})"
     return 1, f"{ctext}*{mtext}" if mtext else ctext
 
 
@@ -425,13 +403,13 @@ def divide_exact(numerator: Polynomial, divisor: Polynomial):
     quotient: dict = {}
     while remainder:
         top = max(remainder)
-        if not monomial_divides(lead_mono, top):
+        qm = tuple(map(sub, top, lead_mono))
+        if min(qm) < 0:
             return None
-        qm = monomial_div(top, lead_mono)
         qc = remainder[top] / lead_coeff
         quotient[qm] = qc
         for mono, coeff in divisor.terms.items():
-            target = monomial_mul(qm, mono)
+            target = tuple(map(add, qm, mono))
             acc = remainder.get(target, ZERO) - qc * coeff
             if acc:
                 remainder[target] = acc
@@ -444,7 +422,7 @@ def divide_exact(numerator: Polynomial, divisor: Polynomial):
 
 def quartic_family(t) -> tuple:
     """The hyperplane L = sum x_i and the quartic t*sum x_i^4 - (sum x_i^2)^2."""
-    t = Rational(t)
+    t = Fraction(t)
     linear = Polynomial.zero()
     fourth = Polynomial.zero()
     square = Polynomial.zero()

@@ -14,7 +14,6 @@ family member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -28,7 +27,7 @@ from .linalg import (
     solve_parametric_proportionality,
 )
 from .parsing import parse_point_coordinates
-from .perms import PermGroup, Permutation
+from .perms import STANDARD_LABELS, PermGroup, Permutation
 from .poly import NVARS, Polynomial, X, divide_exact, quartic_family
 
 DEFAULT_SCAN_CAP = 10**7
@@ -202,50 +201,23 @@ def variety_eq(v1: LinearSliceVariety, v2: LinearSliceVariety) -> bool:
     return v1.canonical() == v2.canonical()
 
 
-@dataclass
-class IncidenceMultiset:
-    """How a group orbit of a variety meets a point.
-
-    entries lists (group element, transformed variety, contains-point
-    flag) for every group element; distinct_through_point lists the
-    distinct transformed varieties containing the point in order of first
-    appearance; multiplicity counts how many group elements land on each.
-    """
-
-    entries: tuple
-    distinct_through_point: tuple
-    multiplicity: dict
-
-    @property
-    def hit_count(self) -> int:
-        return sum(1 for _, _, flag in self.entries if flag)
-
-
 def incidence_table(
-    group: PermGroup,
-    dictionary,
-    variety: LinearSliceVariety,
-    point: ProjectivePoint,
-) -> IncidenceMultiset:
-    """Tabulate which group translates of the variety pass through the point.
+    group: PermGroup, variety: LinearSliceVariety, point: ProjectivePoint
+) -> dict:
+    """Which group translates of the variety pass through the point.
 
-    The group permutes the labels 1..5; the dictionary converts each
-    element to its induced permutation of the six coordinates.
+    The group permutes the labels 1..5, acting on the coordinates through
+    STANDARD_LABELS.  The result maps each distinct translate through the
+    point, in order of first appearance, to the number of group elements
+    that land on it.
     """
-    entries = []
-    distinct = []
     counts = {}
     for gamma in group:
-        induced = dictionary.induced_variable_permutation(gamma)
+        induced = STANDARD_LABELS.induced_variable_permutation(gamma)
         image = act_on_variety(induced, variety)
-        flag = image.contains(point)
-        entries.append((gamma, image, flag))
-        if flag:
-            if image not in counts:
-                counts[image] = 0
-                distinct.append(image)
-            counts[image] += 1
-    return IncidenceMultiset(tuple(entries), tuple(distinct), counts)
+        if image.contains(point):
+            counts[image] = counts.get(image, 0) + 1
+    return counts
 
 
 def projective_orbit(group: PermGroup, point: ProjectivePoint) -> tuple:
@@ -455,15 +427,9 @@ def quadric_pair_quotient(poly: Polynomial):
     return twice.constant_value()
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    factors: bool
-    scalar: Eisenstein | None
-
-
-def restriction_factorization_check(t) -> FactorizationResult:
-    """Whether the t-member restricted to the distinguished plane splits as
-    a scalar times the product of the two quadrics, and the scalar."""
+def restriction_factorization_check(t):
+    """The scalar c with the t-member restricted to the distinguished plane
+    equal to c times the product of the two quadrics; None if it does not
+    split that way."""
     _, quartic = _family(Fraction(t))
-    scalar = quadric_pair_quotient(restrict_to_plane(quartic))
-    return FactorizationResult(scalar is not None, scalar)
+    return quadric_pair_quotient(restrict_to_plane(quartic))

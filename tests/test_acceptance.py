@@ -14,26 +14,23 @@ import pytest
 
 from s6quartic import (
     H_SHIFT,
-    NVARS,
     OMEGA,
-    ONE,
-    S_SWAP,
     TAU,
-    ZERO,
     Eisenstein,
-    Matrix,
     PermGroup,
-    Permutation,
     Polynomial,
     RunConfig,
-    X,
     divide_exact,
-    format_polynomial,
     orbit_and_stabilizer,
-    parse_field_element,
     parse_polynomial,
     run_checks,
 )
+from s6quartic.eisenstein import ONE, ZERO
+from s6quartic.poly import NVARS, X, format_polynomial
+from s6quartic.parsing import parse_field_element
+from s6quartic.linalg import Matrix
+from s6quartic.perms import Permutation
+from s6quartic.checks import S_SWAP
 
 SEED = 20260814
 CASES = 1000

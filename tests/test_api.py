@@ -1,0 +1,130 @@
+"""The public surface: ``s6quartic.__all__`` and the names its users read.
+
+The demos, the README's library tour and the benchmark workloads import
+from the package root; everything else is imported from its submodule.
+"""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import s6quartic
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "CUBE_ROOT_POINT",
+    "DEFAULT_ALPHABETS",
+    "Eisenstein",
+    "H_SHIFT",
+    "NonRationalRootError",
+    "OMEGA",
+    "PLANE_FORMS",
+    "ParseError",
+    "PermGroup",
+    "Polynomial",
+    "ProjectivePoint",
+    "QUADRIC_PAIR",
+    "QUADRIC_SURFACES",
+    "RunConfig",
+    "SIGN_POINT",
+    "STANDARD_LABELS",
+    "TAU",
+    "act_on_variety",
+    "all_passed",
+    "divide_exact",
+    "emit_report",
+    "family_member",
+    "gram_matrix",
+    "incidence_table",
+    "irreducible_degrees",
+    "is_node",
+    "is_singular_on_family",
+    "orbit_and_stabilizer",
+    "parse_point_coordinates",
+    "parse_polynomial",
+    "projective_orbit",
+    "quartic_family",
+    "restrict_to_plane",
+    "restriction_factorization_check",
+    "run_checks",
+    "scan_alphabet",
+    "semidirect_structure_check",
+    "singular_t_values",
+]
+
+# What perfbench/workloads.py reads from the package root.
+BENCHMARK_NAMES = (
+    "DEFAULT_ALPHABETS",
+    "scan_alphabet",
+    "parse_polynomial",
+    "parse_point_coordinates",
+)
+
+
+def _python_blocks(markdown: str) -> list:
+    return re.findall(r"```python\n(.*?)```", markdown, re.DOTALL)
+
+
+def _root_imports(source: str) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "s6quartic":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+README_BLOCKS = _python_blocks((ROOT / "README.md").read_text(encoding="utf-8"))
+
+
+def test_all_is_the_agreed_sorted_list():
+    assert s6quartic.__all__ == PUBLIC
+    assert PUBLIC == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert hasattr(s6quartic, name), name
+
+
+def test_the_package_root_binds_only_exported_names():
+    bound = {
+        name
+        for name, value in vars(s6quartic).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(PUBLIC)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_imports_are_exported(path):
+    imported = _root_imports(path.read_text(encoding="utf-8"))
+    assert imported
+    assert imported <= set(PUBLIC)
+
+
+def test_readme_imports_are_exported():
+    imported = set().union(*(_root_imports(block) for block in README_BLOCKS))
+    assert imported
+    assert imported <= set(PUBLIC)
+
+
+def test_benchmark_attributes_exist():
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    assert set(re.findall(r"\bpkg\.(\w+)", workloads)) == set(BENCHMARK_NAMES)
+    for name in BENCHMARK_NAMES:
+        assert name in PUBLIC
+        assert hasattr(s6quartic, name)
+
+
+def test_readme_library_tour_runs(capsys):
+    (tour,) = [b for b in README_BLOCKS if "from s6quartic import" in b]
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "all-t",
+        "True",
+        "True",
+        "-1 - w",
+    ]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from s6quartic import REGISTRY_CHECK_IDS
+from s6quartic.checks import REGISTRY_CHECK_IDS
 from s6quartic.cli import main
 
 
@@ -238,6 +238,20 @@ class TestHostileInput:
                 ["eval", "--poly", "x0^1000", "--point", "[100000, 1, 1, 1, 1, 1]"],
                 "error: result too large to print (more than "
                 f"{sys.get_int_max_str_digits()} digits)",
+            ),
+            (
+                ["eval", "--poly", "(1/3)^1000^1000^10", "--point", "[1,0,0,0,0,0]"],
+                "error: constant exceeds 65536 bits (at position 10)",
+            ),
+            (
+                # Fraction would build a 33-million-bit int for this.
+                ["scan", "--t", "1e10000000", "--alphabet", "pm1"],
+                "error: bad rational '1e10000000': "
+                "exponent notation is not accepted",
+            ),
+            (
+                ["verify", "--check", "scan-todd", "--t", "2E3"],
+                "error: bad rational '2E3': exponent notation is not accepted",
             ),
         ],
     )

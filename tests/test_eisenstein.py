@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from s6quartic import OMEGA, OMEGA_SQUARED, ONE, ZERO, Eisenstein
+from s6quartic import OMEGA, Eisenstein
+from s6quartic.eisenstein import OMEGA_SQUARED, ONE, ZERO
 
 
 class TestConstruction:

@@ -17,16 +17,15 @@ from math import gcd
 import pytest
 
 from s6quartic import (
-    NVARS,
     OMEGA,
-    ZERO,
     Eisenstein,
     Polynomial,
-    X,
-    parse_field_element,
     parse_point_coordinates,
     parse_polynomial,
 )
+from s6quartic.eisenstein import ZERO
+from s6quartic.poly import NVARS, X
+from s6quartic.parsing import parse_field_element
 
 
 class Ref:

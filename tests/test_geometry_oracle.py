@@ -18,29 +18,29 @@ from s6quartic import (
     CUBE_ROOT_POINT,
     DEFAULT_ALPHABETS,
     H_SHIFT,
-    NVARS,
     QUADRIC_SURFACES,
     SIGN_POINT,
     STANDARD_LABELS,
     TAU,
     Eisenstein,
-    Matrix,
     PermGroup,
     Polynomial,
     ProjectivePoint,
-    X,
-    act_on_point,
     act_on_variety,
-    canonicalize,
     is_node,
     is_singular_on_family,
     orbit_and_stabilizer,
     projective_orbit,
     quartic_family,
     singular_t_values,
+)
+from s6quartic.poly import NVARS, X
+from s6quartic.linalg import (
+    Matrix,
     solve_linear_in_t,
     solve_parametric_proportionality,
 )
+from s6quartic.varieties import act_on_point, canonicalize
 
 T_VALUES = tuple(
     Fraction(t) for t in (6, 2, 4, 0, Fraction(1, 2), 7, Fraction(-11, 3))

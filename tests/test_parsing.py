@@ -5,21 +5,23 @@ from fractions import Fraction
 import pytest
 
 from s6quartic import (
-    MAX_EXPONENT,
     OMEGA,
-    OMEGA_SQUARED,
-    ONE,
     Eisenstein,
     ParseError,
     Polynomial,
-    X,
-    format_polynomial,
-    parse_field_element,
     parse_point_coordinates,
     parse_polynomial,
+)
+from s6quartic.eisenstein import OMEGA_SQUARED, ONE
+from s6quartic.poly import X, format_polynomial
+from s6quartic.parsing import (
+    MAX_CONSTANT_BITS,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_TERMS,
+    parse_field_element,
     parse_scalar_list,
 )
-from s6quartic.parsing import MAX_NESTING, MAX_TERMS
 
 X0, X1, X2, X3, X4, X5 = X
 
@@ -221,6 +223,28 @@ class TestTermCap:
 
     def test_high_powers_of_monomials_are_allowed(self):
         assert parse_polynomial("(w*x0)^1000") == OMEGA * X0**1000
+
+
+class TestConstantBound:
+    def test_stacked_constant_power_is_refused_at_its_caret(self):
+        # Unbounded, this folds a 15.8-million-bit value.
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("(1/3)^1000^1000^10")
+        assert str(info.value) == (
+            f"constant exceeds {MAX_CONSTANT_BITS} bits (at position 10)"
+        )
+
+    def test_bound_sits_between_neighbouring_exponents(self):
+        # 2^1000 has 1001 bits: 65 * (1001 + 2) is within the bound and
+        # 66 * (1001 + 2) is not.
+        assert parse_field_element("2^1000^65") == Eisenstein(2) ** 65000
+        with pytest.raises(ParseError) as info:
+            parse_field_element("2^1000^66")
+        assert str(info.value).endswith("(at position 6)")
+
+    def test_small_bases_stack_freely(self):
+        assert parse_field_element("w^1000^1000^1000") == OMEGA
+        assert parse_field_element("(-1)^999^999") == Eisenstein(-1)
 
 
 class TestAsciiTokens:

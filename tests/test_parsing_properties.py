@@ -1,8 +1,9 @@
 """Property tests for the expression grammar, run when hypothesis is present.
 
 Fuzzed text over the grammar's characters, plus a few non-ASCII look-alikes,
-must parse or raise ParseError and nothing else; formatted polynomials must
-parse back to themselves.
+must parse or raise ParseError and nothing else; so must constant-only text
+with stacked, multi-digit exponents; formatted polynomials must parse back
+to themselves.
 """
 
 import re
@@ -15,16 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from s6quartic import (
-    NVARS,
     Eisenstein,
     ParseError,
     Polynomial,
-    format_polynomial,
-    parse_field_element,
     parse_point_coordinates,
     parse_polynomial,
-    parse_scalar_list,
 )
+from s6quartic.poly import NVARS, format_polynomial
+from s6quartic.parsing import parse_field_element, parse_scalar_list
 
 # The grammar's characters, a name that is not a variable (y), and
 # non-ASCII characters that Python would call digits, letters or spaces.
@@ -49,6 +48,36 @@ def test_arbitrary_text_raises_only_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+# Constant-only text: without a variable every power is a folded constant,
+# which the parser's bit bound keeps small however the exponents stack.
+constant_atoms = st.one_of(
+    st.integers(0, 99).map(str), st.sampled_from(["w", "(1/3)", "(2+w)"])
+)
+constant_exprs = st.recursive(
+    constant_atoms,
+    lambda inner: st.one_of(
+        st.builds(
+            "({}{}{})".format, inner, st.sampled_from("+-*/"), inner
+        ),
+        st.builds("{}^{}".format, inner, st.integers(0, 1000)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789w+-*/^() ", max_size=30), constant_exprs
+    )
+)
+def test_constant_text_with_stacked_exponents_raises_only_parse_error(text):
+    try:
+        parse_field_element(text)
+    except ParseError:
+        pass
 
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))

@@ -5,18 +5,15 @@ from fractions import Fraction
 import pytest
 
 from s6quartic import (
-    NVARS,
     OMEGA,
-    OMEGA_SQUARED,
-    ONE,
     QUADRIC_PAIR,
     Eisenstein,
     Polynomial,
-    X,
     divide_exact,
-    format_polynomial,
     quartic_family,
 )
+from s6quartic.eisenstein import OMEGA_SQUARED, ONE
+from s6quartic.poly import NVARS, X, format_polynomial
 
 X0, X1, X2, X3, X4, X5 = X
 

@@ -8,38 +8,39 @@ from s6quartic import (
     CUBE_ROOT_POINT,
     H_SHIFT,
     OMEGA,
-    OMEGA_SQUARED,
     PLANE_FORMS,
     QUADRIC_PAIR,
     QUADRIC_SURFACES,
     SIGN_POINT,
-    S_SWAP,
     TAU,
-    ALL_T,
-    EMPTY,
     Eisenstein,
-    LabelDictionary,
-    LinearSliceVariety,
     PermGroup,
     Polynomial,
     ProjectivePoint,
-    TSolutionSet,
-    X,
-    act_on_point,
     act_on_variety,
     family_member,
     incidence_table,
     is_node,
     is_singular_on_family,
     projective_orbit,
-    quadric_pair_quotient,
     restrict_to_plane,
     restriction_factorization_check,
     scan_alphabet,
     singular_t_values,
+)
+from s6quartic.eisenstein import OMEGA_SQUARED
+from s6quartic.poly import X
+from s6quartic.linalg import ALL_T, EMPTY, TSolutionSet
+from s6quartic.perms import LabelDictionary
+from s6quartic.varieties import (
+    FAMILY_CACHE_SIZE,
+    LinearSliceVariety,
+    _family,
+    act_on_point,
+    quadric_pair_quotient,
     variety_eq,
 )
-from s6quartic.varieties import FAMILY_CACHE_SIZE, _family
+from s6quartic.checks import S_SWAP
 
 X0, X1, X2, X3, X4, X5 = X
 W = OMEGA
@@ -233,25 +234,22 @@ class TestCanonicalization:
 class TestIncidence:
     def test_trivial_group_single_hit(self):
         table = incidence_table(
-            PermGroup.trivial(5), DICT, QUADRIC_SURFACES[0], CUBE_ROOT_POINT
+            PermGroup.trivial(5), QUADRIC_SURFACES[0], CUBE_ROOT_POINT
         )
-        assert table.hit_count == 1
-        assert len(table.distinct_through_point) == 1
-        assert table.multiplicity[table.distinct_through_point[0]] == 1
+        assert table == {QUADRIC_SURFACES[0]: 1}
 
     def test_full_orbit_incidence(self):
         g20 = PermGroup.generate([TAU, H_SHIFT])
-        table = incidence_table(g20, DICT, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
-        assert table.hit_count == 8
-        assert len(table.distinct_through_point) == 4
-        assert [
-            table.multiplicity[v] for v in table.distinct_through_point
-        ] == [2, 2, 2, 2]
+        table = incidence_table(g20, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
+        assert sum(table.values()) == 8
+        assert len(table) == 4
+        assert list(table.values()) == [2, 2, 2, 2]
+        assert all(v.contains(CUBE_ROOT_POINT) for v in table)
 
     def test_group_degree_checked(self):
         with pytest.raises(ValueError):
             incidence_table(
-                PermGroup.trivial(6), DICT, QUADRIC_SURFACES[0], CUBE_ROOT_POINT
+                PermGroup.trivial(6), QUADRIC_SURFACES[0], CUBE_ROOT_POINT
             )
 
 
@@ -377,17 +375,13 @@ class TestPlaneRestriction:
         assert restricted.variables_used() <= {0, 1, 2, 3}
 
     def test_factorization_at_6(self):
-        result = restriction_factorization_check(6)
-        assert result.factors
-        assert result.scalar == Eisenstein(8)
+        assert restriction_factorization_check(6) == Eisenstein(8)
         q1, q2 = QUADRIC_PAIR
         assert restrict_to_plane(family_member(6).forms[0]) == 8 * q1 * q2
 
     def test_factorization_fails_off_6(self):
         for t in (0, 2, 7):
-            result = restriction_factorization_check(t)
-            assert not result.factors
-            assert result.scalar is None
+            assert restriction_factorization_check(t) is None
 
     def test_quotient_of_exact_product(self):
         q1, q2 = QUADRIC_PAIR
