@@ -17,9 +17,10 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED
 from .linalg import TSolutionSet, gram_matrix
@@ -77,9 +78,8 @@ class ConfigError(ValueError):
     """A configuration or usage problem; maps to process exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Everything a run of the registry depends on.
+class RunConfig(NamedTuple):
+    """Everything a run of the registry depends on; an immutable record.
 
     selected_checks empty means the full default registry.  t_values and
     scan_alphabet feed only the exploratory scan; the registry checks pin
@@ -88,15 +88,14 @@ class RunConfig:
 
     selected_checks: tuple = ()
     t_values: tuple = (Fraction(6),)
-    alphabets: dict = field(default_factory=lambda: dict(DEFAULT_ALPHABETS))
+    alphabets: Mapping = MappingProxyType(DEFAULT_ALPHABETS)
     scan_alphabet: str = "pm1"
     enum_cap: int = DEFAULT_SCAN_CAP
     group_cap: int = GENERATE_CAP
     output: str = "text"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     paper_anchor: str
     status: str  # "pass", "fail", or "error"
@@ -169,42 +168,30 @@ _HIT_PAIRS = frozenset(
 def _check_lemma_2_2(cfg: RunConfig):
     details = {"expected_pairs": sorted(_HIT_PAIRS)}
     ok = True
+    o = CUBE_ROOT_POINT
     for i, quadric in enumerate(QUADRIC_SURFACES):
-        hits = set()
-        for a in range(5):
-            for b in range(4):
-                image = act_on_variety(
-                    _induced(H_SHIFT**a * TAU**b), quadric
-                )
-                if image.contains(CUBE_ROOT_POINT):
-                    hits.add((a, b))
         images = {
-            name: act_on_variety(_induced(perm), quadric)
-            for name, perm in {
-                "t2": TAU**2,
-                "h3": H_SHIFT**3,
-                "h4": H_SHIFT**4,
-                "h4t2": H_SHIFT**4 * TAU**2,
-                "ht2": H_SHIFT * TAU**2,
-                "h3t3": H_SHIFT**3 * TAU**3,
-                "ht": H_SHIFT * TAU,
-            }.items()
+            (a, b): act_on_variety(_induced(H_SHIFT**a * TAU**b), quadric)
+            for a in range(5)
+            for b in range(4)
         }
-        o = CUBE_ROOT_POINT
+        hits = {pair for pair, image in images.items() if image.contains(o)}
+        t2, h3, h4, ht = images[0, 2], images[3, 0], images[4, 0], images[1, 1]
+        h4t2, ht2, h3t3 = images[4, 2], images[1, 2], images[3, 3]
         bullets = [
-            variety_eq(images["t2"], images["h4"])
-            and images["t2"].contains(o)
-            and not variety_eq(images["t2"], quadric),
-            variety_eq(images["h4t2"], images["h3"])
-            and images["h4t2"].contains(o)
-            and not variety_eq(images["h4t2"], quadric)
-            and not variety_eq(images["h4t2"], images["t2"]),
-            variety_eq(images["ht2"], quadric),
-            variety_eq(images["h3t3"], images["ht"])
-            and images["h3t3"].contains(o)
-            and not variety_eq(images["h3t3"], quadric)
-            and not variety_eq(images["h3t3"], images["t2"])
-            and not variety_eq(images["h3t3"], images["h4t2"]),
+            variety_eq(t2, h4)
+            and t2.contains(o)
+            and not variety_eq(t2, quadric),
+            variety_eq(h4t2, h3)
+            and h4t2.contains(o)
+            and not variety_eq(h4t2, quadric)
+            and not variety_eq(h4t2, t2),
+            variety_eq(ht2, quadric),
+            variety_eq(h3t3, ht)
+            and h3t3.contains(o)
+            and not variety_eq(h3t3, quadric)
+            and not variety_eq(h3t3, t2)
+            and not variety_eq(h3t3, h4t2),
         ]
         details[f"q{i + 1}_hit_pairs"] = sorted(hits)
         details[f"q{i + 1}_bullets"] = bullets
@@ -549,7 +536,6 @@ def load_config(path: str) -> dict:
         if "alphabet" in scan:
             raw = scan["alphabet"].strip()
             if raw.startswith("["):
-                alphabets = dict(overrides.get("alphabets", alphabets))
                 alphabets["config-inline"] = parse_alphabet_text(raw)
                 overrides["alphabets"] = alphabets
                 overrides["scan_alphabet"] = "config-inline"

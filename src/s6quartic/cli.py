@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .checks import (
     ALL_CHECK_IDS,
@@ -119,10 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig()
-    if args.config:
-        cfg = replace(cfg, **load_config(args.config))
-    overrides = {}
+    # File settings first, so that flags override them.
+    overrides = load_config(args.config) if args.config else {}
     if args.check:
         overrides["selected_checks"] = tuple(args.check)
     if args.format:
@@ -131,7 +128,7 @@ def _cmd_verify(args) -> int:
         overrides["t_values"] = tuple(parse_rational(raw) for raw in args.t)
     if args.cap is not None:
         overrides["enum_cap"] = args.cap
-    cfg = replace(cfg, **overrides)
+    cfg = RunConfig(**overrides)
     records = run_checks(cfg)
     sys.stdout.buffer.write(emit_report(records, cfg.output))
     sys.stdout.buffer.flush()

@@ -9,9 +9,8 @@ fixed vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .eisenstein import Eisenstein, ZERO
 from .poly import NVARS, Polynomial
@@ -176,8 +175,7 @@ class NonRationalRootError(ValueError):
     """The linear system in t is consistent but its root lies outside Q."""
 
 
-@dataclass(frozen=True)
-class TSolutionSet:
+class TSolutionSet(NamedTuple):
     """The set of parameter values satisfying a system linear in t.
 
     kind is one of "all" (every rational t), "finite" (the listed values),

@@ -11,8 +11,8 @@ unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
 Parentheses nest at most MAX_NESTING deep, no product or power may
-expand to more than MAX_TERMS terms, and no power of a constant may have
-more than MAX_CONSTANT_BITS bits.
+expand to more than MAX_TERMS terms, and no power of a constant, product
+or quotient may have a coefficient of more than MAX_CONSTANT_BITS bits.
 
 Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
 a-z.  A literal longer than Python's limit on decimal conversion is a
@@ -24,7 +24,6 @@ Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
 
 from __future__ import annotations
 
-import string
 from math import comb
 
 from .eisenstein import Eisenstein, OMEGA
@@ -47,8 +46,8 @@ class ParseError(ValueError):
 
 _SYMBOLS = set("+-*/^()[],")
 # ASCII classes: str.isdigit and str.isalpha accept other scripts too.
-_DIGITS = set(string.digits)
-_LETTERS = set(string.ascii_letters)
+_DIGITS = set("0123456789")
+_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 
 
@@ -154,17 +153,7 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             kind, _, pos = self.advance()
             rhs = self.factor()
-            if kind == "*":
-                if (
-                    isinstance(result, Polynomial)
-                    and isinstance(rhs, Polynomial)
-                    and len(result.terms) * len(rhs.terms) > MAX_TERMS
-                ):
-                    self.bound_monomials(
-                        (result, rhs), result.degree() + rhs.degree(), pos
-                    )
-                result = result * rhs
-            else:
+            if kind == "/":
                 value = _constant(rhs)
                 if value is None:
                     raise ParseError(
@@ -172,7 +161,20 @@ class _Parser:
                     )
                 if not value:
                     raise ParseError("division by zero", pos)
-                result = result * value.inverse()
+                rhs = value.inverse()
+            elif (
+                isinstance(result, Polynomial)
+                and isinstance(rhs, Polynomial)
+                and len(result.terms) * len(rhs.terms) > MAX_TERMS
+            ):
+                self.bound_monomials(
+                    (result, rhs), result.degree() + rhs.degree(), pos
+                )
+            result = result * rhs
+            if _too_wide(result):
+                raise ParseError(
+                    f"constant exceeds {MAX_CONSTANT_BITS} bits", pos
+                )
         return result
 
     def factor(self):
@@ -242,6 +244,21 @@ def _bit_length(value: Eisenstein) -> int:
     """
     a, b, den = value._parts()
     return max(abs(a), abs(b), den).bit_length()
+
+
+_WIDE = 1 << MAX_CONSTANT_BITS
+
+
+def _too_wide(value) -> bool:
+    """Whether a coefficient of a parsed value passes MAX_CONSTANT_BITS bits.
+
+    Products are checked once computed: at most one product past the bound
+    is ever multiplied out, so a chain of them cannot compound.
+    """
+    if type(value) is Eisenstein:
+        a, b, den = value._a, value._b, value._den
+        return abs(a) >= _WIDE or abs(b) >= _WIDE or den >= _WIDE
+    return any(map(_too_wide, value.terms.values()))
 
 
 def _constant(value):

@@ -5,7 +5,10 @@ from the package root; everything else is imported from its submodule.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -128,3 +131,23 @@ def test_readme_library_tour_runs(capsys):
         "True",
         "-1 - w",
     ]
+
+
+def test_import_loads_no_decorator_machinery():
+    # The package needs none of these; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize.  Only a fresh interpreter shows what the import
+    # itself loads.
+    probe = (
+        "import sys; before = set(sys.modules); import s6quartic; "
+        "print(sorted({'dataclasses', 'inspect', 'string'} "
+        "& (set(sys.modules) - before)))"
+    )
+    src = str(Path(s6quartic.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -1,7 +1,6 @@
 """Unit tests for the verification harness: registry, config, reports."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -231,7 +230,7 @@ class TestConfigValidation:
         ],
     )
     def test_invalid_configs_rejected(self, overrides, message):
-        cfg = replace(RunConfig(), **overrides)
+        cfg = RunConfig(**overrides)
         with pytest.raises(ConfigError) as info:
             run_checks(cfg)
         assert message in str(info.value)
@@ -251,6 +250,20 @@ class TestConfigValidation:
         assert cfg.t_values == (Fraction(6),)
         assert cfg.scan_alphabet == "pm1"
         assert cfg.output == "text"
+
+    def test_run_config_is_immutable(self):
+        cfg = RunConfig()
+        with pytest.raises(AttributeError):
+            cfg.enum_cap = 5
+        assert cfg._replace(enum_cap=5).enum_cap == 5
+        assert cfg == RunConfig()
+
+    def test_default_alphabets_are_read_only(self):
+        alphabets = RunConfig().alphabets
+        assert alphabets == DEFAULT_ALPHABETS
+        with pytest.raises(TypeError):
+            alphabets["pm1"] = (1,)
+        assert DEFAULT_ALPHABETS["pm1"] == (1, -1)
 
 
 class TestConfigFile:
@@ -278,7 +291,7 @@ class TestConfigFile:
         assert overrides["scan_alphabet"] == "zero_pm1"
         assert overrides["alphabets"]["tiny"] == (Eisenstein(1), Eisenstein(-1))
         assert "pm1" in overrides["alphabets"]
-        cfg = replace(RunConfig(), **overrides)
+        cfg = RunConfig(**overrides)
         records = run_checks(cfg)
         assert [r.check_id for r in records] == ["smooth-quadrics", "special-t"]
 

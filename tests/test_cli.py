@@ -253,6 +253,17 @@ class TestHostileInput:
                 ["verify", "--check", "scan-todd", "--t", "2E3"],
                 "error: bad rational '2E3': exponent notation is not accepted",
             ),
+            (
+                # Unbounded, the hundred factors took seconds to fold.
+                ["eval", "--poly", "*".join(["3^1000^41"] * 100),
+                 "--point", "[1,0,0,0,0,0]"],
+                "error: constant exceeds 65536 bits (at position 9)",
+            ),
+            (
+                ["eval", "--poly", "x0*" + "*".join(["3^1000^41"] * 100),
+                 "--point", "[1,0,0,0,0,0]"],
+                "error: constant exceeds 65536 bits (at position 12)",
+            ),
         ],
     )
     def test_non_ascii_and_oversized_numbers_are_clean_errors(

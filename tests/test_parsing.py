@@ -246,6 +246,39 @@ class TestConstantBound:
         assert parse_field_element("w^1000^1000^1000") == OMEGA
         assert parse_field_element("(-1)^999^999") == Eisenstein(-1)
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            # Unbounded, the ten factors fold a 649,835-bit value.
+            ("*".join(["3^1000^41"] * 10), 9),
+            ("x0*" + "*".join(["3^1000^41"] * 10), 12),
+            ("1/3^1000^41/3^1000^41", 11),
+            ("x0/3^1000^41/3^1000^41", 12),
+            ("3^1000^41*(3^1000^41*x0)", 9),
+            ("(3^1000^41*x0)*(3^1000^41*x1)", 14),
+            ("(x0 + x1)*3^1000^41*3^1000^41", 19),
+            ("(x0 + 3^1000^41)*(x0 + 3^1000^41)", 16),
+        ],
+    )
+    def test_product_past_the_bound_is_refused_at_its_operator(
+        self, text, position
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == (
+            f"constant exceeds {MAX_CONSTANT_BITS} bits (at position {position})"
+        )
+
+    @pytest.mark.parametrize("prefix", ["", "x0*"])
+    def test_product_bound_sits_between_neighbouring_factors(self, prefix):
+        # 2^65535 has 65,536 bits, within the bound; 2^65536 has one more.
+        within = parse_polynomial(prefix + "2^1000^65*2^535")
+        power = Eisenstein(2) ** 65535
+        assert within == parse_polynomial(prefix + "1") * power
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(prefix + "2^1000^65*2^536")
+        assert str(info.value).endswith(f"(at position {len(prefix) + 9})")
+
 
 class TestAsciiTokens:
     @pytest.mark.parametrize(
