@@ -14,6 +14,7 @@ from s6quartic import (
     act_on_variety,
     incidence_table,
     irreducible_degrees,
+    label_translates,
     orbit_and_stabilizer,
     projective_orbit,
     semidirect_structure_check,
@@ -61,9 +62,8 @@ def main() -> None:
 
     print("Orbits of the distinguished points under all 720 coordinate")
     print("permutations:")
-    s6 = PermGroup.symmetric(6)
-    cube_orbit = projective_orbit(s6, CUBE_ROOT_POINT)
-    sign_orbit = projective_orbit(s6, SIGN_POINT)
+    cube_orbit = projective_orbit(CUBE_ROOT_POINT)
+    sign_orbit = projective_orbit(SIGN_POINT)
     print(f"  |orbit of o | = {len(cube_orbit)}")
     print(f"  |orbit of o'| = {len(sign_orbit)}")
     assert (len(cube_orbit), len(sign_orbit)) == (30, 10)
@@ -72,7 +72,8 @@ def main() -> None:
     print("How translates of one quadric surface pass through o: the group")
     print("has order 20, 8 translates hit the point, and they bunch into 4")
     print("distinct surfaces counted twice each:")
-    table = incidence_table(group, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
+    translates = label_translates(group, QUADRIC_SURFACES[0])
+    table = incidence_table(translates, CUBE_ROOT_POINT)
     multiplicities = list(table.values())
     print(f"  hits: {sum(multiplicities)}")
     print(f"  distinct surfaces through o: {len(table)}")

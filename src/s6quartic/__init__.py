@@ -48,6 +48,7 @@ from .varieties import (
     incidence_table,
     is_node,
     is_singular_on_family,
+    label_translates,
     projective_orbit,
     restrict_to_plane,
     restriction_factorization_check,
@@ -94,6 +95,7 @@ __all__ = [
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",
+    "label_translates",
     "orbit_and_stabilizer",
     "parse_point_coordinates",
     "parse_polynomial",

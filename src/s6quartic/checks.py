@@ -14,7 +14,6 @@ when selected by name.
 
 from __future__ import annotations
 
-import configparser
 import json
 import time
 from fractions import Fraction
@@ -45,6 +44,7 @@ from .varieties import (
     incidence_table,
     is_node,
     is_singular_on_family,
+    label_translates,
     projective_orbit,
     restriction_factorization_check,
     scan_alphabet,
@@ -103,27 +103,22 @@ class CheckRecord(NamedTuple):
     elapsed: int  # milliseconds
 
 
-def _induced(label_perm: Permutation) -> Permutation:
-    return STANDARD_LABELS.induced_variable_permutation(label_perm)
-
-
 @lru_cache(maxsize=8)
 def _label_group(cap: int) -> PermGroup:
     return PermGroup.generate([TAU, H_SHIFT], cap=cap)
 
 
 @lru_cache(maxsize=1)
-def _coordinate_group() -> PermGroup:
-    return PermGroup.symmetric(6)
-
-
-@lru_cache(maxsize=1)
 def _singular_orbits():
-    group = _coordinate_group()
-    return (
-        projective_orbit(group, CUBE_ROOT_POINT),
-        projective_orbit(group, SIGN_POINT),
-    )
+    return projective_orbit(CUBE_ROOT_POINT), projective_orbit(SIGN_POINT)
+
+
+@lru_cache(maxsize=len(QUADRIC_SURFACES))
+def _quadric_translates(index: int) -> dict:
+    """The label group's translates of one quadric surface, keyed by the
+    elements h^a*tau^b; Lemmas 2.1 and 2.2 and Eq. (2.2) all read them."""
+    elements = (H_SHIFT**a * TAU**b for a in range(5) for b in range(4))
+    return label_translates(elements, QUADRIC_SURFACES[index])
 
 
 # -- the checks ---------------------------------------------------------------
@@ -149,11 +144,9 @@ def _check_lemma_2_1(cfg: RunConfig):
     expected = [c in (0, 2) for c in range(4)]
     details = {}
     ok = True
-    for i, quadric in enumerate(QUADRIC_SURFACES):
-        row = []
-        for c in range(4):
-            image = act_on_variety(_induced(TAU**c), quadric)
-            row.append(image.contains(CUBE_ROOT_POINT))
+    for i in range(len(QUADRIC_SURFACES)):
+        translates = _quadric_translates(i)
+        row = [translates[TAU**c].contains(CUBE_ROOT_POINT) for c in range(4)]
         details[f"q{i + 1}"] = row
         ok = ok and row == expected
     details["expected"] = expected
@@ -170,8 +163,9 @@ def _check_lemma_2_2(cfg: RunConfig):
     ok = True
     o = CUBE_ROOT_POINT
     for i, quadric in enumerate(QUADRIC_SURFACES):
+        translates = _quadric_translates(i)
         images = {
-            (a, b): act_on_variety(_induced(H_SHIFT**a * TAU**b), quadric)
+            (a, b): translates[H_SHIFT**a * TAU**b]
             for a in range(5)
             for b in range(4)
         }
@@ -201,12 +195,12 @@ def _check_lemma_2_2(cfg: RunConfig):
 
 def _check_divisor_incidence(cfg: RunConfig):
     group = _label_group(cfg.group_cap)
+    translates = _quadric_translates(0)
+    # The action is only ever asked for images of the surface itself.
     orbit, stabilizer = orbit_and_stabilizer(
-        group,
-        QUADRIC_SURFACES[0],
-        lambda g, v: act_on_variety(_induced(g), v),
+        group, QUADRIC_SURFACES[0], lambda g, _: translates[g]
     )
-    table = incidence_table(group, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
+    table = incidence_table(translates, CUBE_ROOT_POINT)
     multiplicities = sorted(table.values())
     details = {
         "orbit_size": len(orbit),
@@ -269,7 +263,7 @@ def _check_node_types(cfg: RunConfig):
 
 
 def _check_s_fixes_q1(cfg: RunConfig):
-    swap = _induced(S_SWAP)
+    swap = STANDARD_LABELS.induced_variable_permutation(S_SWAP)
     fixes = variety_eq(
         act_on_variety(swap, QUADRIC_SURFACES[0]), QUADRIC_SURFACES[0]
     )
@@ -487,6 +481,8 @@ def load_config(path: str) -> dict:
     Sections: [run] checks/format/t, [caps] enum/group, [scan] alphabet,
     and [alphabets] defining extra named alphabets as bracketed lists.
     """
+    import configparser  # only --config needs it; keeps it off cold starts
+
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as handle:

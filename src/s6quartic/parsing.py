@@ -11,8 +11,9 @@ unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
 Parentheses nest at most MAX_NESTING deep, no product or power may
-expand to more than MAX_TERMS terms, and no power of a constant, product
-or quotient may have a coefficient of more than MAX_CONSTANT_BITS bits.
+expand to more than MAX_TERMS terms, and no power, product or quotient
+may have a coefficient of more than MAX_CONSTANT_BITS bits.  A power is
+refused before it is expanded, from a bound on its coefficients.
 
 Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
 a-z.  A literal longer than Python's limit on decimal conversion is a
@@ -27,7 +28,7 @@ from __future__ import annotations
 from math import comb
 
 from .eisenstein import Eisenstein, OMEGA
-from .poly import NVARS, Polynomial, X
+from .poly import NVARS, Polynomial, X, _int_pairs
 
 MAX_EXPONENT = 1000
 MAX_NESTING = 100
@@ -201,6 +202,10 @@ class _Parser:
                     self.bound_monomials(
                         (result,), result.degree() * value, caret
                     )
+                if _power_bits(result, value) > MAX_CONSTANT_BITS:
+                    raise ParseError(
+                        f"constant exceeds {MAX_CONSTANT_BITS} bits", caret
+                    )
             elif value * (_bit_length(result) + 2) > MAX_CONSTANT_BITS:
                 raise ParseError(
                     f"constant exceeds {MAX_CONSTANT_BITS} bits", caret
@@ -244,6 +249,22 @@ def _bit_length(value: Eisenstein) -> int:
     """
     a, b, den = value._parts()
     return max(abs(a), abs(b), den).bit_length()
+
+
+def _power_bits(base: Polynomial, exponent: int) -> int:
+    """An upper bound on the bits of every coefficient component of
+    base ** exponent, computed from the base alone.
+
+    Over its common denominator D the base is a sum of T terms
+    (a + b*w)*m / D with |a|, |b| <= M.  A coefficient of the numerator's
+    n-th power sums at most T^n products of n values of modulus at most
+    |a| + |b| <= 2M, and a component of z = a + b*w is below 2|z|, so each
+    component is below 2*(2*M*T)^n, and the denominator is D^n.
+    """
+    den, pairs = _int_pairs(base)
+    largest = max((max(abs(a), abs(b)) for _, a, b in pairs), default=0)
+    width = max(largest, den).bit_length() + len(pairs).bit_length() + 1
+    return exponent * width + 1
 
 
 _WIDE = 1 << MAX_CONSTANT_BITS

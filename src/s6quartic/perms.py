@@ -17,6 +17,19 @@ from typing import Callable, Iterable, Sequence
 GENERATE_CAP = 5040
 SUBGROUP_SCAN_CAP = 120
 
+_new = object.__new__
+
+
+def _perm(images: tuple) -> "Permutation":
+    """Wrap an images tuple that is already a one-line permutation.
+
+    Products, inverses and powers are bijections by construction, so they
+    skip the validation of the public constructor.
+    """
+    p = _new(Permutation)
+    p.images = images
+    return p
+
 
 class Permutation:
     """A bijection of {1..n} in one-line notation; immutable and ordered."""
@@ -55,13 +68,14 @@ class Permutation:
         """Composition: (self * other)(i) = self(other(i))."""
         if self.degree != other.degree:
             raise ValueError("cannot compose permutations of different degree")
-        return Permutation(tuple(self.images[v - 1] for v in other.images))
+        images = self.images
+        return _perm(tuple([images[v - 1] for v in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
+        for i, v in enumerate(self.images, 1):
+            inv[v - 1] = i
+        return _perm(tuple(inv))
 
     def __pow__(self, exponent: int) -> "Permutation":
         base = self if exponent >= 0 else self.inverse()
@@ -148,7 +162,7 @@ class PermGroup:
 
         if degree < 1 or degree > 7:
             raise ValueError("symmetric groups supported for degree 1..7")
-        elems = [Permutation(p) for p in iter_perms(range(1, degree + 1))]
+        elems = [_perm(p) for p in iter_perms(range(1, degree + 1))]
         return cls(elems, degree)
 
     @classmethod

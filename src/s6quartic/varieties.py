@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
 from .linalg import (
@@ -27,7 +27,7 @@ from .linalg import (
     solve_parametric_proportionality,
 )
 from .parsing import parse_point_coordinates
-from .perms import STANDARD_LABELS, PermGroup, Permutation
+from .perms import STANDARD_LABELS, Permutation
 from .poly import NVARS, Polynomial, X, divide_exact, quartic_family
 
 DEFAULT_SCAN_CAP = 10**7
@@ -92,15 +92,10 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     """
     if perm.degree != NVARS:
         raise ValueError(f"need a permutation of the {NVARS} coordinates")
-    return ProjectivePoint(_permuted(perm.index_map(), point.coords))
-
-
-def _permuted(index_map, coords) -> tuple:
-    """The coordinate tuple with entry i moved to position index_map[i]."""
     image = [None] * NVARS
-    for i, c in enumerate(coords):
-        image[index_map[i]] = c
-    return tuple(image)
+    for target, c in zip(perm.index_map(), point.coords):
+        image[target] = c
+    return ProjectivePoint(image)
 
 
 class LinearSliceVariety:
@@ -201,34 +196,43 @@ def variety_eq(v1: LinearSliceVariety, v2: LinearSliceVariety) -> bool:
     return v1.canonical() == v2.canonical()
 
 
-def incidence_table(
-    group: PermGroup, variety: LinearSliceVariety, point: ProjectivePoint
-) -> dict:
-    """Which group translates of the variety pass through the point.
+def label_translates(group, variety: LinearSliceVariety) -> dict:
+    """Each label permutation of the group mapped to its translate of the
+    variety, the group acting on the coordinates through STANDARD_LABELS.
+    Orbit, stabilizer and incidence bookkeeping can all read this one map.
+    """
+    induced = STANDARD_LABELS.induced_variable_permutation
+    return {gamma: act_on_variety(induced(gamma), variety) for gamma in group}
 
-    The group permutes the labels 1..5, acting on the coordinates through
-    STANDARD_LABELS.  The result maps each distinct translate through the
-    point, in order of first appearance, to the number of group elements
-    that land on it.
+
+def incidence_table(translates: dict, point: ProjectivePoint) -> dict:
+    """Which translates of a label_translates map pass through the point.
+
+    The result maps each distinct translate through the point, in order of
+    first appearance, to the number of group elements that land on it.
     """
     counts = {}
-    for gamma in group:
-        induced = STANDARD_LABELS.induced_variable_permutation(gamma)
-        image = act_on_variety(induced, variety)
+    for image in translates.values():
         if image.contains(point):
             counts[image] = counts.get(image, 0) + 1
     return counts
 
 
-def projective_orbit(group: PermGroup, point: ProjectivePoint) -> tuple:
-    """Orbit of the point under a group of coordinate permutations,
-    deduplicated projectively and sorted deterministically."""
-    if group.degree != NVARS:
-        raise ValueError(f"need a group permuting the {NVARS} coordinates")
-    # Distinct permuted tuples are far fewer than group elements, and only
-    # they need normalising.
-    images = {_permuted(g.index_map(), point.coords) for g in group}
-    seen = {ProjectivePoint(coords) for coords in images}
+def projective_orbit(point: ProjectivePoint) -> tuple:
+    """Orbit of the point under all permutations of the coordinates,
+    deduplicated projectively and sorted deterministically.
+
+    The orbit is the set of distinct rearrangements of the coordinate
+    tuple, so no group is built: the rearrangements are enumerated on
+    small-int labels of the distinct coordinates, and only the distinct
+    tuples are normalised.
+    """
+    values = list(dict.fromkeys(point.coords))
+    labels = tuple(values.index(c) for c in point.coords)
+    seen = {
+        ProjectivePoint([values[k] for k in arrangement])
+        for arrangement in set(permutations(labels))
+    }
     return tuple(sorted(seen, key=ProjectivePoint.sort_key))
 
 

@@ -46,6 +46,7 @@ PUBLIC = [
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",
+    "label_translates",
     "orbit_and_stabilizer",
     "parse_point_coordinates",
     "parse_polynomial",
@@ -139,7 +140,7 @@ def test_import_loads_no_decorator_machinery():
     # itself loads.
     probe = (
         "import sys; before = set(sys.modules); import s6quartic; "
-        "print(sorted({'dataclasses', 'inspect', 'string'} "
+        "print(sorted({'configparser', 'dataclasses', 'inspect', 'string'} "
         "& (set(sys.modules) - before)))"
     )
     src = str(Path(s6quartic.__file__).resolve().parent.parent)

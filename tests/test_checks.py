@@ -1,6 +1,7 @@
 """Unit tests for the verification harness: registry, config, reports."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from s6quartic import (
     emit_report,
     run_checks,
 )
+from s6quartic import checks, perms, varieties
 from s6quartic.checks import (
     ALL_CHECK_IDS,
     REGISTRY_CHECK_IDS,
@@ -397,3 +399,55 @@ class TestReports:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             emit_report([], "yaml")
+
+
+class TestColdRunWork:
+    """The deterministic work of one default run with the checks' caches
+    empty: each group action is computed once and no S6 is built."""
+
+    def test_each_group_action_is_computed_once(self, monkeypatch):
+        counts = {"act_on_variety": 0, "canonicalize": 0, "Permutation": 0}
+        group_orders = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        # act_on_variety is imported by name into other modules; replace it
+        # wherever it is bound.
+        original = varieties.act_on_variety
+        wrapped = counting("act_on_variety", original)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("s6quartic") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapped)
+        monkeypatch.setattr(
+            varieties,
+            "canonicalize",
+            counting("canonicalize", varieties.canonicalize),
+        )
+        monkeypatch.setattr(
+            perms.Permutation,
+            "__init__",
+            counting("Permutation", perms.Permutation.__init__),
+        )
+        group_init = perms.PermGroup.__init__
+
+        def recording_group_init(self, elements, degree):
+            group_init(self, elements, degree)
+            group_orders.append(self.order)
+
+        monkeypatch.setattr(perms.PermGroup, "__init__", recording_group_init)
+        for value in list(vars(checks).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+        assert all_passed(run_checks(RunConfig()))
+        assert counts["act_on_variety"] <= 41
+        assert counts["canonicalize"] <= 30
+        assert counts["Permutation"] <= 300
+        assert 720 not in group_orders

@@ -264,6 +264,11 @@ class TestHostileInput:
                  "--point", "[1,0,0,0,0,0]"],
                 "error: constant exceeds 65536 bits (at position 12)",
             ),
+            (
+                # Unbounded, this power took 21 s to expand.
+                ["eval", "--poly", "(x0+3^1000^41)^32", "--point", "[1,0,0,0,0,0]"],
+                "error: constant exceeds 65536 bits (at position 14)",
+            ),
         ],
     )
     def test_non_ascii_and_oversized_numbers_are_clean_errors(

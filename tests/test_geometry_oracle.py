@@ -29,6 +29,8 @@ from s6quartic import (
     act_on_variety,
     is_node,
     is_singular_on_family,
+    incidence_table,
+    label_translates,
     orbit_and_stabilizer,
     projective_orbit,
     quartic_family,
@@ -40,6 +42,9 @@ from s6quartic.linalg import (
     solve_linear_in_t,
     solve_parametric_proportionality,
 )
+from s6quartic.checks import _label_group, _quadric_translates
+from s6quartic.eisenstein import OMEGA
+from s6quartic.perms import GENERATE_CAP
 from s6quartic.varieties import act_on_point, canonicalize
 
 T_VALUES = tuple(
@@ -172,10 +177,61 @@ def test_hash_keyed_orbit_matches_pairwise_canonical_comparison():
     assert (len(orbit), stabilizer.order) == (10, 2)
 
 
-@pytest.mark.parametrize("point", [CUBE_ROOT_POINT, SIGN_POINT], ids=str)
+@pytest.mark.parametrize(
+    "point",
+    [
+        CUBE_ROOT_POINT,
+        SIGN_POINT,
+        ProjectivePoint([1, 0, 0, 0, 0, 0]),
+        ProjectivePoint([1, -1, 0, 0, 0, 0]),
+        ProjectivePoint([2, -1, -1, 2, -1, -1]),
+        ProjectivePoint([1, 2, -3, 1, 2, -3]),
+        ProjectivePoint([1, OMEGA, 0, 2, -OMEGA, 5]),
+    ],
+    ids=str,
+)
 def test_projective_orbit_matches_the_point_action(point):
     group = PermGroup.symmetric(6)
     expected = {act_on_point(g, point) for g in group}
-    orbit = projective_orbit(group, point)
+    orbit = projective_orbit(point)
     assert set(orbit) == expected
     assert len(orbit) == len(expected)
+    assert list(orbit) == sorted(expected, key=ProjectivePoint.sort_key)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_cached_translates_match_a_fresh_action_per_element(index):
+    _quadric_translates.cache_clear()
+    translates = _quadric_translates(index)
+    group = PermGroup.generate([TAU, H_SHIFT])
+    assert set(translates) == set(group)
+    for g, image in translates.items():
+        fresh = _act_on_quadric(g, QUADRIC_SURFACES[index])
+        assert image.canonical() == canonicalize(fresh)
+
+
+def test_divisor_bookkeeping_from_the_translates_matches_the_group_path():
+    _quadric_translates.cache_clear()
+    group = _label_group(GENERATE_CAP)
+    x = QUADRIC_SURFACES[0]
+    translates = _quadric_translates(0)
+    orbit, stabilizer = orbit_and_stabilizer(group, x, lambda g, _: translates[g])
+    expected_orbit, expected_stabilizer = orbit_and_stabilizer(
+        group, x, _act_on_quadric
+    )
+    assert [canonicalize(v) for v in orbit] == [
+        canonicalize(v) for v in expected_orbit
+    ]
+    assert stabilizer == expected_stabilizer
+
+    # The incidence loop over group elements, one fresh action each.
+    expected_table = {}
+    for g in group:
+        image = _act_on_quadric(g, x)
+        if image.contains(CUBE_ROOT_POINT):
+            key = canonicalize(image)
+            expected_table[key] = expected_table.get(key, 0) + 1
+    table = incidence_table(translates, CUBE_ROOT_POINT)
+    assert {v.canonical(): n for v, n in table.items()} == expected_table
+    assert table == incidence_table(label_translates(group, x), CUBE_ROOT_POINT)
+    assert sorted(table.values()) == [2, 2, 2, 2]

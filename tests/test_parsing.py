@@ -1,5 +1,6 @@
 """Unit tests for the expression grammar and its error reporting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from s6quartic.parsing import (
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERMS,
+    _power_bits,
     parse_field_element,
     parse_scalar_list,
 )
@@ -278,6 +280,59 @@ class TestConstantBound:
         with pytest.raises(ParseError) as info:
             parse_polynomial(prefix + "2^1000^65*2^536")
         assert str(info.value).endswith(f"(at position {len(prefix) + 9})")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Unbounded, the first builds 2,079,471-bit coefficients.
+            "(x0+3^1000^41)^32",
+            "(3^1000^41*x0)^32",
+        ],
+    )
+    def test_polynomial_power_past_the_bound_is_refused_at_its_caret(
+        self, text
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == (
+            f"constant exceeds {MAX_CONSTANT_BITS} bits (at position 14)"
+        )
+
+    def test_polynomial_power_bound_sits_between_neighbouring_exponents(self):
+        # x0 + 2^1000 has 2 terms and a 1001-bit component: the bound is
+        # n * (1001 + 2 + 1) + 1, 65,261 bits for n = 65 and 66,265 for 66.
+        assert parse_polynomial("(x0+2^1000)^65") == (X0 + 2**1000) ** 65
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("(x0+2^1000)^66")
+        assert str(info.value).endswith("(at position 11)")
+        # The first power of a base just within the bound still parses.
+        value = Eisenstein(3) ** 41000
+        assert parse_polynomial("(x0+3^1000^41)^1") == X0 + value
+        with pytest.raises(ParseError):
+            parse_polynomial("(x0+3^1000^41)^2")
+
+    def test_polynomial_power_bound_is_an_upper_bound(self):
+        rng = random.Random(8200)
+        for _ in range(300):
+            base = Polynomial.zero()
+            for _ in range(rng.randint(1, 4)):
+                bits = rng.randint(0, 40)
+                coeff = Eisenstein(
+                    rng.randint(-(2**bits), 2**bits),
+                    rng.randint(-(2**bits), 2**bits),
+                ) / rng.randint(1, 2 ** rng.randint(0, 12))
+                base = base + coeff * X[rng.randrange(3)] ** rng.randint(0, 2)
+            exponent = rng.randint(0, 7)
+            widest = max(
+                (
+                    max(abs(a), abs(b), den).bit_length()
+                    for a, b, den in (
+                        c._parts() for c in (base**exponent).terms.values()
+                    )
+                ),
+                default=0,
+            )
+            assert widest <= _power_bits(base, exponent)
 
 
 class TestAsciiTokens:

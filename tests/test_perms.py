@@ -1,6 +1,7 @@
 """Unit tests for permutations, finite groups, and the label dictionary."""
 
 import json
+import random
 
 import pytest
 
@@ -83,6 +84,54 @@ class TestPermutation:
     def test_sorting(self):
         assert Permutation.identity(5) < TAU
         assert sorted([TAU, Permutation.identity(5)])[0].is_identity()
+
+
+def _validated_product(a, b):
+    return Permutation(tuple(a.images[v - 1] for v in b.images))
+
+
+def _validated_inverse(p):
+    return Permutation(tuple(p.images.index(i) + 1 for i in range(1, p.degree + 1)))
+
+
+def _validated_power(p, exponent):
+    base = p if exponent >= 0 else _validated_inverse(p)
+    result = Permutation.identity(p.degree)
+    for _ in range(abs(exponent)):
+        result = _validated_product(result, base)
+    return result
+
+
+class TestUncheckedConstruction:
+    """Products, inverses and powers skip validation; each must equal the
+    validated construction and be a valid permutation itself."""
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_against_validated_constructions(self, degree):
+        rng = random.Random(8100 + degree)
+        for _ in range(40):
+            a, b = (
+                Permutation(rng.sample(range(1, degree + 1), degree))
+                for _ in range(2)
+            )
+            exponent = rng.randint(-9, 9)
+            for fast, slow in (
+                (a * b, _validated_product(a, b)),
+                (a.inverse(), _validated_inverse(a)),
+                (a**exponent, _validated_power(a, exponent)),
+            ):
+                assert type(fast) is Permutation
+                assert fast.images == slow.images
+                assert Permutation(fast.images) == fast
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 1, 2))
+
+    def test_symmetric_group_elements_are_valid(self):
+        elements = PermGroup.symmetric(4).elements
+        assert len(set(elements)) == 24
+        assert all(Permutation(g.images) == g for g in elements)
 
 
 class TestPermGroup:

@@ -22,6 +22,7 @@ from s6quartic import (
     incidence_table,
     is_node,
     is_singular_on_family,
+    label_translates,
     projective_orbit,
     restrict_to_plane,
     restriction_factorization_check,
@@ -53,18 +54,13 @@ COORD_G20 = PermGroup.generate(
 
 
 @pytest.fixture(scope="module")
-def s6():
-    return PermGroup.symmetric(6)
+def cube_orbit():
+    return projective_orbit(CUBE_ROOT_POINT)
 
 
 @pytest.fixture(scope="module")
-def cube_orbit(s6):
-    return projective_orbit(s6, CUBE_ROOT_POINT)
-
-
-@pytest.fixture(scope="module")
-def sign_orbit(s6):
-    return projective_orbit(s6, SIGN_POINT)
+def sign_orbit():
+    return projective_orbit(SIGN_POINT)
 
 
 class TestProjectivePoint:
@@ -233,14 +229,14 @@ class TestCanonicalization:
 
 class TestIncidence:
     def test_trivial_group_single_hit(self):
-        table = incidence_table(
-            PermGroup.trivial(5), QUADRIC_SURFACES[0], CUBE_ROOT_POINT
-        )
+        translates = label_translates(PermGroup.trivial(5), QUADRIC_SURFACES[0])
+        table = incidence_table(translates, CUBE_ROOT_POINT)
         assert table == {QUADRIC_SURFACES[0]: 1}
 
     def test_full_orbit_incidence(self):
         g20 = PermGroup.generate([TAU, H_SHIFT])
-        table = incidence_table(g20, QUADRIC_SURFACES[0], CUBE_ROOT_POINT)
+        translates = label_translates(g20, QUADRIC_SURFACES[0])
+        table = incidence_table(translates, CUBE_ROOT_POINT)
         assert sum(table.values()) == 8
         assert len(table) == 4
         assert list(table.values()) == [2, 2, 2, 2]
@@ -248,15 +244,13 @@ class TestIncidence:
 
     def test_group_degree_checked(self):
         with pytest.raises(ValueError):
-            incidence_table(
-                PermGroup.trivial(6), QUADRIC_SURFACES[0], CUBE_ROOT_POINT
-            )
+            label_translates(PermGroup.trivial(6), QUADRIC_SURFACES[0])
 
 
 class TestOrbits:
-    def test_coordinate_point_orbit_under_s6(self, s6):
+    def test_coordinate_point_orbit_under_s6(self):
         p = ProjectivePoint([1, 0, 0, 0, 0, 0])
-        assert len(projective_orbit(s6, p)) == 6
+        assert len(projective_orbit(p)) == 6
 
     def test_cube_root_orbit_size_30(self, cube_orbit):
         assert len(cube_orbit) == 30
@@ -272,10 +266,6 @@ class TestOrbits:
         keys = [p.sort_key() for p in sign_orbit]
         assert keys == sorted(keys)
         assert len(set(sign_orbit)) == len(sign_orbit)
-
-    def test_degree_checked(self):
-        with pytest.raises(ValueError):
-            projective_orbit(PermGroup.symmetric(5), SIGN_POINT)
 
 
 class TestSingularity:
