@@ -11,9 +11,10 @@ unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
 Parentheses nest at most MAX_NESTING deep, no product or power may
-expand to more than MAX_TERMS terms, and no power, product or quotient
-may have a coefficient of more than MAX_CONSTANT_BITS bits.  A power is
-refused before it is expanded, from a bound on its coefficients.
+expand to more than MAX_TERMS terms, and no sum, difference, product,
+quotient or power may have a coefficient of more than MAX_CONSTANT_BITS
+bits.  A power is refused before it is expanded, from a bound on its
+coefficients.
 
 Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
 a-z.  A literal longer than Python's limit on decimal conversion is a
@@ -144,9 +145,13 @@ class _Parser:
     def expression(self):
         result = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.term()
             result = result + rhs if op == "+" else result - rhs
+            if _too_wide(result):
+                raise ParseError(
+                    f"constant exceeds {MAX_CONSTANT_BITS} bits", pos
+                )
         return result
 
     def term(self):
@@ -273,8 +278,8 @@ _WIDE = 1 << MAX_CONSTANT_BITS
 def _too_wide(value) -> bool:
     """Whether a coefficient of a parsed value passes MAX_CONSTANT_BITS bits.
 
-    Products are checked once computed: at most one product past the bound
-    is ever multiplied out, so a chain of them cannot compound.
+    Sums and products are checked once computed: at most one of them past
+    the bound is ever built, so a chain of them cannot compound.
     """
     if type(value) is Eisenstein:
         a, b, den = value._a, value._b, value._den

@@ -364,11 +364,14 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
 
 def scan_alphabet(t, alphabet, cap: int = DEFAULT_SCAN_CAP) -> list:
     """All singular points of the t-member whose coordinates lie in the
-    alphabet, deduplicated projectively and sorted deterministically."""
-    letters = sorted(
-        {Eisenstein.coerce(entry) for entry in alphabet},
-        key=Eisenstein.sort_key,
-    )
+    alphabet, deduplicated projectively and sorted deterministically.
+
+    Every member lies on the hyperplane sum(x) = 0, so only the first five
+    coordinates are enumerated: the sixth is minus their sum, kept when it
+    is a letter.  The cap still bounds len(alphabet)^6.
+    """
+    members = {Eisenstein.coerce(entry) for entry in alphabet}
+    letters = sorted(members, key=Eisenstein.sort_key)
     if not letters:
         raise ValueError("the alphabet must be nonempty")
     if cap <= 0:
@@ -380,10 +383,11 @@ def scan_alphabet(t, alphabet, cap: int = DEFAULT_SCAN_CAP) -> list:
     t = Fraction(t)
     seen = set()
     found = []
-    for tup in product(letters, repeat=NVARS):
-        if not any(tup):
+    for head in product(letters, repeat=NVARS - 1):
+        last = -sum(head, ZERO)
+        if last not in members or not any(head):
             continue
-        p = ProjectivePoint(tup)
+        p = ProjectivePoint(head + (last,))
         if p in seen:
             continue
         seen.add(p)

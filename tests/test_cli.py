@@ -269,6 +269,16 @@ class TestHostileInput:
                 ["eval", "--poly", "(x0+3^1000^41)^32", "--point", "[1,0,0,0,0,0]"],
                 "error: constant exceeds 65536 bits (at position 14)",
             ),
+            (
+                # Unbounded, this sum over the first 32 odd primes took over
+                # a minute to fold.
+                ["eval", "--poly", "+".join(
+                    f"1/{p}^1000^{65536 // ((p**1000).bit_length() + 2)}"
+                    for p in range(3, 138)
+                    if all(p % d for d in range(2, p))
+                ), "--point", "[1,0,0,0,0,0]"],
+                "error: constant exceeds 65536 bits (at position 11)",
+            ),
         ],
     )
     def test_non_ascii_and_oversized_numbers_are_clean_errors(

@@ -26,6 +26,11 @@ from s6quartic.parsing import (
 )
 
 X0, X1, X2, X3, X4, X5 = X
+# The first 32 odd primes.
+ODD_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+)
 
 
 class TestAtoms:
@@ -333,6 +338,37 @@ class TestConstantBound:
                 default=0,
             )
             assert widest <= _power_bits(base, exponent)
+
+    @pytest.mark.parametrize("prefix", ["", "x0+"])
+    def test_sum_bound_sits_between_neighbouring_sums(self, prefix):
+        # 2^65535 + 1 has 65,536 bits, within the bound; 2^65536 has one more.
+        within = parse_polynomial(prefix + "2^1000^65*2^535+1")
+        power = Eisenstein(2) ** 65535
+        assert within == parse_polynomial(prefix + "1") + power
+        for text in (
+            "2^1000^65*2^535+2^1000^65*2^535",
+            "2^1000^65*2^535-(-2^1000^65*2^535)",
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_polynomial(prefix + text)
+            assert str(info.value) == (
+                f"constant exceeds {MAX_CONSTANT_BITS} bits "
+                f"(at position {len(prefix) + 15})"
+            )
+
+    def test_sum_of_fractions_past_the_bound_is_refused_at_its_operator(self):
+        # Each term is the largest power of its prime within the bound;
+        # adding them multiplies the denominators, and unbounded the 32
+        # terms folded a 2-million-bit value in over a minute.
+        text = "+".join(
+            f"1/{p}^1000^{MAX_CONSTANT_BITS // ((p**1000).bit_length() + 2)}"
+            for p in ODD_PRIMES
+        )
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == (
+            f"constant exceeds {MAX_CONSTANT_BITS} bits (at position 11)"
+        )
 
 
 class TestAsciiTokens:
