@@ -25,7 +25,6 @@ from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED
 from .linalg import TSolutionSet, gram_matrix
 from .parsing import ParseError, parse_scalar_list
 from .perms import (
-    GENERATE_CAP,
     PermGroup,
     Permutation,
     STANDARD_LABELS,
@@ -91,7 +90,6 @@ class RunConfig(NamedTuple):
     alphabets: Mapping = MappingProxyType(DEFAULT_ALPHABETS)
     scan_alphabet: str = "pm1"
     enum_cap: int = DEFAULT_SCAN_CAP
-    group_cap: int = GENERATE_CAP
     output: str = "text"
 
 
@@ -103,9 +101,9 @@ class CheckRecord(NamedTuple):
     elapsed: int  # milliseconds
 
 
-@lru_cache(maxsize=8)
-def _label_group(cap: int) -> PermGroup:
-    return PermGroup.generate([TAU, H_SHIFT], cap=cap)
+@lru_cache(maxsize=1)
+def _label_group() -> PermGroup:
+    return PermGroup.generate([TAU, H_SHIFT])
 
 
 @lru_cache(maxsize=1)
@@ -125,9 +123,9 @@ def _quadric_translates(index: int) -> dict:
 
 
 def _check_group_structure(cfg: RunConfig):
-    group = _label_group(cfg.group_cap)
-    translations = PermGroup.generate([H_SHIFT], cap=cfg.group_cap)
-    complement = PermGroup.generate([TAU], cap=cfg.group_cap)
+    group = _label_group()
+    translations = PermGroup.generate([H_SHIFT])
+    complement = PermGroup.generate([TAU])
     semidirect = semidirect_structure_check(group, translations, complement)
     details = {
         "group_order": group.order,
@@ -194,7 +192,7 @@ def _check_lemma_2_2(cfg: RunConfig):
 
 
 def _check_divisor_incidence(cfg: RunConfig):
-    group = _label_group(cfg.group_cap)
+    group = _label_group()
     translates = _quadric_translates(0)
     # The action is only ever asked for images of the surface itself.
     orbit, stabilizer = orbit_and_stabilizer(
@@ -273,7 +271,7 @@ def _check_s_fixes_q1(cfg: RunConfig):
 
 
 def _check_irrep_degrees(cfg: RunConfig):
-    degrees = irreducible_degrees(_label_group(cfg.group_cap))
+    degrees = irreducible_degrees(_label_group())
     details = {"degrees": list(degrees)}
     return degrees == (1, 1, 1, 1, 4), details
 
@@ -315,10 +313,11 @@ def _check_scan_todd(cfg: RunConfig):
     alphabet = cfg.alphabets[cfg.scan_alphabet]
     per_t = {}
     ok = True
-    for t in cfg.t_values:
+    # A t given twice is reported once, so it is scanned once.
+    for t in dict.fromkeys(Fraction(t) for t in cfg.t_values):
         found = scan_alphabet(t, alphabet, cfg.enum_cap)
         nodes = sum(1 for p in found if is_node(t, p))
-        per_t[str(Fraction(t))] = {"found": len(found), "nodes": nodes}
+        per_t[str(t)] = {"found": len(found), "nodes": nodes}
         ok = ok and nodes == len(found)
     details = {"alphabet": cfg.scan_alphabet, "per_t": per_t}
     return ok, details
@@ -347,7 +346,7 @@ ALL_CHECK_IDS = REGISTRY_CHECK_IDS + tuple(cid for cid, _, _ in _EXPLORATORY)
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.enum_cap <= 0 or cfg.group_cap <= 0:
+    if cfg.enum_cap <= 0:
         raise ConfigError("caps must be positive")
     if cfg.output not in ("text", "structured"):
         raise ConfigError(f"unknown output mode {cfg.output!r}")
@@ -448,16 +447,6 @@ def parse_rational(text: str) -> Fraction:
         raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _parse_positive_int(text: str, what: str) -> int:
-    try:
-        value = int(text.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {text.strip()!r}") from exc
-    if value <= 0:
-        raise ConfigError(f"{what} must be positive")
-    return value
-
-
 def normalize_format(text: str) -> str:
     name = text.strip().lower()
     if name in ("text",):
@@ -478,8 +467,9 @@ def parse_alphabet_text(text: str) -> tuple:
 def load_config(path: str) -> dict:
     """Parse the INI-style config file into RunConfig field overrides.
 
-    Sections: [run] checks/format/t, [caps] enum/group, [scan] alphabet,
-    and [alphabets] defining extra named alphabets as bracketed lists.
+    Sections: [run] checks/format/t, [caps] enum, [scan] alphabet, and
+    [alphabets] defining extra named alphabets as bracketed lists; any
+    other section, or key outside [alphabets], is refused.
     """
     import configparser  # only --config needs it; keeps it off cold starts
 
@@ -491,10 +481,25 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    known = {"run", "caps", "scan", "alphabets"}
-    stray = set(parser.sections()) - known
+    known = {
+        "run": {"checks", "format", "t"},
+        "caps": {"enum"},
+        "scan": {"alphabet"},
+    }
+    stray = set(parser.sections()) - set(known) - {"alphabets"}
+    if parser.defaults():
+        stray.add(parser.default_section)
     if stray:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
+    stray = [
+        f"{section}.{key}"
+        for section, keys in known.items()
+        if parser.has_section(section)
+        for key in parser[section]
+        if key not in keys
+    ]
+    if stray:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(stray))}")
     overrides = {}
     alphabets = dict(DEFAULT_ALPHABETS)
     if parser.has_section("alphabets"):
@@ -522,11 +527,14 @@ def load_config(path: str) -> dict:
     if parser.has_section("caps"):
         caps = parser["caps"]
         if "enum" in caps:
-            overrides["enum_cap"] = _parse_positive_int(caps["enum"], "enum cap")
-        if "group" in caps:
-            overrides["group_cap"] = _parse_positive_int(
-                caps["group"], "group cap"
-            )
+            raw = caps["enum"].strip()
+            try:
+                value = int(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad enum cap {raw!r}") from exc
+            if value <= 0:
+                raise ConfigError("enum cap must be positive")
+            overrides["enum_cap"] = value
     if parser.has_section("scan"):
         scan = parser["scan"]
         if "alphabet" in scan:

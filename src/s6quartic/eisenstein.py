@@ -158,6 +158,9 @@ class Eisenstein:
 
     def inverse(self) -> "Eisenstein":
         a, b, d = self._a, self._b, self._den
+        if not b and a:
+            # The inverse d/a of a rational a/d is already in lowest terms.
+            return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
         n = a * a - a * b + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")

@@ -23,7 +23,7 @@ class Matrix:
 
     __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence], cap: int = DIMENSION_CAP):
+    def __init__(self, rows: Sequence[Sequence]):
         coerced = tuple(
             tuple(Eisenstein.coerce(e) for e in row) for row in rows
         )
@@ -32,9 +32,10 @@ class Matrix:
         width = len(coerced[0])
         if any(len(row) != width for row in coerced):
             raise ValueError("ragged rows")
-        if len(coerced) > cap or width > cap:
+        if len(coerced) > DIMENSION_CAP or width > DIMENSION_CAP:
             raise ValueError(
-                f"matrix {len(coerced)}x{width} exceeds the {cap}x{cap} cap"
+                f"matrix {len(coerced)}x{width} exceeds the "
+                f"{DIMENSION_CAP}x{DIMENSION_CAP} cap"
             )
         self.rows = coerced
         self.nrows = len(coerced)

@@ -208,13 +208,15 @@ class PermGroup:
         classes.sort(key=lambda c: (len(c), c[0]))
         return classes
 
-    def normal_subgroups(self, cap: int = SUBGROUP_SCAN_CAP) -> list:
+    def normal_subgroups(self) -> list:
         """All normal subgroups, found by closing unions of conjugacy
         classes that contain the identity and keeping the closed ones."""
         from itertools import combinations
 
-        if self.order > cap:
-            raise ValueError(f"group order {self.order} exceeds cap {cap}")
+        if self.order > SUBGROUP_SCAN_CAP:
+            raise ValueError(
+                f"group order {self.order} exceeds cap {SUBGROUP_SCAN_CAP}"
+            )
         ident = self.identity()
         classes = self.conjugacy_classes()
         others = [c for c in classes if c != (ident,)]
@@ -276,7 +278,7 @@ def semidirect_structure_check(
     return is_normal and trivial_meet and orders_multiply
 
 
-def irreducible_degrees(group: PermGroup, cap: int = SUBGROUP_SCAN_CAP) -> tuple:
+def irreducible_degrees(group: PermGroup) -> tuple:
     """Degrees of the complex irreducible representations, as a sorted tuple.
 
     Determined arithmetically: the class count r fixes the number of
@@ -285,8 +287,8 @@ def irreducible_degrees(group: PermGroup, cap: int = SUBGROUP_SCAN_CAP) -> tuple
     If that data does not pin a unique multiset, this raises rather than
     guess.
     """
-    if group.order > cap:
-        raise ValueError(f"group order {group.order} exceeds cap {cap}")
+    if group.order > SUBGROUP_SCAN_CAP:
+        raise ValueError(f"group order {group.order} exceeds cap {SUBGROUP_SCAN_CAP}")
     r = len(group.conjugacy_classes())
     a = group.order // group.commutator_subgroup().order
     remaining = r - a

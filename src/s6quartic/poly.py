@@ -29,7 +29,7 @@ _CONST = (0,) * NVARS
 class Polynomial:
     """Immutable sparse polynomial; supports +, -, *, scalar /, ** and hashing."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         clean = {}
@@ -44,7 +44,6 @@ class Polynomial:
                 if c:
                     clean[mono] = c
         self.terms = clean
-        self._key = None
 
     # -- constructors ------------------------------------------------------
 
@@ -277,16 +276,13 @@ class Polynomial:
         Coefficients enter as their normalised int triples, which are
         ordered and hash without building Fractions.
         """
-        if self._key is None:
-            self._key = tuple(
-                (m, c._parts())
-                for m, c in sorted(self.terms.items(), reverse=True)
-            )
-        return self._key
+        return tuple(
+            (m, c._parts()) for m, c in sorted(self.terms.items(), reverse=True)
+        )
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.key() == other.key()
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction, Eisenstein)):
             return self == Polynomial.constant(other)
         return NotImplemented
@@ -308,7 +304,6 @@ def _raw(terms: dict) -> Polynomial:
     """Internal: wrap an already-clean term dict without re-validation."""
     p = Polynomial.__new__(Polynomial)
     p.terms = terms
-    p._key = None
     return p
 
 

@@ -15,7 +15,6 @@ family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
@@ -249,19 +248,9 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
 _ONES_ROW = tuple([ONE] * NVARS)
 
 
-# Family members are memoised per t, but a scan over many fresh t values
-# must not grow memory with every one of them.
-FAMILY_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family(t: Fraction):
-    return quartic_family(t)
-
-
 def family_member(t) -> LinearSliceVariety:
     """The slice (hyperplane, degree-4 member) of the family at parameter t."""
-    linear, quartic = _family(Fraction(t))
+    linear, quartic = quartic_family(t)
     return LinearSliceVariety([linear], [quartic])
 
 
@@ -439,5 +428,5 @@ def restriction_factorization_check(t):
     """The scalar c with the t-member restricted to the distinguished plane
     equal to c times the product of the two quadrics; None if it does not
     split that way."""
-    _, quartic = _family(Fraction(t))
+    _, quartic = quartic_family(t)
     return quadric_pair_quotient(restrict_to_plane(quartic))

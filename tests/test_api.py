@@ -5,6 +5,7 @@ from the package root; everything else is imported from its submodule.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import s6quartic
+from s6quartic.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,6 +123,20 @@ def test_benchmark_attributes_exist():
     for name in BENCHMARK_NAMES:
         assert name in PUBLIC
         assert hasattr(s6quartic, name)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        Matrix,
+        s6quartic.PermGroup.normal_subgroups,
+        s6quartic.irreducible_degrees,
+    ],
+    ids=lambda fn: fn.__qualname__,
+)
+def test_size_bounds_are_constants_not_parameters(fn):
+    # DIMENSION_CAP and SUBGROUP_SCAN_CAP bound these for every caller.
+    assert "cap" not in inspect.signature(fn).parameters
 
 
 def test_readme_library_tour_runs(capsys):

@@ -190,6 +190,26 @@ class TestExploratoryScan:
         assert record.status == "pass"
         assert record.details["per_t"] == {"6": {"found": 10, "nodes": 10}}
 
+    def test_repeated_t_is_scanned_once(self, monkeypatch):
+        calls = []
+        scan = checks.scan_alphabet
+
+        def counting(t, *args):
+            calls.append(t)
+            return scan(t, *args)
+
+        monkeypatch.setattr(checks, "scan_alphabet", counting)
+        cfg = RunConfig(
+            selected_checks=("scan-todd",),
+            t_values=(Fraction(6), Fraction(12, 2), Fraction(3, 2), 6),
+        )
+        (record,) = run_checks(cfg)
+        assert calls == [Fraction(6), Fraction(3, 2)]
+        assert record.details["per_t"] == {
+            "6": {"found": 10, "nodes": 10},
+            "3/2": {"found": 0, "nodes": 0},
+        }
+
     def test_exploratory_after_registry_checks(self):
         cfg = RunConfig(
             selected_checks=("scan-todd", "group-structure"),
@@ -211,12 +231,6 @@ class TestErrorContainment:
         }
         assert not all_passed(records)
 
-    def test_group_cap_error_is_contained(self):
-        cfg = RunConfig(selected_checks=("group-structure",), group_cap=3)
-        (record,) = run_checks(cfg)
-        assert record.status == "error"
-        assert "exceeds cap 3" in record.details["error"]
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -225,7 +239,7 @@ class TestConfigValidation:
             ({"selected_checks": ("bogus",)}, "unknown check ids: bogus"),
             ({"output": "yaml"}, "unknown output mode 'yaml'"),
             ({"enum_cap": 0}, "caps must be positive"),
-            ({"group_cap": -5}, "caps must be positive"),
+            ({"enum_cap": -5}, "caps must be positive"),
             ({"scan_alphabet": "missing"}, "unknown alphabet 'missing'"),
             ({"t_values": ()}, "t_values must be nonempty"),
             ({"alphabets": {}}, "unknown alphabet 'pm1'"),
@@ -245,6 +259,16 @@ class TestConfigValidation:
         assert DEFAULT_ALPHABETS["zero_pm1"] == (0, 1, -1)
         assert len(DEFAULT_ALPHABETS["cube_roots"]) == 3
         assert len(DEFAULT_ALPHABETS["sixth_roots"]) == 6
+
+    def test_run_config_fields(self):
+        assert RunConfig._fields == (
+            "selected_checks",
+            "t_values",
+            "alphabets",
+            "scan_alphabet",
+            "enum_cap",
+            "output",
+        )
 
     def test_run_config_defaults(self):
         cfg = RunConfig()
@@ -278,7 +302,6 @@ class TestConfigFile:
             "t = 6, 7/2\n"
             "[caps]\n"
             "enum = 500000\n"
-            "group = 6000\n"
             "[scan]\n"
             "alphabet = zero_pm1\n"
             "[alphabets]\n"
@@ -289,7 +312,6 @@ class TestConfigFile:
         assert overrides["output"] == "structured"
         assert overrides["t_values"] == (Fraction(6), Fraction(7, 2))
         assert overrides["enum_cap"] == 500000
-        assert overrides["group_cap"] == 6000
         assert overrides["scan_alphabet"] == "zero_pm1"
         assert overrides["alphabets"]["tiny"] == (Eisenstein(1), Eisenstein(-1))
         assert "pm1" in overrides["alphabets"]
@@ -311,10 +333,23 @@ class TestConfigFile:
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text("[mystery]\nx = 1\n")
+        # [DEFAULT] keys would leak into every section, or vanish unread.
+        for body, name in (("[mystery]\nx = 1\n", "mystery"),
+                           ("[DEFAULT]\nenum = 1\n", "DEFAULT")):
+            path.write_text(body)
+            with pytest.raises(ConfigError) as info:
+                load_config(str(path))
+            assert f"unknown config sections: {name}" in str(info.value)
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[run]\nformt = json\n[caps]\nenum = 1\ngroup = 6000\n"
+            "[alphabets]\nanything = [1, -1]\n"
+        )
         with pytest.raises(ConfigError) as info:
             load_config(str(path))
-        assert "unknown config sections: mystery" in str(info.value)
+        assert str(info.value) == "unknown config keys: caps.group, run.formt"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as info:

@@ -93,6 +93,15 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_unknown_config_key_gives_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nformt = json\n[caps]\ngroup = 6000\n")
+        code = main(["verify", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown config keys: caps.group, run.formt\n"
+
 
 class TestScanCommand:
     def test_named_alphabet(self, capsys):

@@ -136,7 +136,9 @@ class TestAgainstReference:
                     _check(q / x, rq * rx.inverse())
 
     def test_inverse_norm_conjugate(self):
-        for re, om in OPERANDS:
+        # Rationals of both signs, integral and not, take their own path.
+        rationals = [(q, 0) for q in (5, -5, Fraction(7, 3), Fraction(-7, 3))]
+        for re, om in OPERANDS + rationals:
             x, rx = Eisenstein(re, om), Ref(re, om)
             assert x.norm() == rx.norm()
             assert isinstance(x.norm(), Fraction)
@@ -149,9 +151,11 @@ class TestAgainstReference:
 
     def test_inverse_of_negative_values_keeps_denominator_positive(self):
         for value in (Eisenstein(-3), Eisenstein(Fraction(-2, 7), -5),
-                      Eisenstein(0, Fraction(-4, 9)), Eisenstein(-1, -1)):
+                      Eisenstein(0, Fraction(-4, 9)), Eisenstein(-1, -1),
+                      Eisenstein(Fraction(-9, 4)), Eisenstein(Fraction(9, 4))):
             inv = value.inverse()
             assert inv._den > 0
+            assert gcd(inv._a, inv._b, inv._den) == 1
             assert inv * value == 1
 
     def test_powers_with_negative_exponents(self):

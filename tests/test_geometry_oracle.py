@@ -44,7 +44,6 @@ from s6quartic.linalg import (
 )
 from s6quartic.checks import _label_group, _quadric_translates
 from s6quartic.eisenstein import OMEGA
-from s6quartic.perms import GENERATE_CAP
 from s6quartic.varieties import act_on_point, canonicalize
 
 T_VALUES = tuple(
@@ -212,7 +211,7 @@ def test_cached_translates_match_a_fresh_action_per_element(index):
 
 def test_divisor_bookkeeping_from_the_translates_matches_the_group_path():
     _quadric_translates.cache_clear()
-    group = _label_group(GENERATE_CAP)
+    group = _label_group()
     x = QUADRIC_SURFACES[0]
     translates = _quadric_translates(0)
     orbit, stabilizer = orbit_and_stabilizer(group, x, lambda g, _: translates[g])

@@ -188,7 +188,7 @@ class TestStructure:
 
     def test_normal_subgroup_cap(self):
         with pytest.raises(ValueError):
-            PermGroup.symmetric(6).normal_subgroups(cap=120)
+            PermGroup.symmetric(6).normal_subgroups()
 
     def test_commutator_subgroup(self):
         derived = G20().commutator_subgroup()

@@ -138,6 +138,16 @@ class TestStructureQueries:
     def test_variables_used(self):
         assert (X0 * X5 + X2).variables_used() == {0, 2, 5}
 
+    def test_equality_ignores_term_order(self):
+        terms = {(1, 0, 0, 0, 0, 0): 3, (0, 2, 0, 0, 0, 1): OMEGA, (0,) * NVARS: -1}
+        p = Polynomial(terms)
+        q = Polynomial(dict(reversed(list(terms.items()))))
+        assert list(p.terms) != list(q.terms)
+        assert p == q and hash(p) == hash(q) and p.key() == q.key()
+        assert p != q + X2
+        # The key is computed on demand; a polynomial holds its terms only.
+        assert Polynomial.__slots__ == ("terms",)
+
     def test_equality_with_scalars(self):
         assert Polynomial.constant(5) == 5
         assert X0 != 5
