@@ -25,10 +25,7 @@ from .parsing import (
     parse_point_coordinates,
     parse_polynomial,
 )
-from .linalg import (
-    NonRationalRootError,
-    gram_matrix,
-)
+from .linalg import gram_matrix
 from .perms import (
     PermGroup,
     STANDARD_LABELS,
@@ -72,7 +69,6 @@ __all__ = [
     "DEFAULT_ALPHABETS",
     "Eisenstein",
     "H_SHIFT",
-    "NonRationalRootError",
     "OMEGA",
     "PLANE_FORMS",
     "ParseError",

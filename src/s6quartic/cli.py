@@ -13,6 +13,7 @@ usage problems.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .checks import (
@@ -150,8 +151,8 @@ def _cmd_scan(args) -> int:
         points = scan_alphabet(t, alphabet, args.cap)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for point in points:
-        print(point)
+    sys.stdout.write("".join(f"{point}\n" for point in points))
+    sys.stdout.flush()
     print(f"found {len(points)} singular point(s)", file=sys.stderr)
     return 0
 
@@ -176,10 +177,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,8 @@
 
 Everything here runs fraction-free of floating point: Gaussian elimination
 with exact field division, reduced row echelon form for spaces of linear
-forms, Gram matrices of quadratic forms, and a solver for the values of one
-rational parameter t making a vector pencil v0 + t*v1 proportional to a
-fixed vector.
+forms, and Gram matrices of quadratic forms.  The record of a set of values
+of the family parameter t lives here too.
 """
 
 from __future__ import annotations
@@ -170,14 +169,10 @@ def gram_matrix(quadric: Polynomial, variables: Sequence[int]) -> Matrix:
     return Matrix(entries)
 
 
-# -- the rational-parameter proportionality solver ---------------------------
-
-class NonRationalRootError(ValueError):
-    """The linear system in t is consistent but its root lies outside Q."""
-
+# -- sets of family parameters ------------------------------------------------
 
 class TSolutionSet(NamedTuple):
-    """The set of parameter values satisfying a system linear in t.
+    """A set of rational values of the family parameter t.
 
     kind is one of "all" (every rational t), "finite" (the listed values),
     or "empty".
@@ -197,80 +192,11 @@ class TSolutionSet(NamedTuple):
     def is_all(self) -> bool:
         return self.kind == "all"
 
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
-    def intersect(self, other: "TSolutionSet") -> "TSolutionSet":
-        if self.is_all:
-            return other
-        if other.is_all:
-            return self
-        if self.is_empty or other.is_empty:
-            return EMPTY
-        return TSolutionSet.finite(set(self.values) & set(other.values))
-
     def __str__(self):
-        if self.is_all:
-            return "all-t"
-        if self.is_empty:
-            return "empty"
-        return "{" + ", ".join(str(v) for v in self.values) + "}"
+        if self.kind == "finite":
+            return "{" + ", ".join(str(v) for v in self.values) + "}"
+        return "all-t" if self.is_all else "empty"
 
 
 ALL_T = TSolutionSet("all")
 EMPTY = TSolutionSet("empty")
-
-
-def solve_linear_in_t(conditions) -> TSolutionSet:
-    """Common rational roots of conditions alpha + t*beta = 0 over Q(w).
-
-    Roots are intersected inside Q(w): identically-zero conditions impose
-    nothing, inconsistent ones give the empty set.  Only when the system
-    pins a single root that is irrational does the field design break, and
-    that raises NonRationalRootError.
-    """
-    state = "all"
-    root = None
-    for alpha, beta in conditions:
-        alpha = Eisenstein.coerce(alpha)
-        beta = Eisenstein.coerce(beta)
-        if not alpha and not beta:
-            continue
-        if not beta:
-            return EMPTY
-        r = -alpha / beta
-        if state == "all":
-            state, root = "root", r
-        elif root != r:
-            return EMPTY
-    if state == "all":
-        return ALL_T
-    if not root.is_rational():
-        raise NonRationalRootError(
-            f"parameter root {root} lies outside the rationals"
-        )
-    return TSolutionSet.finite([root.re])
-
-
-def solve_parametric_proportionality(v0, v1, w) -> TSolutionSet:
-    """All rational t with rank [v0 + t*v1; w] <= 1, via the 2x2 minors.
-
-    Each minor is linear in t; their root sets are intersected by
-    solve_linear_in_t.  w must be a nonzero vector.
-    """
-    v0 = [Eisenstein.coerce(e) for e in v0]
-    v1 = [Eisenstein.coerce(e) for e in v1]
-    w = [Eisenstein.coerce(e) for e in w]
-    if not (len(v0) == len(v1) == len(w)) or not v0:
-        raise ValueError("vectors must share a positive length")
-    if not any(w):
-        raise ValueError("the reference vector w must be nonzero")
-    n = len(w)
-    conditions = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            alpha = v0[i] * w[j] - v0[j] * w[i]
-            beta = v1[i] * w[j] - v1[j] * w[i]
-            conditions.append((alpha, beta))
-    return solve_linear_in_t(conditions)

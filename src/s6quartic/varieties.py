@@ -18,13 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
-from .linalg import (
-    Matrix,
-    TSolutionSet,
-    rref_linear_forms,
-    solve_linear_in_t,
-    solve_parametric_proportionality,
-)
+from .linalg import ALL_T, EMPTY, Matrix, TSolutionSet, rref_linear_forms
 from .parsing import parse_point_coordinates
 from .perms import STANDARD_LABELS, Permutation
 from .poly import NVARS, Polynomial, X, divide_exact, quartic_family
@@ -245,8 +239,6 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
 #
 # so no symbolic derivative is ever taken.
 
-_ONES_ROW = tuple([ONE] * NVARS)
-
 
 def family_member(t) -> LinearSliceVariety:
     """The slice (hyperplane, degree-4 member) of the family at parameter t."""
@@ -329,13 +321,14 @@ def is_node(t, point: ProjectivePoint) -> bool:
 
 
 def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
-    """Exact set of parameters t at which the point is singular.
+    """Exact set of rational parameters t at which the point is singular.
 
     Requires the point to lie on the hyperplane (the t-independent linear
-    condition).  The singularity conditions are linear in t: the gradient
-    v0 + t*v1 of the quartic, with v0 = -4*p2*x and v1 = 4*x^3, must be
-    proportional to the all-ones vector, and the quartic -p2^2 + t*p4
-    itself must vanish.  Both are solved exactly and intersected.
+    condition).  The quartic t*p4 - p2^2 vanishes at the point only at
+    t = p2^2/p4 when p4 != 0, and nowhere when p4 = 0 != p2.  When
+    p2 = p4 = 0 it vanishes for every t, and the gradient 4*t*x_i^3 is a
+    multiple of the all-ones vector for every t if the cubes x_i^3 agree,
+    and only at t = 0 otherwise.
     """
     coords = point.coords
     if sum(coords, ZERO):
@@ -344,11 +337,15 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
             f"at {point}"
         )
     squares, p2, p4 = _power_sums(coords)
-    v0 = [-4 * p2 * c for c in coords]
-    v1 = [4 * s * c for s, c in zip(squares, coords)]
-    proportional = solve_parametric_proportionality(v0, v1, _ONES_ROW)
-    on_member = solve_linear_in_t([(-(p2 * p2), p4)])
-    return proportional.intersect(on_member)
+    if p4:
+        t = p2 * p2 / p4
+        if t.is_rational() and is_singular_on_family(t.re, point):
+            return TSolutionSet.finite([t.re])
+        return EMPTY
+    if p2:
+        return EMPTY
+    cubes = {s * c for s, c in zip(squares, coords)}
+    return ALL_T if len(cubes) == 1 else TSolutionSet.finite([0])
 
 
 def scan_alphabet(t, alphabet, cap: int = DEFAULT_SCAN_CAP) -> list:

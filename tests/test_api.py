@@ -25,7 +25,6 @@ PUBLIC = [
     "DEFAULT_ALPHABETS",
     "Eisenstein",
     "H_SHIFT",
-    "NonRationalRootError",
     "OMEGA",
     "PLANE_FORMS",
     "ParseError",

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -197,6 +198,34 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "smooth-quadrics" in result.stdout
+
+    def test_scan_into_a_closed_pipe_exits_quietly(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("pipe capacity cannot be set on this platform")
+        read_fd, write_fd = os.pipe()
+        # One 4096-byte page holds less than the scan's 5,220 bytes, so the
+        # scan is still writing when the reader closes after one line.
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        # Unbuffered stdout (python -u) drops the rest of a short write to a
+        # closed pipe instead of raising, so the child runs buffered, as it
+        # does by default.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "s6quartic", "scan", "--t", "0",
+             "--alphabet", "sixth_roots"],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_fd)
+        first = os.read(read_fd, 128).split(b"\n")[0]
+        os.close(read_fd)
+        _, err = proc.communicate(timeout=60)
+        assert first == b"[1 : -1 - w : -1 - w : w : w : 1]"
+        assert b"Traceback" not in err
+        assert err == b""
+        assert proc.returncode == 1
 
 
 class TestHostileInput:

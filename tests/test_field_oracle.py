@@ -197,6 +197,37 @@ class TestAgainstReference:
         ordered = sorted(elements, key=Eisenstein.sort_key)
         assert [(e.re, e.om) for e in ordered] == sorted(OPERANDS)
 
+    def test_random_triples_property(self):
+        # (a + b*w)/den for any nonzero den, either sign, unreduced.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.integers(-10**6, 10**6)
+        triples = st.tuples(ints, ints, st.integers(-40, 40).filter(bool))
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+        @hypothesis.given(triples, triples, st.integers(-5, 5))
+        def check(first, second, k):
+            (a, b, d), (c, e, f) = first, second
+            x = Eisenstein(Fraction(a, d), Fraction(b, d))
+            y = Eisenstein(Fraction(c, f), Fraction(e, f))
+            rx = Ref(Fraction(a, d), Fraction(b, d))
+            ry = Ref(Fraction(c, f), Fraction(e, f))
+            _check(x + y, rx + ry)
+            _check(x * y, rx * ry)
+            if rx.norm():
+                _check(x.inverse(), rx.inverse())
+                _check(x ** k, rx.power(k))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+                if k < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        x ** k
+                else:
+                    _check(x ** k, rx.power(k))
+
+        check()
+
 
 def _random_polynomial(rng, nterms, max_exp):
     terms = {}

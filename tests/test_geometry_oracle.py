@@ -3,10 +3,12 @@
 The oracles below are the symbolic route the package no longer takes:
 the gradient and Hessian of the quartic come from partial_derivative, the
 singularity test is the rank of the 2x6 Jacobian of (linear form,
-quartic), and orbits of varieties compare canonical forms pair by pair.
-They are compared with the package, alphabet by alphabet, on every
-projectively distinct point with coordinates in pm1, zero_pm1 or
-cube_roots.
+quartic), the singular parameters solve the 2x2 minors of that Jacobian
+and the quartic itself as one system linear in t, and orbits of varieties
+compare canonical forms pair by pair.  They are compared with the
+package, alphabet by alphabet, on every projectively distinct point with
+coordinates in pm1, zero_pm1 or cube_roots, and the singular parameters
+also on random hyperplane points with coordinates a + b*w.
 """
 
 from fractions import Fraction
@@ -37,13 +39,9 @@ from s6quartic import (
     singular_t_values,
 )
 from s6quartic.poly import NVARS, X
-from s6quartic.linalg import (
-    Matrix,
-    solve_linear_in_t,
-    solve_parametric_proportionality,
-)
+from s6quartic.linalg import ALL_T, EMPTY, Matrix, TSolutionSet
 from s6quartic.checks import _label_group, _quadric_translates
-from s6quartic.eisenstein import OMEGA
+from s6quartic.eisenstein import OMEGA, ZERO
 from s6quartic.varieties import act_on_point, canonicalize
 
 T_VALUES = tuple(
@@ -52,6 +50,8 @@ T_VALUES = tuple(
 ONES = [Eisenstein(1)] * NVARS
 P4 = sum((x**4 for x in X), Polynomial.zero())
 NEG_P2_SQUARED = -(sum((x**2 for x in X), Polynomial.zero()) ** 2)
+P4_GRADIENT = P4.gradient()
+NEG_P2_SQUARED_GRADIENT = NEG_P2_SQUARED.gradient()
 
 
 def alphabet_points(name):
@@ -105,15 +105,95 @@ class Symbolic:
 SYMBOLIC = {t: Symbolic(t) for t in T_VALUES}
 
 
+def solve_linear_in_t(conditions):
+    """Common rational roots t of the conditions alpha + t*beta = 0.
+
+    Every condition goes into the one solve before a root is judged: an
+    identically zero condition imposes nothing, a nonzero constant or two
+    different roots leave no t, and a common root outside Q leaves no
+    rational t either.
+    """
+    root = None
+    for alpha, beta in conditions:
+        if not beta:
+            if alpha:
+                return EMPTY
+            continue
+        r = -alpha / beta
+        if root is None:
+            root = r
+        elif r != root:
+            return EMPTY
+    if root is None:
+        return ALL_T
+    return TSolutionSet.finite([root.re]) if root.is_rational() else EMPTY
+
+
+def proportionality_minors(v0, v1, w):
+    """The 2x2 minors of the rows v0 + t*v1 and w, as (alpha, beta) pairs."""
+    n = len(w)
+    return [
+        (v0[i] * w[j] - v0[j] * w[i], v1[i] * w[j] - v1[j] * w[i])
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+
+
 def symbolic_t_values(point):
     coords = point.coords
-    v0 = [g.evaluate(coords) for g in NEG_P2_SQUARED.gradient()]
-    v1 = [g.evaluate(coords) for g in P4.gradient()]
-    proportional = solve_parametric_proportionality(v0, v1, ONES)
-    on_member = solve_linear_in_t(
-        [(NEG_P2_SQUARED.evaluate(coords), P4.evaluate(coords))]
-    )
-    return proportional.intersect(on_member)
+    v0 = [g.evaluate(coords) for g in NEG_P2_SQUARED_GRADIENT]
+    v1 = [g.evaluate(coords) for g in P4_GRADIENT]
+    on_member = (NEG_P2_SQUARED.evaluate(coords), P4.evaluate(coords))
+    return solve_linear_in_t(proportionality_minors(v0, v1, ONES) + [on_member])
+
+
+class TestOracleSolver:
+    def test_no_conditions_means_all_t(self):
+        assert solve_linear_in_t([]) == ALL_T
+
+    def test_trivial_conditions_skipped(self):
+        zero = Eisenstein(0)
+        assert solve_linear_in_t([(zero, zero)]) == ALL_T
+
+    def test_single_root(self):
+        # alpha + t*beta = 0 with alpha = -36, beta = 6 gives t = 6.
+        s = solve_linear_in_t([(Eisenstein(-36), Eisenstein(6))])
+        assert s == TSolutionSet.finite([Fraction(6)])
+
+    def test_unsatisfiable_constant(self):
+        assert solve_linear_in_t([(Eisenstein(1), Eisenstein(0))]) == EMPTY
+
+    def test_conflicting_roots(self):
+        s = solve_linear_in_t(
+            [
+                (Eisenstein(-1), Eisenstein(1)),
+                (Eisenstein(-2), Eisenstein(1)),
+            ]
+        )
+        assert s == EMPTY
+
+    def test_lone_irrational_root_is_empty(self):
+        assert solve_linear_in_t([(OMEGA, Eisenstein(1))]) == EMPTY
+        assert solve_linear_in_t([(OMEGA, Eisenstein(1))] * 2) == EMPTY
+
+    def test_balanced_sign_point_forces_t_6(self):
+        # v0 + t*v1 must be proportional to the all-ones vector, where v0 and
+        # v1 are the two gradient halves at (1, 1, 1, -1, -1, -1).
+        signs = [1, 1, 1, -1, -1, -1]
+        v0 = [Eisenstein(-24 * s) for s in signs]
+        v1 = [Eisenstein(4 * s) for s in signs]
+        s = solve_linear_in_t(proportionality_minors(v0, v1, ONES))
+        assert s == TSolutionSet.finite([Fraction(6)])
+
+    def test_already_proportional_for_all_t(self):
+        v0 = [Eisenstein(2)] * 6
+        v1 = [Eisenstein(-3)] * 6
+        assert solve_linear_in_t(proportionality_minors(v0, v1, ONES)) == ALL_T
+
+    def test_never_proportional(self):
+        v0 = [Eisenstein(i) for i in (1, 2, 3, 4, 5, 6)]
+        v1 = [Eisenstein(0)] * 6
+        assert solve_linear_in_t(proportionality_minors(v0, v1, ONES)) == EMPTY
 
 
 @pytest.mark.parametrize("t", T_VALUES, ids=str)
@@ -134,6 +214,39 @@ def test_node_test_matches_the_symbolic_hessian(t):
 def test_singular_parameters_match_the_gradient_path():
     for p in ON_HYPERPLANE:
         assert singular_t_values(p) == symbolic_t_values(p), p
+
+
+# Its 15 minors alone pin t = 850/299 - 600/299*w, outside Q.
+IRRATIONAL_MINOR_ROOT = ProjectivePoint.from_text(
+    "[1, 6/7 + 4/7*w, -10/7 - 2/7*w, -1, 1/7 + 3/7*w, 3/7 - 5/7*w]"
+)
+
+
+def test_a_point_whose_minors_pin_an_irrational_root_is_singular_nowhere():
+    assert symbolic_t_values(IRRATIONAL_MINOR_ROOT) == EMPTY
+    assert singular_t_values(IRRATIONAL_MINOR_ROOT) == EMPTY
+
+
+def test_singular_parameters_match_the_oracle_on_random_hyperplane_points():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-2, 2)
+    heads = st.lists(st.builds(Eisenstein, small, small), min_size=5, max_size=5)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(heads)
+    def check(head):
+        hypothesis.assume(any(head))
+        p = ProjectivePoint(head + [-sum(head, ZERO)])
+        values = singular_t_values(p)
+        assert values == symbolic_t_values(p), p
+        for t in values.values:
+            assert is_singular_on_family(t, p), (t, p)
+        for t in T_VALUES:
+            expected = values.is_all or t in values.values
+            assert is_singular_on_family(t, p) == expected, (t, p)
+
+    check()
 
 
 def test_the_comparison_is_not_vacuous():

@@ -1,4 +1,4 @@
-"""Unit tests for exact matrices, quadratic forms, and parameter solving."""
+"""Unit tests for exact matrices, quadratic forms, and parameter sets."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ import pytest
 from s6quartic import (
     OMEGA,
     Eisenstein,
-    NonRationalRootError,
     gram_matrix,
     parse_polynomial,
 )
@@ -18,8 +17,6 @@ from s6quartic.linalg import (
     Matrix,
     TSolutionSet,
     rref_linear_forms,
-    solve_linear_in_t,
-    solve_parametric_proportionality,
 )
 
 X0, X1, X2, X3, X4, X5 = X
@@ -181,80 +178,3 @@ class TestSolutionSets:
         assert str(ALL_T) == "all-t"
         assert str(EMPTY) == "empty"
         assert str(TSolutionSet.finite([Fraction(6)])) == "{6}"
-
-    def test_intersection_algebra(self):
-        six = TSolutionSet.finite([Fraction(6)])
-        both = TSolutionSet.finite([Fraction(6), Fraction(7)])
-        assert ALL_T.intersect(six) == six
-        assert six.intersect(ALL_T) == six
-        assert EMPTY.intersect(six) == EMPTY
-        assert six.intersect(both) == six
-        assert six.intersect(TSolutionSet.finite([Fraction(7)])) == EMPTY
-        assert ALL_T.intersect(ALL_T) == ALL_T
-
-
-class TestLinearSolver:
-    def test_no_conditions_means_all_t(self):
-        assert solve_linear_in_t([]) == ALL_T
-
-    def test_trivial_conditions_skipped(self):
-        zero = Eisenstein(0)
-        assert solve_linear_in_t([(zero, zero)]) == ALL_T
-
-    def test_single_root(self):
-        # alpha + t*beta = 0 with alpha = -36, beta = 6 gives t = 6.
-        s = solve_linear_in_t([(Eisenstein(-36), Eisenstein(6))])
-        assert s == TSolutionSet.finite([Fraction(6)])
-
-    def test_unsatisfiable_constant(self):
-        assert solve_linear_in_t([(Eisenstein(1), Eisenstein(0))]) == EMPTY
-
-    def test_conflicting_roots(self):
-        s = solve_linear_in_t(
-            [
-                (Eisenstein(-1), Eisenstein(1)),
-                (Eisenstein(-2), Eisenstein(1)),
-            ]
-        )
-        assert s == EMPTY
-
-    def test_irrational_root_raises(self):
-        with pytest.raises(NonRationalRootError) as info:
-            solve_linear_in_t([(W, Eisenstein(1))])
-        assert "outside the rationals" in str(info.value)
-
-    def test_error_is_value_error(self):
-        assert issubclass(NonRationalRootError, ValueError)
-
-
-class TestProportionalitySolver:
-    def test_validation(self):
-        one = Eisenstein(1)
-        with pytest.raises(ValueError):
-            solve_parametric_proportionality([one], [one, one], [one, one])
-        with pytest.raises(ValueError):
-            solve_parametric_proportionality([], [], [])
-        with pytest.raises(ValueError):
-            solve_parametric_proportionality([one], [one], [Eisenstein(0)])
-
-    def test_balanced_sign_point_forces_t_6(self):
-        # v0 + t*v1 must be proportional to the all-ones vector, where v0 and
-        # v1 are the two gradient halves at (1, 1, 1, -1, -1, -1).
-        signs = [1, 1, 1, -1, -1, -1]
-        v0 = [Eisenstein(-24 * s) for s in signs]
-        v1 = [Eisenstein(4 * s) for s in signs]
-        ones = [Eisenstein(1)] * 6
-        s = solve_parametric_proportionality(v0, v1, ones)
-        assert s == TSolutionSet.finite([Fraction(6)])
-
-    def test_already_proportional_for_all_t(self):
-        ones = [Eisenstein(1)] * 6
-        v0 = [Eisenstein(2)] * 6
-        v1 = [Eisenstein(-3)] * 6
-        assert solve_parametric_proportionality(v0, v1, ones) == ALL_T
-
-    def test_never_proportional(self):
-        ones = [Eisenstein(1)] * 6
-        v0 = [Eisenstein(i) for i in (1, 2, 3, 4, 5, 6)]
-        v1 = [Eisenstein(0)] * 6
-        assert solve_parametric_proportionality(v0, v1, ones) == EMPTY

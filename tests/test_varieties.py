@@ -296,6 +296,18 @@ class TestSingularity:
         p = ProjectivePoint([1, -2 - W, 1, 0, 2 + W, -2])
         assert singular_t_values(p) == EMPTY
 
+    def test_t_values_where_p4_vanishes_but_p2_does_not(self):
+        # The quartic is -p2^2 at every t, nonzero at the point.
+        p = ProjectivePoint.from_text(
+            "[1, 1, 1/2 - w, w, -1 + 1/2*w, -3/2 - 1/2*w]"
+        )
+        assert singular_t_values(p) == EMPTY
+
+    def test_t_values_where_p2_and_p4_vanish_but_cubes_differ(self):
+        # On the double quadric t = 0 only: the gradient is 4t*x_i^3.
+        p = ProjectivePoint([1, W, W * W, 0, 0, 0])
+        assert singular_t_values(p) == TSolutionSet.finite([0])
+
     def test_t_values_requires_hyperplane_point(self):
         with pytest.raises(ValueError) as info:
             singular_t_values(ProjectivePoint([1, 0, 0, 0, 0, 0]))
