@@ -22,7 +22,7 @@ def main() -> None:
 
     print("Restricting the t = 6 quartic to that subspace (substituting the")
     print("two pivot variables away) leaves a quartic in x0..x3:")
-    quartic = family_member(6).forms[0]
+    quartic = family_member(6).form
     restricted = restrict_to_plane(quartic)
     print(f"  {len(restricted.terms)} terms in variables {sorted(restricted.variables_used())}")
     print()

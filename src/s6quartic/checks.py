@@ -48,7 +48,6 @@ from .varieties import (
     restriction_factorization_check,
     scan_alphabet,
     singular_t_values,
-    variety_eq,
 )
 
 # The label permutations generating the order-20 group, in one-line
@@ -171,19 +170,17 @@ def _check_lemma_2_2(cfg: RunConfig):
         t2, h3, h4, ht = images[0, 2], images[3, 0], images[4, 0], images[1, 1]
         h4t2, ht2, h3t3 = images[4, 2], images[1, 2], images[3, 3]
         bullets = [
-            variety_eq(t2, h4)
-            and t2.contains(o)
-            and not variety_eq(t2, quadric),
-            variety_eq(h4t2, h3)
+            t2 == h4 and t2.contains(o) and t2 != quadric,
+            h4t2 == h3
             and h4t2.contains(o)
-            and not variety_eq(h4t2, quadric)
-            and not variety_eq(h4t2, t2),
-            variety_eq(ht2, quadric),
-            variety_eq(h3t3, ht)
+            and h4t2 != quadric
+            and h4t2 != t2,
+            ht2 == quadric,
+            h3t3 == ht
             and h3t3.contains(o)
-            and not variety_eq(h3t3, quadric)
-            and not variety_eq(h3t3, t2)
-            and not variety_eq(h3t3, h4t2),
+            and h3t3 != quadric
+            and h3t3 != t2
+            and h3t3 != h4t2,
         ]
         details[f"q{i + 1}_hit_pairs"] = sorted(hits)
         details[f"q{i + 1}_bullets"] = bullets
@@ -262,9 +259,7 @@ def _check_node_types(cfg: RunConfig):
 
 def _check_s_fixes_q1(cfg: RunConfig):
     swap = STANDARD_LABELS.induced_variable_permutation(S_SWAP)
-    fixes = variety_eq(
-        act_on_variety(swap, QUADRIC_SURFACES[0]), QUADRIC_SURFACES[0]
-    )
+    fixes = act_on_variety(swap, QUADRIC_SURFACES[0]) == QUADRIC_SURFACES[0]
     moves = act_on_point(swap, CUBE_ROOT_POINT) != CUBE_ROOT_POINT
     details = {"fixes_quadric": fixes, "moves_base_point": moves}
     return fixes and moves, details

@@ -29,7 +29,8 @@ from .checks import (
     run_checks,
     parse_rational,
 )
-from .parsing import ParseError, parse_point_coordinates, parse_polynomial
+from .parsing import MAX_CONSTANT_BITS, ParseError, _bit_length
+from .parsing import parse_point_coordinates, parse_polynomial
 from .varieties import DEFAULT_SCAN_CAP, scan_alphabet
 
 
@@ -160,6 +161,13 @@ def _cmd_scan(args) -> int:
 def _cmd_eval(args) -> int:
     poly = parse_polynomial(args.poly)
     coords = parse_point_coordinates(args.point)
+    # Evaluation builds the powers of each coordinate up to the degree.
+    width = max(map(_bit_length, coords))
+    if poly.degree() * width > MAX_CONSTANT_BITS:
+        raise ConfigError(
+            f"evaluation exceeds {MAX_CONSTANT_BITS} bits (degree "
+            f"{poly.degree()} at a {width}-bit coordinate)"
+        )
     value = poly.evaluate(coords)
     try:
         text = str(value)

@@ -20,7 +20,7 @@ DIMENSION_CAP = 16
 class Matrix:
     """Immutable dense matrix with Eisenstein entries, capped at 16x16."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
         coerced = tuple(
@@ -37,35 +37,6 @@ class Matrix:
                 f"{DIMENSION_CAP}x{DIMENSION_CAP} cap"
             )
         self.rows = coerced
-        self.nrows = len(coerced)
-        self.ncols = width
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        return Matrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                        ZERO,
-                    )
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def rank(self) -> int:
         """Row rank by Gaussian elimination; the pivot in each column is the

@@ -11,10 +11,10 @@ unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
 Parentheses nest at most MAX_NESTING deep, no product or power may
-expand to more than MAX_TERMS terms, and no sum, difference, product,
-quotient or power may have a coefficient of more than MAX_CONSTANT_BITS
-bits.  A power is refused before it is expanded, from a bound on its
-coefficients.
+expand to more than MAX_TERMS terms or have a degree past MAX_EXPONENT,
+and no sum, difference, product, quotient or power may have a
+coefficient of more than MAX_CONSTANT_BITS bits.  A power is refused
+before it is expanded, from a bound on its coefficients.
 
 Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
 a-z.  A literal longer than Python's limit on decimal conversion is a
@@ -168,14 +168,12 @@ class _Parser:
                 if not value:
                     raise ParseError("division by zero", pos)
                 rhs = value.inverse()
-            elif (
-                isinstance(result, Polynomial)
-                and isinstance(rhs, Polynomial)
-                and len(result.terms) * len(rhs.terms) > MAX_TERMS
-            ):
-                self.bound_monomials(
-                    (result, rhs), result.degree() + rhs.degree(), pos
-                )
+            elif isinstance(result, Polynomial) and isinstance(rhs, Polynomial):
+                degree = result.degree() + rhs.degree()
+                if degree > MAX_EXPONENT:
+                    raise ParseError(f"degree exceeds {MAX_EXPONENT}", pos)
+                if len(result.terms) * len(rhs.terms) > MAX_TERMS:
+                    self.bound_monomials((result, rhs), degree, pos)
             result = result * rhs
             if _too_wide(result):
                 raise ParseError(
@@ -203,10 +201,11 @@ class _Parser:
                     f"exponent overflow ({value} > {MAX_EXPONENT})", pos
                 )
             if isinstance(result, Polynomial):
+                degree = result.degree() * value
+                if degree > MAX_EXPONENT:
+                    raise ParseError(f"degree exceeds {MAX_EXPONENT}", caret)
                 if len(result.terms) ** value > MAX_TERMS:
-                    self.bound_monomials(
-                        (result,), result.degree() * value, caret
-                    )
+                    self.bound_monomials((result,), degree, caret)
                 if _power_bits(result, value) > MAX_CONSTANT_BITS:
                     raise ParseError(
                         f"constant exceeds {MAX_CONSTANT_BITS} bits", caret

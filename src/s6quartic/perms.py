@@ -156,19 +156,6 @@ class PermGroup:
             frontier = new
         return cls(seen, degree)
 
-    @classmethod
-    def symmetric(cls, degree: int) -> "PermGroup":
-        from itertools import permutations as iter_perms
-
-        if degree < 1 or degree > 7:
-            raise ValueError("symmetric groups supported for degree 1..7")
-        elems = [_perm(p) for p in iter_perms(range(1, degree + 1))]
-        return cls(elems, degree)
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls([Permutation.identity(degree)], degree)
-
     @property
     def order(self) -> int:
         return len(self.elements)

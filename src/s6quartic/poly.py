@@ -184,7 +184,7 @@ class Polynomial:
             i for m in self.terms for i in range(NVARS) if m[i] > 0
         }
 
-    # -- calculus and actions --------------------------------------------------
+    # -- evaluation and actions -----------------------------------------------
 
     def evaluate(self, point: Sequence) -> Eisenstein:
         if len(point) != NVARS:
@@ -211,23 +211,6 @@ class Polynomial:
                     acc = acc * row[e]
             total = total + acc
         return total
-
-    def partial_derivative(self, index: int) -> "Polynomial":
-        if not 0 <= index < NVARS:
-            raise ValueError(f"variable index {index} out of range")
-        terms = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            lowered = tuple(
-                v - 1 if i == index else v for i, v in enumerate(mono)
-            )
-            terms[lowered] = terms.get(lowered, ZERO) + coeff * e
-        return Polynomial(terms)
-
-    def gradient(self) -> tuple:
-        return tuple(self.partial_derivative(i) for i in range(NVARS))
 
     def substitute_linear(self, assignments: Mapping[int, object]) -> "Polynomial":
         """Replace variables by polynomials of degree <= 1 (constants allowed)."""

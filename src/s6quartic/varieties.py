@@ -1,7 +1,7 @@
 """Projective points and linear-slice varieties for the quartic family.
 
 Everything here works over the exact field Q(w): points are normalized
-coordinate vectors, varieties are linear forms plus higher-degree forms,
+coordinate vectors, varieties are linear forms plus one higher-degree form,
 and the geometric questions (incidence, singularity, node type, the set
 of parameters at which a point is singular) reduce to exact rank and
 divisibility computations from the other modules.
@@ -92,33 +92,27 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
 
 
 class LinearSliceVariety:
-    """Common zero locus of linear forms and higher-degree forms in P^5.
+    """Common zero locus of linear forms and one higher-degree form in P^5.
 
     The linear forms are reduced to an echelon basis on construction, so
     the linear span is stored canonically.  Equality goes through
-    canonicalize(), which additionally reduces the higher-degree forms.
+    canonicalize(), which additionally reduces the form.
     """
 
-    __slots__ = ("linear_forms", "forms", "_canonical")
+    __slots__ = ("linear_forms", "form", "_canonical")
 
-    def __init__(self, linear_forms, forms):
+    def __init__(self, linear_forms, form):
         self.linear_forms = tuple(rref_linear_forms(list(linear_forms)))
-        checked = []
-        for form in forms:
-            if not isinstance(form, Polynomial):
-                raise TypeError("forms must be Polynomial instances")
-            if form.is_zero() or form.degree() < 2 or not form.is_homogeneous():
-                raise ValueError(
-                    f"not a homogeneous form of degree >= 2: {form}"
-                )
-            checked.append(form)
-        self.forms = tuple(checked)
+        if not isinstance(form, Polynomial):
+            raise TypeError("the form must be a Polynomial instance")
+        if form.is_zero() or form.degree() < 2 or not form.is_homogeneous():
+            raise ValueError(f"not a homogeneous form of degree >= 2: {form}")
+        self.form = form
         self._canonical = None
 
     def contains(self, point: ProjectivePoint) -> bool:
         return all(
-            not form.evaluate(point.coords)
-            for form in self.linear_forms + self.forms
+            not f.evaluate(point.coords) for f in self.linear_forms + (self.form,)
         )
 
     def canonical(self):
@@ -136,8 +130,7 @@ class LinearSliceVariety:
 
     def __repr__(self):
         linears = ", ".join(str(f) for f in self.linear_forms)
-        forms = ", ".join(str(f) for f in self.forms)
-        return f"LinearSliceVariety([{linears}], [{forms}])"
+        return f"LinearSliceVariety([{linears}], {self.form})"
 
 
 def act_on_variety(
@@ -149,7 +142,7 @@ def act_on_variety(
     m = perm.index_map()
     return LinearSliceVariety(
         [f.apply_permutation(m) for f in variety.linear_forms],
-        [f.apply_permutation(m) for f in variety.forms],
+        variety.form.apply_permutation(m),
     )
 
 
@@ -157,36 +150,26 @@ def canonicalize(variety: LinearSliceVariety):
     """Canonical form deciding equality of slices.
 
     The linear forms are already a reduced echelon basis.  Their pivot
-    variables are substituted out of every higher form, so each form is
-    reduced modulo the linear span; the reduced forms are then scaled to
-    lex-leading coefficient 1, deduplicated and sorted.  A form that
-    vanishes identically after reduction means the input was degenerate
-    (the form contained the linear span) and is rejected.
+    variables are substituted out of the form, so it is reduced modulo the
+    linear span, and the reduced form is scaled to lex-leading
+    coefficient 1.  A form that vanishes identically after reduction means
+    the input was degenerate (the form contained the linear span) and is
+    rejected.
 
     Two slices get the same canonical form iff their linear spans agree
-    and their higher forms agree up to scalars modulo that span.  This
-    decides equality of the defining data, not of the zero sets: slices
-    cut out by different forms with the same radical stay distinct.
+    and their forms agree up to a scalar modulo that span.  This decides
+    equality of the defining data, not of the zero sets: slices cut out by
+    different forms with the same radical stay distinct.
     """
     assignments = {}
     for f in variety.linear_forms:
         pivot = f.leading_monomial().index(1)
         assignments[pivot] = X[pivot] - f
-    monic_keys = set()
-    for form in variety.forms:
-        reduced = form.substitute_linear(assignments)
-        if reduced.is_zero():
-            raise ValueError(
-                "degenerate slice: a form vanishes on the linear span"
-            )
-        monic_keys.add((reduced / reduced.leading_coefficient()).key())
+    reduced = variety.form.substitute_linear(assignments)
+    if reduced.is_zero():
+        raise ValueError("degenerate slice: the form vanishes on the linear span")
     linear_key = tuple(f.key() for f in variety.linear_forms)
-    return (linear_key, tuple(sorted(monic_keys)))
-
-
-def variety_eq(v1: LinearSliceVariety, v2: LinearSliceVariety) -> bool:
-    """Equality of the cached canonical forms, the same test as ==."""
-    return v1.canonical() == v2.canonical()
+    return (linear_key, (reduced / reduced.leading_coefficient()).key())
 
 
 def label_translates(group, variety: LinearSliceVariety) -> dict:
@@ -243,7 +226,7 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
 def family_member(t) -> LinearSliceVariety:
     """The slice (hyperplane, degree-4 member) of the family at parameter t."""
     linear, quartic = quartic_family(t)
-    return LinearSliceVariety([linear], [quartic])
+    return LinearSliceVariety([linear], quartic)
 
 
 def _power_sums(coords) -> tuple:
@@ -393,8 +376,8 @@ _BACK = X[1] ** 2 + X[1] * X[3] + X[3] ** 2
 QUADRIC_PAIR = (_FRONT + OMEGA * _BACK, _FRONT + OMEGA_SQUARED * _BACK)
 
 QUADRIC_SURFACES = (
-    LinearSliceVariety(PLANE_FORMS, [QUADRIC_PAIR[0]]),
-    LinearSliceVariety(PLANE_FORMS, [QUADRIC_PAIR[1]]),
+    LinearSliceVariety(PLANE_FORMS, QUADRIC_PAIR[0]),
+    LinearSliceVariety(PLANE_FORMS, QUADRIC_PAIR[1]),
 )
 
 CUBE_ROOT_POINT = ProjectivePoint(

@@ -317,6 +317,28 @@ class TestHostileInput:
                 ), "--point", "[1,0,0,0,0,0]"],
                 "error: constant exceeds 65536 bits (at position 11)",
             ),
+            (
+                # Unbounded, evaluating this degree 10^9 power took over 30 s.
+                ["eval", "--poly", "x0^1000^1000^1000", "--point", "[1,1,1,1,1,1]"],
+                "error: degree exceeds 1000 (at position 7)",
+            ),
+            (
+                # Unbounded, this degree 10^6 power ended in a MemoryError.
+                ["eval", "--poly", "x0^1000^1000", "--point", "[2,1,1,1,1,1]"],
+                "error: degree exceeds 1000 (at position 7)",
+            ),
+            (
+                # Unbounded, the powers of this 65,001-bit coordinate ended in
+                # a MemoryError.
+                ["eval", "--poly", "x0^1000", "--point", "[2^1000^65,1,1,1,1,1]"],
+                "error: evaluation exceeds 65536 bits "
+                "(degree 1000 at a 65001-bit coordinate)",
+            ),
+            (
+                ["eval", "--poly", "x0^300", "--point", "[2^1000^65,1,1,1,1,1]"],
+                "error: evaluation exceeds 65536 bits "
+                "(degree 300 at a 65001-bit coordinate)",
+            ),
         ],
     )
     def test_non_ascii_and_oversized_numbers_are_clean_errors(

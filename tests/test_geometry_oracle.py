@@ -1,7 +1,8 @@
 """The closed-form family geometry and hash-keyed orbits against slow paths.
 
 The oracles below are the symbolic route the package no longer takes:
-the gradient and Hessian of the quartic come from partial_derivative, the
+the gradient and Hessian of the quartic come from the term-by-term
+partial_derivative defined here (the other tests import it too), the
 singularity test is the rank of the 2x6 Jacobian of (linear form,
 quartic), the singular parameters solve the 2x2 minors of that Jacobian
 and the quartic itself as one system linear in t, and orbits of varieties
@@ -12,7 +13,7 @@ also on random hyperplane points with coordinates a + b*w.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -38,6 +39,7 @@ from s6quartic import (
     quartic_family,
     singular_t_values,
 )
+from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS, X
 from s6quartic.linalg import ALL_T, EMPTY, Matrix, TSolutionSet
 from s6quartic.checks import _label_group, _quadric_translates
@@ -48,10 +50,27 @@ T_VALUES = tuple(
     Fraction(t) for t in (6, 2, 4, 0, Fraction(1, 2), 7, Fraction(-11, 3))
 )
 ONES = [Eisenstein(1)] * NVARS
+
+
+def partial_derivative(poly, index):
+    """The symbolic derivative of poly by x_index, term by term."""
+    terms = {}
+    for mono, coeff in poly.terms.items():
+        e = mono[index]
+        if e:
+            lowered = mono[:index] + (e - 1,) + mono[index + 1:]
+            terms[lowered] = terms.get(lowered, ZERO) + coeff * e
+    return Polynomial(terms)
+
+
+def gradient(poly):
+    return tuple(partial_derivative(poly, i) for i in range(NVARS))
+
+
 P4 = sum((x**4 for x in X), Polynomial.zero())
 NEG_P2_SQUARED = -(sum((x**2 for x in X), Polynomial.zero()) ** 2)
-P4_GRADIENT = P4.gradient()
-NEG_P2_SQUARED_GRADIENT = NEG_P2_SQUARED.gradient()
+P4_GRADIENT = gradient(P4)
+NEG_P2_SQUARED_GRADIENT = gradient(NEG_P2_SQUARED)
 
 
 def alphabet_points(name):
@@ -75,11 +94,8 @@ class Symbolic:
 
     def __init__(self, t):
         self.linear, self.quartic = quartic_family(t)
-        self.gradient = self.quartic.gradient()
-        self.hessian = [
-            [g.partial_derivative(j) for j in range(NVARS)]
-            for g in self.gradient
-        ]
+        self.gradient = gradient(self.quartic)
+        self.hessian = [gradient(g) for g in self.gradient]
 
     def is_singular(self, point):
         coords = point.coords
@@ -303,7 +319,7 @@ def test_hash_keyed_orbit_matches_pairwise_canonical_comparison():
     ids=str,
 )
 def test_projective_orbit_matches_the_point_action(point):
-    group = PermGroup.symmetric(6)
+    group = map(Permutation, permutations(range(1, NVARS + 1)))
     expected = {act_on_point(g, point) for g in group}
     orbit = projective_orbit(point)
     assert set(orbit) == expected

@@ -89,6 +89,8 @@ class TestErrors:
             ("", "unexpected token 'end' (at position 0)"),
             ("2.5", "unexpected character '.' (at position 1)"),
             ("x0^^2", "exponent must be an integer literal (at position 3)"),
+            ("x0^500*x0^501", "degree exceeds 1000 (at position 6)"),
+            ("(x0*x1)^501", "degree exceeds 1000 (at position 7)"),
         ],
     )
     def test_messages_carry_positions(self, text, message):
@@ -98,6 +100,7 @@ class TestErrors:
 
     def test_exponent_cap(self):
         assert parse_polynomial(f"x0^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+        assert parse_polynomial("x0^500*x1^500").degree() == MAX_EXPONENT
         with pytest.raises(ParseError) as info:
             parse_polynomial(f"x0^{MAX_EXPONENT + 1}")
         assert "exponent overflow" in str(info.value)

@@ -32,13 +32,12 @@ from s6quartic import (
 from s6quartic.eisenstein import OMEGA_SQUARED
 from s6quartic.poly import X
 from s6quartic.linalg import ALL_T, EMPTY, TSolutionSet
-from s6quartic.perms import LabelDictionary
+from s6quartic.perms import LabelDictionary, Permutation
 from s6quartic import varieties
 from s6quartic.varieties import (
     LinearSliceVariety,
     act_on_point,
     quadric_pair_quotient,
-    variety_eq,
 )
 from s6quartic.checks import S_SWAP
 
@@ -142,22 +141,31 @@ class TestLinearSliceVariety:
         assert not x6.contains(ProjectivePoint([1, 0, 0, 0, 0, 0]))
 
     def test_linear_forms_are_echelonized(self):
-        v = LinearSliceVariety([X1 + X2 + X4, X0 + X2 + X5], [X0**2])
+        v = LinearSliceVariety([X1 + X2 + X4, X0 + X2 + X5], X0**2)
         assert [str(f) for f in v.linear_forms] == ["x0 + x2 + x5", "x1 + x2 + x4"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LinearSliceVariety([X0 + 1], [])  # inhomogeneous linear form
+            LinearSliceVariety([X0 + 1], X0**2)  # inhomogeneous linear form
         with pytest.raises(ValueError):
-            LinearSliceVariety([], [X0])  # degree-1 form in the form slot
+            LinearSliceVariety([], X0)  # degree-1 form in the form slot
         with pytest.raises(ValueError):
-            LinearSliceVariety([], [Polynomial.zero()])
+            LinearSliceVariety([], Polynomial.zero())
         with pytest.raises(ValueError):
-            LinearSliceVariety([], [X0**2 + X1])  # inhomogeneous
+            LinearSliceVariety([], X0**2 + X1)  # inhomogeneous
 
-    def test_empty_lists_allowed(self):
-        everything = LinearSliceVariety([], [])
-        assert everything.contains(SIGN_POINT)
+    def test_list_of_forms_is_refused(self):
+        # The constructor holds exactly one form, so the list shape of
+        # several forms is a type error rather than a different slice.
+        for forms in ([QUADRIC_PAIR[0]], [], list(QUADRIC_PAIR)):
+            with pytest.raises(TypeError):
+                LinearSliceVariety(PLANE_FORMS, forms)
+
+    def test_no_linear_forms(self):
+        cone = LinearSliceVariety([], X0**2 - X1 * X2)
+        assert cone.linear_forms == ()
+        assert cone.contains(ProjectivePoint([1, 1, 1, 5, 7, 9]))
+        assert not cone.contains(ProjectivePoint([1, 0, 0, 0, 0, 0]))
 
     def test_quadric_surfaces_contain_base_point(self):
         for surface in QUADRIC_SURFACES:
@@ -168,51 +176,54 @@ class TestLinearSliceVariety:
 class TestCanonicalization:
     def test_scaling_invariance(self):
         q1 = QUADRIC_PAIR[0]
-        a = LinearSliceVariety(list(PLANE_FORMS), [q1])
-        b = LinearSliceVariety([2 * f for f in PLANE_FORMS], [W * q1])
-        assert variety_eq(a, b)
+        a = LinearSliceVariety(list(PLANE_FORMS), q1)
+        b = LinearSliceVariety([2 * f for f in PLANE_FORMS], W * q1)
         assert a == b
         assert hash(a) == hash(b)
 
     def test_reordered_linear_forms(self):
-        a = LinearSliceVariety([PLANE_FORMS[1], PLANE_FORMS[0]], [QUADRIC_PAIR[0]])
+        a = LinearSliceVariety([PLANE_FORMS[1], PLANE_FORMS[0]], QUADRIC_PAIR[0])
         assert a == QUADRIC_SURFACES[0]
 
     def test_distinct_conjugates(self):
         assert QUADRIC_SURFACES[0] != QUADRIC_SURFACES[1]
-        assert not variety_eq(QUADRIC_SURFACES[0], QUADRIC_SURFACES[1])
+        assert not QUADRIC_SURFACES[0] == QUADRIC_SURFACES[1]
 
     def test_degenerate_slice_rejected(self):
         # x0*(x0 + x2 + x5) lies in the ideal of the plane, so the sliced
         # quadric collapses.
         q = X0 * (X0 + X2 + X5)
         with pytest.raises(ValueError) as info:
-            canonical = LinearSliceVariety(list(PLANE_FORMS), [q]).canonical()
+            canonical = LinearSliceVariety(list(PLANE_FORMS), q).canonical()
         assert "degenerate" in str(info.value)
 
     def test_general_shape_equality(self):
         a = family_member(6)
-        linear, quartic = (a.linear_forms[0], a.forms[0])
-        scaled = LinearSliceVariety([linear], [W * quartic])
+        linear, quartic = (a.linear_forms[0], a.form)
+        scaled = LinearSliceVariety([linear], W * quartic)
         assert scaled == a
 
     def test_higher_forms_reduced_modulo_the_span(self):
         # Q + L*x0^3 and Q agree on the hyperplane L = 0.
         member = family_member(6)
-        linear, quartic = member.linear_forms[0], member.forms[0]
-        shifted = LinearSliceVariety([linear], [quartic + linear * X0**3])
+        linear, quartic = member.linear_forms[0], member.form
+        shifted = LinearSliceVariety([linear], quartic + linear * X0**3)
         assert shifted == member
         assert hash(shifted) == hash(member)
 
     def test_reduction_with_three_linear_forms(self):
         span = [X0 + X1, X2 - X3, X4 + X5]
-        a = LinearSliceVariety(span, [X1**2 + X3 * X5, X1 * X3 * X5])
+        # On the span x0 = -x1, x2 = x3, x4 = -x5 both forms reduce to
+        # -x1*x3*x5, the first scaled by -1.
+        a = LinearSliceVariety(span, X1 * X3 * X5)
         b = LinearSliceVariety(
             [span[2], 3 * span[0], span[1] + span[0]],
-            [-X1 * X3 * X4 + span[1] * X2**2, X0**2 - X2 * X4],
+            X0 * X2 * X5 + span[1] * X2**2 + span[0] * X4**2,
         )
         assert a == b
-        assert a != LinearSliceVariety(span, [X1**2 + X3 * X5])
+        assert hash(a) == hash(b)
+        assert a != LinearSliceVariety(span, X1 * X3 * X5 + X1**3)
+        assert a != LinearSliceVariety(span[:2], X1 * X3 * X5)
 
     def test_quadric_image_identities(self):
         # tau^2 and h^4 push the first quadric surface to the same image,
@@ -228,7 +239,9 @@ class TestCanonicalization:
 
 class TestIncidence:
     def test_trivial_group_single_hit(self):
-        translates = label_translates(PermGroup.trivial(5), QUADRIC_SURFACES[0])
+        translates = label_translates(
+            PermGroup([Permutation.identity(5)], 5), QUADRIC_SURFACES[0]
+        )
         table = incidence_table(translates, CUBE_ROOT_POINT)
         assert table == {QUADRIC_SURFACES[0]: 1}
 
@@ -243,7 +256,9 @@ class TestIncidence:
 
     def test_group_degree_checked(self):
         with pytest.raises(ValueError):
-            label_translates(PermGroup.trivial(6), QUADRIC_SURFACES[0])
+            label_translates(
+                PermGroup([Permutation.identity(6)], 6), QUADRIC_SURFACES[0]
+            )
 
 
 class TestOrbits:
@@ -372,13 +387,13 @@ class TestScans:
 
 class TestPlaneRestriction:
     def test_restrict_eliminates_two_variables(self):
-        restricted = restrict_to_plane(family_member(6).forms[0])
+        restricted = restrict_to_plane(family_member(6).form)
         assert restricted.variables_used() <= {0, 1, 2, 3}
 
     def test_factorization_at_6(self):
         assert restriction_factorization_check(6) == Eisenstein(8)
         q1, q2 = QUADRIC_PAIR
-        assert restrict_to_plane(family_member(6).forms[0]) == 8 * q1 * q2
+        assert restrict_to_plane(family_member(6).form) == 8 * q1 * q2
 
     def test_factorization_fails_off_6(self):
         for t in (0, 2, 7):
