@@ -18,8 +18,7 @@ import json
 import time
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED
 from .linalg import TSolutionSet, gram_matrix
@@ -80,13 +79,12 @@ class RunConfig(NamedTuple):
     """Everything a run of the registry depends on; an immutable record.
 
     selected_checks empty means the full default registry.  t_values and
-    scan_alphabet feed only the exploratory scan; the registry checks pin
-    their own parameter values.
+    scan_alphabet (see alphabet_letters) feed only the exploratory scan;
+    the registry checks pin their own parameter values.
     """
 
     selected_checks: tuple = ()
     t_values: tuple = (Fraction(6),)
-    alphabets: Mapping = MappingProxyType(DEFAULT_ALPHABETS)
     scan_alphabet: str = "pm1"
     enum_cap: int = DEFAULT_SCAN_CAP
     output: str = "text"
@@ -305,7 +303,7 @@ def _check_scan_smoke(cfg: RunConfig):
 
 
 def _check_scan_todd(cfg: RunConfig):
-    alphabet = cfg.alphabets[cfg.scan_alphabet]
+    alphabet = alphabet_letters(cfg.scan_alphabet)
     per_t = {}
     ok = True
     # A t given twice is reported once, so it is scanned once.
@@ -348,11 +346,7 @@ def validate_config(cfg: RunConfig) -> None:
     unknown = [c for c in cfg.selected_checks if c not in ALL_CHECK_IDS]
     if unknown:
         raise ConfigError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    if cfg.scan_alphabet not in cfg.alphabets:
-        raise ConfigError(f"unknown alphabet {cfg.scan_alphabet!r}")
-    for name, letters in cfg.alphabets.items():
-        if not letters:
-            raise ConfigError(f"alphabet {name!r} is empty")
+    alphabet_letters(cfg.scan_alphabet)
     wants_scan = not cfg.selected_checks or "scan-todd" in cfg.selected_checks
     if wants_scan and not cfg.t_values:
         raise ConfigError("t_values must be nonempty")
@@ -427,14 +421,17 @@ def emit_report(records, mode: str) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# -- configuration loading ----------------------------------------------------
+# -- settings given as text ---------------------------------------------------
 
 
 def parse_rational(text: str) -> Fraction:
-    """An integer, p/q or decimal.  Exponent notation is refused, since
-    '1e10000000' alone asks Fraction for a 33-million-bit int."""
-    text = text.strip()
+    """An integer, p/q or decimal in ASCII.  Exponent notation is refused,
+    since '1e10000000' alone asks Fraction for a 33-million-bit int, and so
+    are the Unicode digits and '_' separators that Fraction would take."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError("only ASCII digits without '_' are accepted")
+        text = text.strip()
         if "e" in text.lower():
             raise ValueError("exponent notation is not accepted")
         return Fraction(text)
@@ -442,102 +439,16 @@ def parse_rational(text: str) -> Fraction:
         raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 
 
-def normalize_format(text: str) -> str:
-    name = text.strip().lower()
-    if name in ("text",):
-        return "text"
-    if name in ("json", "structured"):
-        return "structured"
-    raise ConfigError(f"unknown format {text!r}")
-
-
-def parse_alphabet_text(text: str) -> tuple:
-    """An inline alphabet: a bracketed list of field elements."""
+def alphabet_letters(text: str) -> tuple:
+    """The letters of an alphabet given as one of DEFAULT_ALPHABETS' names
+    or as a bracketed list of field elements like '[1, -1, w]'."""
+    text = text.strip()
+    if not text.startswith("["):
+        if text in DEFAULT_ALPHABETS:
+            return DEFAULT_ALPHABETS[text]
+        known = ", ".join(sorted(DEFAULT_ALPHABETS))
+        raise ConfigError(f"unknown alphabet {text!r}; known: {known}")
     try:
-        return tuple(parse_scalar_list(text))
+        return parse_scalar_list(text)
     except ParseError as exc:
         raise ConfigError(f"bad alphabet list: {exc}") from exc
-
-
-def load_config(path: str) -> dict:
-    """Parse the INI-style config file into RunConfig field overrides.
-
-    Sections: [run] checks/format/t, [caps] enum, [scan] alphabet, and
-    [alphabets] defining extra named alphabets as bracketed lists; any
-    other section, or key outside [alphabets], is refused.
-    """
-    import configparser  # only --config needs it; keeps it off cold starts
-
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from exc
-    known = {
-        "run": {"checks", "format", "t"},
-        "caps": {"enum"},
-        "scan": {"alphabet"},
-    }
-    stray = set(parser.sections()) - set(known) - {"alphabets"}
-    if parser.defaults():
-        stray.add(parser.default_section)
-    if stray:
-        raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
-    stray = [
-        f"{section}.{key}"
-        for section, keys in known.items()
-        if parser.has_section(section)
-        for key in parser[section]
-        if key not in keys
-    ]
-    if stray:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(stray))}")
-    overrides = {}
-    alphabets = dict(DEFAULT_ALPHABETS)
-    if parser.has_section("alphabets"):
-        for name, raw in parser["alphabets"].items():
-            alphabets[name] = parse_alphabet_text(raw)
-        overrides["alphabets"] = alphabets
-    if parser.has_section("run"):
-        run = parser["run"]
-        if "checks" in run:
-            raw = run["checks"].strip()
-            if raw == "all":
-                overrides["selected_checks"] = ()
-            else:
-                overrides["selected_checks"] = tuple(
-                    part.strip() for part in raw.split(",") if part.strip()
-                )
-        if "format" in run:
-            overrides["output"] = normalize_format(run["format"])
-        if "t" in run:
-            overrides["t_values"] = tuple(
-                parse_rational(part)
-                for part in run["t"].split(",")
-                if part.strip()
-            )
-    if parser.has_section("caps"):
-        caps = parser["caps"]
-        if "enum" in caps:
-            raw = caps["enum"].strip()
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad enum cap {raw!r}") from exc
-            if value <= 0:
-                raise ConfigError("enum cap must be positive")
-            overrides["enum_cap"] = value
-    if parser.has_section("scan"):
-        scan = parser["scan"]
-        if "alphabet" in scan:
-            raw = scan["alphabet"].strip()
-            if raw.startswith("["):
-                alphabets["config-inline"] = parse_alphabet_text(raw)
-                overrides["alphabets"] = alphabets
-                overrides["scan_alphabet"] = "config-inline"
-            else:
-                overrides["scan_alphabet"] = raw
-    return overrides

@@ -21,11 +21,9 @@ from .checks import (
     ConfigError,
     DEFAULT_ALPHABETS,
     RunConfig,
+    alphabet_letters,
     all_passed,
     emit_report,
-    load_config,
-    normalize_format,
-    parse_alphabet_text,
     run_checks,
     parse_rational,
 )
@@ -44,6 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    alphabet_help = (
+        "named alphabet ("
+        + ", ".join(sorted(DEFAULT_ALPHABETS))
+        + ") or a bracketed list like '[1, -1, w]'"
+    )
 
     verify = commands.add_parser(
         "verify", help="run the check registry (default: every check)"
@@ -56,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"check to run, repeatable; one of: {', '.join(ALL_CHECK_IDS)}",
     )
     verify.add_argument(
-        "--config", metavar="PATH", help="INI config file; flags override it"
-    )
-    verify.add_argument(
         "--format",
         choices=["text", "json"],
         help="report format (default text)",
@@ -69,6 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="RATIONAL",
         help="family parameter for the exploratory scan, repeatable",
+    )
+    verify.add_argument(
+        "--alphabet",
+        metavar="NAME-OR-LIST",
+        help="scan-todd's " + alphabet_help + " (default pm1)",
     )
     verify.add_argument(
         "--cap",
@@ -88,11 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphabet",
         required=True,
         metavar="NAME-OR-LIST",
-        help=(
-            "named alphabet ("
-            + ", ".join(sorted(DEFAULT_ALPHABETS))
-            + ") or a bracketed list like '[1, -1, w]'"
-        ),
+        help=alphabet_help,
     )
     scan.add_argument(
         "--cap",
@@ -120,14 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    # File settings first, so that flags override them.
-    overrides = load_config(args.config) if args.config else {}
+    overrides = {}
     if args.check:
         overrides["selected_checks"] = tuple(args.check)
     if args.format:
-        overrides["output"] = normalize_format(args.format)
+        overrides["output"] = "structured" if args.format == "json" else "text"
     if args.t:
         overrides["t_values"] = tuple(parse_rational(raw) for raw in args.t)
+    if args.alphabet is not None:
+        overrides["scan_alphabet"] = args.alphabet
     if args.cap is not None:
         overrides["enum_cap"] = args.cap
     cfg = RunConfig(**overrides)
@@ -139,15 +141,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     t = parse_rational(args.t)
-    raw = args.alphabet.strip()
-    if raw.startswith("["):
-        alphabet = parse_alphabet_text(raw)
-    elif raw in DEFAULT_ALPHABETS:
-        alphabet = DEFAULT_ALPHABETS[raw]
-    else:
-        raise ConfigError(
-            f"unknown alphabet {raw!r}; known: {', '.join(sorted(DEFAULT_ALPHABETS))}"
-        )
+    alphabet = alphabet_letters(args.alphabet)
     try:
         points = scan_alphabet(t, alphabet, args.cap)
     except ValueError as exc:

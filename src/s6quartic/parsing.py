@@ -304,13 +304,6 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial.constant(result)
 
 
-def parse_field_element(text: str) -> Eisenstein:
-    p = parse_polynomial(text)
-    if not p.is_constant():
-        raise ParseError("expected a constant field element", 0)
-    return p.constant_value()
-
-
 def _parse_bracketed(parser: _Parser):
     parser.expect("[")
     entries = []

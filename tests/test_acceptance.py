@@ -27,7 +27,7 @@ from s6quartic import (
 )
 from s6quartic.eisenstein import ONE, ZERO
 from s6quartic.poly import NVARS, X, format_polynomial
-from s6quartic.parsing import parse_field_element
+from test_parsing import parse_field_element
 from s6quartic.linalg import Matrix
 from s6quartic.perms import Permutation
 from s6quartic.checks import S_SWAP

@@ -21,7 +21,7 @@ from s6quartic.checks import (
     REGISTRY_CHECK_IDS,
     CheckRecord,
     ConfigError,
-    load_config,
+    alphabet_letters,
 )
 
 EXPECTED_DETAILS = {
@@ -242,7 +242,8 @@ class TestConfigValidation:
             ({"enum_cap": -5}, "caps must be positive"),
             ({"scan_alphabet": "missing"}, "unknown alphabet 'missing'"),
             ({"t_values": ()}, "t_values must be nonempty"),
-            ({"alphabets": {}}, "unknown alphabet 'pm1'"),
+            ({"scan_alphabet": "[w w]"}, "bad alphabet list: expected ']'"),
+            ({"scan_alphabet": "[]"}, "bad alphabet list: empty list"),
         ],
     )
     def test_invalid_configs_rejected(self, overrides, message):
@@ -264,7 +265,6 @@ class TestConfigValidation:
         assert RunConfig._fields == (
             "selected_checks",
             "t_values",
-            "alphabets",
             "scan_alphabet",
             "enum_cap",
             "output",
@@ -284,89 +284,16 @@ class TestConfigValidation:
         assert cfg._replace(enum_cap=5).enum_cap == 5
         assert cfg == RunConfig()
 
-    def test_default_alphabets_are_read_only(self):
-        alphabets = RunConfig().alphabets
-        assert alphabets == DEFAULT_ALPHABETS
-        with pytest.raises(TypeError):
-            alphabets["pm1"] = (1,)
-        assert DEFAULT_ALPHABETS["pm1"] == (1, -1)
-
-
-class TestConfigFile:
-    def test_full_file(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            "[run]\n"
-            "checks = special-t, smooth-quadrics\n"
-            "format = json\n"
-            "t = 6, 7/2\n"
-            "[caps]\n"
-            "enum = 500000\n"
-            "[scan]\n"
-            "alphabet = zero_pm1\n"
-            "[alphabets]\n"
-            "tiny = [1, -1]\n"
-        )
-        overrides = load_config(str(path))
-        assert overrides["selected_checks"] == ("special-t", "smooth-quadrics")
-        assert overrides["output"] == "structured"
-        assert overrides["t_values"] == (Fraction(6), Fraction(7, 2))
-        assert overrides["enum_cap"] == 500000
-        assert overrides["scan_alphabet"] == "zero_pm1"
-        assert overrides["alphabets"]["tiny"] == (Eisenstein(1), Eisenstein(-1))
-        assert "pm1" in overrides["alphabets"]
-        cfg = RunConfig(**overrides)
-        records = run_checks(cfg)
-        assert [r.check_id for r in records] == ["smooth-quadrics", "special-t"]
-
-    def test_checks_all_keyword(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[run]\nchecks = all\n")
-        assert load_config(str(path))["selected_checks"] == ()
-
-    def test_inline_scan_alphabet(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[scan]\nalphabet = [1, w]\n")
-        overrides = load_config(str(path))
-        assert overrides["scan_alphabet"] == "config-inline"
-        assert overrides["alphabets"]["config-inline"] == (Eisenstein(1), OMEGA)
-
-    def test_unknown_section_rejected(self, tmp_path):
-        path = tmp_path / "run.ini"
-        # [DEFAULT] keys would leak into every section, or vanish unread.
-        for body, name in (("[mystery]\nx = 1\n", "mystery"),
-                           ("[DEFAULT]\nenum = 1\n", "DEFAULT")):
-            path.write_text(body)
-            with pytest.raises(ConfigError) as info:
-                load_config(str(path))
-            assert f"unknown config sections: {name}" in str(info.value)
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            "[run]\nformt = json\n[caps]\nenum = 1\ngroup = 6000\n"
-            "[alphabets]\nanything = [1, -1]\n"
-        )
-        with pytest.raises(ConfigError) as info:
-            load_config(str(path))
-        assert str(info.value) == "unknown config keys: caps.group, run.formt"
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError) as info:
-            load_config(str(tmp_path / "absent.ini"))
-        assert "cannot read config file" in str(info.value)
-
-    def test_bad_values_rejected(self, tmp_path):
-        for body in (
-            "[run]\nt = six\n",
-            "[caps]\nenum = -2\n",
-            "[run]\nformat = csv\n",
-            "[scan]\nalphabet = [w w]\n",
-        ):
-            path = tmp_path / "run.ini"
-            path.write_text(body)
-            with pytest.raises(ConfigError):
-                load_config(str(path))
+    def test_inline_scan_alphabet(self):
+        assert alphabet_letters(" [1, w] ") == (Eisenstein(1), OMEGA)
+        assert alphabet_letters("cube_roots") is DEFAULT_ALPHABETS["cube_roots"]
+        cfg = RunConfig(selected_checks=("scan-todd",), scan_alphabet="[1, w]")
+        (record,) = run_checks(cfg)
+        assert record.status == "pass"
+        assert record.details == {
+            "alphabet": "[1, w]",
+            "per_t": {"6": {"found": 0, "nodes": 0}},
+        }
 
 
 class TestReports:

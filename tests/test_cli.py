@@ -69,39 +69,45 @@ class TestVerifyCommand:
         assert code == 0
         assert record["details"]["per_t"] == {"7": {"found": 0, "nodes": 0}}
 
-    def test_config_file(self, tmp_path, capsysbinary):
-        path = tmp_path / "run.ini"
-        path.write_text("[run]\nchecks = special-t\nformat = json\n")
-        code = main(["verify", "--config", str(path)])
+    @pytest.mark.parametrize(
+        "alphabet,found", [("sixth_roots", 40), ("[1, -1, w]", 10)]
+    )
+    def test_alphabet_flag_reaches_exploratory_scan(
+        self, capsysbinary, alphabet, found
+    ):
+        code = main(
+            ["verify", "--check", "scan-todd", "--t", "6", "--alphabet",
+             alphabet, "--format", "json"]
+        )
         out, _ = capsysbinary.readouterr()
         record = json.loads(out.splitlines()[0])
         assert code == 0
-        assert record["check_id"] == "special-t"
+        assert record["details"] == {
+            "alphabet": alphabet,
+            "per_t": {"6": {"found": found, "nodes": found}},
+        }
 
-    def test_flags_override_config_file(self, tmp_path, capsys):
-        path = tmp_path / "run.ini"
-        path.write_text("[run]\nchecks = special-t\nformat = json\n")
-        code = main(["verify", "--config", str(path), "--format", "text"])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        assert out.startswith("CHECK")
-
-    def test_bad_config_file_gives_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "run.ini"
-        path.write_text("[run]\nt = six\n")
-        code = main(["verify", "--config", str(path)])
-        _, err = capsys.readouterr()
+    @pytest.mark.parametrize("alphabet", ["[w w]", "[]", "nope"])
+    def test_bad_alphabet_is_the_error_scan_prints(self, capsys, alphabet):
+        code = main(["scan", "--t", "6", "--alphabet", alphabet])
+        _, scan_err = capsys.readouterr()
         assert code == 2
-        assert err.startswith("error:")
-
-    def test_unknown_config_key_gives_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "run.ini"
-        path.write_text("[run]\nformt = json\n[caps]\ngroup = 6000\n")
-        code = main(["verify", "--config", str(path)])
+        assert scan_err.startswith("error: ")
+        code = main(["verify", "--check", "scan-todd", "--alphabet", alphabet])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err == "error: unknown config keys: caps.group, run.formt\n"
+        assert err == scan_err
+
+    def test_retired_config_flag_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nchecks = special-t\n")
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert "unrecognized arguments: --config" in err
 
 
 class TestScanCommand:
@@ -338,6 +344,22 @@ class TestHostileInput:
                 ["eval", "--poly", "x0^300", "--point", "[2^1000^65,1,1,1,1,1]"],
                 "error: evaluation exceeds 65536 bits "
                 "(degree 300 at a 65001-bit coordinate)",
+            ),
+            (
+                # Fraction reads Arabic-Indic three as 3.
+                ["scan", "--t", "\u0663", "--alphabet", "sixth_roots"],
+                "error: bad rational '\u0663': "
+                "only ASCII digits without '_' are accepted",
+            ),
+            (
+                ["verify", "--check", "scan-todd", "--t", "\uff16"],
+                "error: bad rational '\uff16': "
+                "only ASCII digits without '_' are accepted",
+            ),
+            (
+                ["scan", "--t", "1_000", "--alphabet", "pm1"],
+                "error: bad rational '1_000': "
+                "only ASCII digits without '_' are accepted",
             ),
         ],
     )

@@ -25,7 +25,7 @@ from s6quartic import (
 )
 from s6quartic.eisenstein import ZERO
 from s6quartic.poly import NVARS, X
-from s6quartic.parsing import parse_field_element
+from test_parsing import parse_field_element
 
 
 class Ref:

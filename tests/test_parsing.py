@@ -21,7 +21,6 @@ from s6quartic.parsing import (
     MAX_NESTING,
     MAX_TERMS,
     _power_bits,
-    parse_field_element,
     parse_scalar_list,
 )
 
@@ -31,6 +30,16 @@ ODD_PRIMES = (
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
 )
+
+
+def parse_field_element(text):
+    """The constant field element that text stands for.  The package parses
+    constants only inside polynomials and lists; the other tests import this
+    too."""
+    p = parse_polynomial(text)
+    if not p.is_constant():
+        raise ParseError("expected a constant field element", 0)
+    return p.constant_value()
 
 
 class TestAtoms:

@@ -23,7 +23,8 @@ from s6quartic import (
     parse_polynomial,
 )
 from s6quartic.poly import NVARS, format_polynomial
-from s6quartic.parsing import parse_field_element, parse_scalar_list
+from s6quartic.parsing import parse_scalar_list
+from test_parsing import parse_field_element
 
 # The grammar's characters, a name that is not a variable (y), and
 # non-ASCII characters that Python would call digits, letters or spaces.
