@@ -31,9 +31,9 @@ from .perms import (
     orbit_and_stabilizer,
     semidirect_structure_check,
 )
+from .poly import family_parameter
 from .varieties import (
     CUBE_ROOT_POINT,
-    DEFAULT_SCAN_CAP,
     QUADRIC_PAIR,
     QUADRIC_SURFACES,
     SIGN_POINT,
@@ -86,8 +86,6 @@ class RunConfig(NamedTuple):
     selected_checks: tuple = ()
     t_values: tuple = (Fraction(6),)
     scan_alphabet: str = "pm1"
-    enum_cap: int = DEFAULT_SCAN_CAP
-    output: str = "text"
 
 
 class CheckRecord(NamedTuple):
@@ -290,8 +288,8 @@ def _check_special_t(cfg: RunConfig):
 
 
 def _check_scan_smoke(cfg: RunConfig):
-    found_6 = scan_alphabet(Fraction(6), (1, -1), cfg.enum_cap)
-    found_7 = scan_alphabet(Fraction(7), (1, -1), cfg.enum_cap)
+    found_6 = scan_alphabet(Fraction(6), (1, -1))
+    found_7 = scan_alphabet(Fraction(7), (1, -1))
     _, orbit_sign = _singular_orbits()
     matches = set(found_6) == set(orbit_sign) and len(found_6) == 10
     details = {
@@ -307,8 +305,8 @@ def _check_scan_todd(cfg: RunConfig):
     per_t = {}
     ok = True
     # A t given twice is reported once, so it is scanned once.
-    for t in dict.fromkeys(Fraction(t) for t in cfg.t_values):
-        found = scan_alphabet(t, alphabet, cfg.enum_cap)
+    for t in dict.fromkeys(family_parameter(t) for t in cfg.t_values):
+        found = scan_alphabet(t, alphabet)
         nodes = sum(1 for p in found if is_node(t, p))
         per_t[str(t)] = {"found": len(found), "nodes": nodes}
         ok = ok and nodes == len(found)
@@ -339,10 +337,6 @@ ALL_CHECK_IDS = REGISTRY_CHECK_IDS + tuple(cid for cid, _, _ in _EXPLORATORY)
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.enum_cap <= 0:
-        raise ConfigError("caps must be positive")
-    if cfg.output not in ("text", "structured"):
-        raise ConfigError(f"unknown output mode {cfg.output!r}")
     unknown = [c for c in cfg.selected_checks if c not in ALL_CHECK_IDS]
     if unknown:
         raise ConfigError(f"unknown check ids: {', '.join(sorted(unknown))}")

@@ -29,7 +29,7 @@ from .checks import (
 )
 from .parsing import MAX_CONSTANT_BITS, ParseError, _bit_length
 from .parsing import parse_point_coordinates, parse_polynomial
-from .varieties import DEFAULT_SCAN_CAP, scan_alphabet
+from .varieties import scan_alphabet
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME-OR-LIST",
         help="scan-todd's " + alphabet_help + " (default pm1)",
     )
-    verify.add_argument(
-        "--cap",
-        type=int,
-        metavar="N",
-        help="enumeration cap for coordinate scans",
-    )
     verify.set_defaults(handler=_cmd_verify)
 
     scan = commands.add_parser(
@@ -94,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="NAME-OR-LIST",
         help=alphabet_help,
-    )
-    scan.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_SCAN_CAP,
-        metavar="N",
-        help="enumeration cap",
     )
     scan.set_defaults(handler=_cmd_scan)
 
@@ -124,17 +111,13 @@ def _cmd_verify(args) -> int:
     overrides = {}
     if args.check:
         overrides["selected_checks"] = tuple(args.check)
-    if args.format:
-        overrides["output"] = "structured" if args.format == "json" else "text"
     if args.t:
         overrides["t_values"] = tuple(parse_rational(raw) for raw in args.t)
     if args.alphabet is not None:
         overrides["scan_alphabet"] = args.alphabet
-    if args.cap is not None:
-        overrides["enum_cap"] = args.cap
-    cfg = RunConfig(**overrides)
-    records = run_checks(cfg)
-    sys.stdout.buffer.write(emit_report(records, cfg.output))
+    records = run_checks(RunConfig(**overrides))
+    mode = "structured" if args.format == "json" else "text"
+    sys.stdout.buffer.write(emit_report(records, mode))
     sys.stdout.buffer.flush()
     return 0 if all_passed(records) else 1
 
@@ -143,7 +126,7 @@ def _cmd_scan(args) -> int:
     t = parse_rational(args.t)
     alphabet = alphabet_letters(args.alphabet)
     try:
-        points = scan_alphabet(t, alphabet, args.cap)
+        points = scan_alphabet(t, alphabet)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sys.stdout.write("".join(f"{point}\n" for point in points))

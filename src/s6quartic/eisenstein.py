@@ -146,16 +146,6 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Eisenstein":
-        """The image under w -> w^2, the nontrivial field automorphism."""
-        # gcd(a - b, b, den) == gcd(a, b, den), so the result stays reduced.
-        return _make(self._a - self._b, -self._b, self._den)
-
-    def norm(self) -> Fraction:
-        """N(a + b*w) = a^2 - a*b + b^2, multiplicative and 0 only at 0."""
-        a, b, d = self._a, self._b, self._den
-        return Fraction(a * a - a * b + b * b, d * d)
-
     def inverse(self) -> "Eisenstein":
         a, b, d = self._a, self._b, self._den
         if not b and a:

@@ -131,10 +131,9 @@ class PermGroup:
         self.elements = tuple(sorted(elements))
 
     @classmethod
-    def generate(
-        cls, generators: Sequence[Permutation], cap: int = GENERATE_CAP
-    ) -> "PermGroup":
-        """Closure of the generators under composition, bounded by cap."""
+    def generate(cls, generators: Sequence[Permutation]) -> "PermGroup":
+        """Closure of the generators under composition, bounded by
+        GENERATE_CAP."""
         gens = list(generators)
         if not gens:
             raise ValueError("need at least one generator")
@@ -151,8 +150,8 @@ class PermGroup:
                     if e not in seen:
                         seen.add(e)
                         new.append(e)
-            if len(seen) > cap:
-                raise ValueError(f"group order exceeds cap {cap}")
+            if len(seen) > GENERATE_CAP:
+                raise ValueError(f"group order exceeds cap {GENERATE_CAP}")
             frontier = new
         return cls(seen, degree)
 
@@ -226,7 +225,7 @@ class PermGroup:
             for a in self.elements
             for b in self.elements
         }
-        return PermGroup.generate(sorted(commutators), cap=self.order)
+        return PermGroup.generate(sorted(commutators))
 
 
 def orbit_and_stabilizer(group: PermGroup, x, act: Callable):

@@ -186,7 +186,10 @@ class Polynomial:
 
     # -- evaluation and actions -----------------------------------------------
 
-    def evaluate(self, point: Sequence) -> Eisenstein:
+    def evaluate(self, point: Sequence):
+        """The value at the point.  A Polynomial coordinate is used as it
+        is, so the value is then a Polynomial; every other coordinate is
+        coerced to a field element."""
         if len(point) != NVARS:
             raise ValueError(f"point must have {NVARS} coordinates")
         # powers[i][e] is the e-th power of coordinate i, built once per call
@@ -198,7 +201,7 @@ class Polynomial:
                     tops[i] = e
         powers = []
         for c, top in zip(point, tops):
-            v = Eisenstein.coerce(c)
+            v = c if isinstance(c, Polynomial) else Eisenstein.coerce(c)
             row = [ONE, v]
             for _ in range(top - 1):
                 row.append(row[-1] * v)
@@ -214,7 +217,7 @@ class Polynomial:
 
     def substitute_linear(self, assignments: Mapping[int, object]) -> "Polynomial":
         """Replace variables by polynomials of degree <= 1 (constants allowed)."""
-        subs = {}
+        point = list(X)
         for index, value in assignments.items():
             if not 0 <= index < NVARS:
                 raise ValueError(f"variable index {index} out of range")
@@ -223,20 +226,9 @@ class Polynomial:
                 raise ValueError(
                     f"substitution for x{index} has degree {p.degree()} > 1"
                 )
-            subs[index] = p
-        total = Polynomial.zero()
-        for mono, coeff in self.terms.items():
-            factor = Polynomial.constant(coeff)
-            plain = list(_CONST)
-            for i, e in enumerate(mono):
-                if e and i in subs:
-                    factor = factor * subs[i] ** e
-                else:
-                    plain[i] = e
-            if any(plain):
-                factor = factor * _raw({tuple(plain): ONE})
-            total = total + factor
-        return total
+            point[index] = p
+        value = self.evaluate(point)
+        return value if isinstance(value, Polynomial) else Polynomial.constant(value)
 
     def apply_permutation(self, index_map: Sequence[int]) -> "Polynomial":
         """Pushforward: replace x_j by x_{index_map[j]} everywhere."""
@@ -398,9 +390,20 @@ def divide_exact(numerator: Polynomial, divisor: Polynomial):
 
 # -- the pencil of invariant quartics -----------------------------------------
 
+def family_parameter(t) -> Fraction:
+    """A parameter t of the family as a Fraction.  Only ints and Fractions
+    are parameters: a float or a string would be read approximately or by
+    its text, so anything else is a TypeError."""
+    if isinstance(t, Fraction):
+        return t
+    if isinstance(t, int):
+        return Fraction(t)
+    raise TypeError(f"a family parameter is an int or Fraction, not {t!r}")
+
+
 def quartic_family(t) -> tuple:
     """The hyperplane L = sum x_i and the quartic t*sum x_i^4 - (sum x_i^2)^2."""
-    t = Fraction(t)
+    t = family_parameter(t)
     linear = Polynomial.zero()
     fourth = Polynomial.zero()
     square = Polynomial.zero()

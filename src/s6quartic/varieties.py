@@ -14,16 +14,16 @@ family member.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
 from .linalg import ALL_T, EMPTY, Matrix, TSolutionSet, rref_linear_forms
 from .parsing import parse_point_coordinates
 from .perms import STANDARD_LABELS, Permutation
-from .poly import NVARS, Polynomial, X, divide_exact, quartic_family
+from .poly import NVARS, Polynomial, X, divide_exact, family_parameter
+from .poly import quartic_family
 
-DEFAULT_SCAN_CAP = 10**7
+SCAN_CAP = 10**7
 
 
 class ProjectivePoint:
@@ -245,7 +245,7 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the
     same for every i.
     """
-    t = Eisenstein.coerce(Fraction(t))
+    t = Eisenstein.coerce(family_parameter(t))
     coords = point.coords
     if sum(coords, ZERO):
         return False
@@ -268,7 +268,7 @@ def is_node(t, point: ProjectivePoint) -> bool:
     choice; fixing it makes reports reproducible.  Calling this on a
     point that is not singular on the family member is an error.
     """
-    t = Fraction(t)
+    t = family_parameter(t)
     if not is_singular_on_family(t, point):
         raise ValueError(
             f"node test requires a singular point; {point} is smooth on the "
@@ -331,25 +331,23 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
     return ALL_T if len(cubes) == 1 else TSolutionSet.finite([0])
 
 
-def scan_alphabet(t, alphabet, cap: int = DEFAULT_SCAN_CAP) -> list:
+def scan_alphabet(t, alphabet) -> list:
     """All singular points of the t-member whose coordinates lie in the
     alphabet, deduplicated projectively and sorted deterministically.
 
     Every member lies on the hyperplane sum(x) = 0, so only the first five
     coordinates are enumerated: the sixth is minus their sum, kept when it
-    is a letter.  The cap still bounds len(alphabet)^6.
+    is a letter.  SCAN_CAP bounds the whole space, len(alphabet)^6.
     """
     members = {Eisenstein.coerce(entry) for entry in alphabet}
     letters = sorted(members, key=Eisenstein.sort_key)
     if not letters:
         raise ValueError("the alphabet must be nonempty")
-    if cap <= 0:
-        raise ValueError("the enumeration cap must be positive")
-    if len(letters) ** NVARS > cap:
+    if len(letters) ** NVARS > SCAN_CAP:
         raise ValueError(
-            f"scan space {len(letters)}^{NVARS} exceeds the cap {cap}"
+            f"scan space {len(letters)}^{NVARS} exceeds the cap {SCAN_CAP}"
         )
-    t = Fraction(t)
+    t = family_parameter(t)
     seen = set()
     found = []
     for head in product(letters, repeat=NVARS - 1):

@@ -130,11 +130,14 @@ def test_benchmark_attributes_exist():
         Matrix,
         s6quartic.PermGroup.normal_subgroups,
         s6quartic.irreducible_degrees,
+        s6quartic.scan_alphabet,
+        s6quartic.PermGroup.generate,
     ],
     ids=lambda fn: fn.__qualname__,
 )
 def test_size_bounds_are_constants_not_parameters(fn):
-    # DIMENSION_CAP and SUBGROUP_SCAN_CAP bound these for every caller.
+    # DIMENSION_CAP, SUBGROUP_SCAN_CAP, SCAN_CAP and GENERATE_CAP bound
+    # these for every caller.
     assert "cap" not in inspect.signature(fn).parameters
 
 

@@ -24,6 +24,10 @@ from s6quartic.checks import (
     alphabet_letters,
 )
 
+# Fifteen letters: the smallest alphabet whose scan space, 15^6, exceeds
+# SCAN_CAP, so a scan over it is refused before any work is done.
+WIDE_ALPHABET = "[0,1,-1,2,-2,3,-3,4,-4,5,-5,6,-6,7,-7]"
+
 EXPECTED_DETAILS = {
     "group-structure": {
         "complement_order": 4,
@@ -221,15 +225,26 @@ class TestExploratoryScan:
 
 class TestErrorContainment:
     def test_one_failing_check_does_not_poison_others(self):
-        cfg = RunConfig(selected_checks=("scan-smoke", "special-t"), enum_cap=10)
+        cfg = RunConfig(
+            selected_checks=("scan-todd", "special-t"), scan_alphabet=WIDE_ALPHABET
+        )
         records = run_checks(cfg)
         by_id = {r.check_id: r for r in records}
         assert by_id["special-t"].status == "pass"
-        assert by_id["scan-smoke"].status == "error"
-        assert by_id["scan-smoke"].details == {
-            "error": "ValueError: scan space 2^6 exceeds the cap 10"
+        assert by_id["scan-todd"].status == "error"
+        assert by_id["scan-todd"].details == {
+            "error": "ValueError: scan space 15^6 exceeds the cap 10000000"
         }
         assert not all_passed(records)
+
+    @pytest.mark.parametrize("t", [0.1, 6.0, "6"], ids=repr)
+    def test_float_or_text_parameter_is_an_error_record(self, t):
+        cfg = RunConfig(selected_checks=("scan-todd",), t_values=(Fraction(6), t))
+        (record,) = run_checks(cfg)
+        assert record.status == "error"
+        assert record.details == {
+            "error": f"TypeError: a family parameter is an int or Fraction, not {t!r}"
+        }
 
 
 class TestConfigValidation:
@@ -237,9 +252,18 @@ class TestConfigValidation:
         "overrides,message",
         [
             ({"selected_checks": ("bogus",)}, "unknown check ids: bogus"),
-            ({"output": "yaml"}, "unknown output mode 'yaml'"),
-            ({"enum_cap": 0}, "caps must be positive"),
-            ({"enum_cap": -5}, "caps must be positive"),
+            (
+                {"selected_checks": ("scan-todd", "zeta", "bogus")},
+                "unknown check ids: bogus, zeta",
+            ),
+            (
+                {"selected_checks": ("scan-todd",), "t_values": ()},
+                "t_values must be nonempty",
+            ),
+            (
+                {"scan_alphabet": "[1, x0]"},
+                "bad alphabet list: list entries must be constants",
+            ),
             ({"scan_alphabet": "missing"}, "unknown alphabet 'missing'"),
             ({"t_values": ()}, "t_values must be nonempty"),
             ({"scan_alphabet": "[w w]"}, "bad alphabet list: expected ']'"),
@@ -266,8 +290,6 @@ class TestConfigValidation:
             "selected_checks",
             "t_values",
             "scan_alphabet",
-            "enum_cap",
-            "output",
         )
 
     def test_run_config_defaults(self):
@@ -275,13 +297,12 @@ class TestConfigValidation:
         assert cfg.selected_checks == ()
         assert cfg.t_values == (Fraction(6),)
         assert cfg.scan_alphabet == "pm1"
-        assert cfg.output == "text"
 
     def test_run_config_is_immutable(self):
         cfg = RunConfig()
         with pytest.raises(AttributeError):
-            cfg.enum_cap = 5
-        assert cfg._replace(enum_cap=5).enum_cap == 5
+            cfg.scan_alphabet = "zero_pm1"
+        assert cfg._replace(scan_alphabet="zero_pm1").scan_alphabet == "zero_pm1"
         assert cfg == RunConfig()
 
     def test_inline_scan_alphabet(self):

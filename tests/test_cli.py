@@ -9,6 +9,7 @@ import pytest
 
 from s6quartic.checks import REGISTRY_CHECK_IDS
 from s6quartic.cli import main
+from test_checks import WIDE_ALPHABET
 
 
 class TestVerifyCommand:
@@ -49,10 +50,13 @@ class TestVerifyCommand:
         assert ids == ["smooth-quadrics", "special-t"]
 
     def test_failing_cap_gives_exit_1(self, capsys):
-        code = main(["verify", "--check", "scan-smoke", "--cap", "10"])
+        code = main(
+            ["verify", "--check", "scan-todd", "--alphabet", WIDE_ALPHABET]
+        )
         out, _ = capsys.readouterr()
         assert code == 1
         assert "error" in out
+        assert "scan space 15^6 exceeds the cap 10000000" in out
 
     def test_unknown_check_gives_exit_2(self, capsys):
         code = main(["verify", "--check", "bogus"])
@@ -109,6 +113,22 @@ class TestVerifyCommand:
         assert out == ""
         assert "unrecognized arguments: --config" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--check", "scan-smoke", "--cap", "10"],
+            ["scan", "--t", "6", "--alphabet", "pm1", "--cap", "5"],
+        ],
+        ids=["verify", "scan"],
+    )
+    def test_retired_cap_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert "unrecognized arguments: --cap" in err
+
 
 class TestScanCommand:
     def test_named_alphabet(self, capsys):
@@ -152,10 +172,11 @@ class TestScanCommand:
         assert "bad rational" in err
 
     def test_cap_exceeded(self, capsys):
-        code = main(["scan", "--t", "6", "--alphabet", "pm1", "--cap", "10"])
-        _, err = capsys.readouterr()
+        code = main(["scan", "--t", "6", "--alphabet", WIDE_ALPHABET])
+        out, err = capsys.readouterr()
         assert code == 2
-        assert "exceeds the cap" in err
+        assert out == ""
+        assert err == "error: scan space 15^6 exceeds the cap 10000000\n"
 
 
 class TestEvalCommand:

@@ -15,7 +15,7 @@ from s6quartic import (
     orbit_and_stabilizer,
     semidirect_structure_check,
 )
-from s6quartic.perms import LabelDictionary, Permutation
+from s6quartic.perms import GENERATE_CAP, LabelDictionary, Permutation
 from s6quartic.checks import S_SWAP
 
 
@@ -150,10 +150,14 @@ class TestPermGroup:
             PermGroup.generate([TAU, Permutation((2, 1))])
 
     def test_generation_cap(self):
-        gens = [Permutation((2, 1, 3, 4, 5)), Permutation((2, 3, 4, 5, 1))]
+        # A transposition and an 8-cycle generate S8, of order 40320.
+        gens = [
+            Permutation((2, 1, 3, 4, 5, 6, 7, 8)),
+            Permutation((2, 3, 4, 5, 6, 7, 8, 1)),
+        ]
         with pytest.raises(ValueError) as info:
-            PermGroup.generate(gens, cap=30)
-        assert "exceeds cap 30" in str(info.value)
+            PermGroup.generate(gens)
+        assert str(info.value) == f"group order exceeds cap {GENERATE_CAP}"
 
     def test_iteration_is_sorted(self):
         elements = list(G20())

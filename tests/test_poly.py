@@ -1,5 +1,6 @@
 """Unit tests for sparse six-variable polynomials over the quadratic field."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -191,7 +192,80 @@ class TestCalculus:
         assert total == 3 * p
 
 
+def substitute_linear_oracle(poly, assignments):
+    """Term-by-term substitution, the independent slow path that
+    Polynomial.substitute_linear (which evaluates at a point of
+    polynomials) is checked against: each term is expanded on its own and
+    the unsubstituted variables are multiplied back in as one monomial."""
+    subs = {
+        i: v if isinstance(v, Polynomial) else Polynomial.constant(v)
+        for i, v in assignments.items()
+    }
+    total = Polynomial.zero()
+    for mono, coeff in poly.terms.items():
+        factor = Polynomial.constant(coeff)
+        plain = [0] * NVARS
+        for i, e in enumerate(mono):
+            if e and i in subs:
+                factor = factor * subs[i] ** e
+            else:
+                plain[i] = e
+        total = total + factor * Polynomial({tuple(plain): 1})
+    return total
+
+
+def _random_scalar(rng):
+    """About half the time non-integral, and about half the time off Q."""
+    den = rng.choice([1, 1, 2, 3, 7])
+    om = rng.randint(-3, 3) if rng.random() < 0.5 else 0
+    return Eisenstein(Fraction(rng.randint(-9, 9), den), Fraction(om, den))
+
+
+def _random_polynomial(rng, max_terms, max_degree, linear=False):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        if linear:
+            mono = [0] * NVARS
+            if rng.random() < 0.8:
+                mono[rng.randrange(NVARS)] = 1
+        else:
+            mono = [rng.randint(0, max_degree) for _ in range(NVARS)]
+        terms[tuple(mono)] = _random_scalar(rng)
+    return Polynomial(terms)
+
+
 class TestSubstitution:
+    def test_substitute_linear_matches_term_by_term_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            p = _random_polynomial(rng, 6, 3)
+            assignments = {}
+            for i in rng.sample(range(NVARS), rng.randint(0, NVARS)):
+                kind = rng.random()
+                if kind < 0.2:
+                    assignments[i] = _random_scalar(rng)
+                elif kind < 0.3:
+                    assignments[i] = rng.randint(-5, 5)
+                else:
+                    assignments[i] = _random_polynomial(rng, 4, 1, linear=True)
+            result = p.substitute_linear(assignments)
+            assert isinstance(result, Polynomial)
+            assert result == substitute_linear_oracle(p, assignments)
+
+    def test_evaluate_at_the_variables_is_the_identity(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            p = _random_polynomial(rng, 6, 4)
+            assert p.evaluate(X) == p
+            assert p.substitute_linear({}) == p
+
+    def test_substitute_every_variable_gives_a_constant_polynomial(self):
+        p = X0**2 * X5 + OMEGA * X3
+        value = p.substitute_linear({i: i + 1 for i in range(NVARS)})
+        assert isinstance(value, Polynomial)
+        assert value == Polynomial.constant(6 + 4 * OMEGA)
+        assert Polynomial.zero().substitute_linear({0: X1}) == Polynomial.zero()
+
     def test_substitute_linear_simple(self):
         p = X0**2
         q = p.substitute_linear({0: X1 + 1})

@@ -24,6 +24,7 @@ from s6quartic import (
     is_singular_on_family,
     label_translates,
     projective_orbit,
+    quartic_family,
     restrict_to_plane,
     restriction_factorization_check,
     scan_alphabet,
@@ -35,6 +36,7 @@ from s6quartic.linalg import ALL_T, EMPTY, TSolutionSet
 from s6quartic.perms import LabelDictionary, Permutation
 from s6quartic import varieties
 from s6quartic.varieties import (
+    SCAN_CAP,
     LinearSliceVariety,
     act_on_point,
     quadric_pair_quotient,
@@ -374,15 +376,48 @@ class TestScans:
     def test_scan_validation(self):
         with pytest.raises(ValueError):
             scan_alphabet(6, [])
-        with pytest.raises(ValueError):
-            scan_alphabet(6, [Eisenstein(1), Eisenstein(-1)], cap=0)
         with pytest.raises(ValueError) as info:
-            scan_alphabet(6, [Eisenstein(1), Eisenstein(-1)], cap=10)
-        assert "exceeds the cap" in str(info.value)
+            scan_alphabet(6, range(-7, 8))
+        assert str(info.value) == "scan space 15^6 exceeds the cap 10000000"
+        assert 15**6 > SCAN_CAP >= 14**6
 
     def test_scan_is_deterministic(self):
         letters = [Eisenstein(1), Eisenstein(-1)]
         assert scan_alphabet(6, letters) == scan_alphabet(6, letters)
+
+
+_PARAMETER_ENTRY_POINTS = {
+    "quartic_family": quartic_family,
+    "family_member": family_member,
+    "restriction_factorization_check": restriction_factorization_check,
+    "is_singular_on_family": lambda t: is_singular_on_family(t, SIGN_POINT),
+    "is_node": lambda t: is_node(t, CUBE_ROOT_POINT),
+    "scan_alphabet": lambda t: scan_alphabet(t, [1, -1]),
+}
+
+
+class TestFamilyParameter:
+    @pytest.mark.parametrize("t", [0.1, 6.0, "6"], ids=repr)
+    @pytest.mark.parametrize("name", sorted(_PARAMETER_ENTRY_POINTS))
+    def test_float_and_text_parameters_are_refused(self, name, t):
+        with pytest.raises(TypeError) as info:
+            _PARAMETER_ENTRY_POINTS[name](t)
+        assert str(info.value) == (
+            f"a family parameter is an int or Fraction, not {t!r}"
+        )
+
+    @pytest.mark.parametrize("name", sorted(_PARAMETER_ENTRY_POINTS))
+    def test_int_and_fraction_parameters_agree(self, name):
+        call = _PARAMETER_ENTRY_POINTS[name]
+        for t in (6, 7):
+            assert call(t) == call(Fraction(t))
+
+    def test_int_and_fraction_results(self):
+        assert is_singular_on_family(6, SIGN_POINT)
+        assert is_node(Fraction(6), SIGN_POINT)
+        assert not is_singular_on_family(Fraction(13, 2), SIGN_POINT)
+        assert len(scan_alphabet(Fraction(6), [1, -1])) == 10
+        assert restriction_factorization_check(Fraction(6)) == Eisenstein(8)
 
 
 class TestPlaneRestriction:
