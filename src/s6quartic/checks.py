@@ -341,8 +341,7 @@ def validate_config(cfg: RunConfig) -> None:
     if unknown:
         raise ConfigError(f"unknown check ids: {', '.join(sorted(unknown))}")
     alphabet_letters(cfg.scan_alphabet)
-    wants_scan = not cfg.selected_checks or "scan-todd" in cfg.selected_checks
-    if wants_scan and not cfg.t_values:
+    if "scan-todd" in cfg.selected_checks and not cfg.t_values:
         raise ConfigError("t_values must be nonempty")
 
 

@@ -17,7 +17,7 @@ Division uses the field norm N(a + b*w) = a^2 - a*b + b^2: the inverse of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _new = object.__new__
 
@@ -40,6 +40,26 @@ def _reduced(a: int, b: int, den: int) -> "Eisenstein":
             b //= g
             den //= g
     return _make(a, b, den)
+
+
+def _cleared(values) -> list:
+    """The values times their common denominator, as (a, b) int pairs
+    meaning a + b*w: the same row or projective point up to a nonzero
+    scalar, with every later product and sum in plain ints."""
+    parts = [v._parts() for v in values]
+    den = lcm(*(d for _, _, d in parts))
+    if den == 1:
+        return [(a, b) for a, b, _ in parts]
+    return [(a * (den // d), b * (den // d)) for a, b, d in parts]
+
+
+def _pair_mul(x, y) -> tuple:
+    """The product of two int pairs: (a + b*w)(c + d*w) = ac - bd +
+    (ad + bc - bd)*w."""
+    a, b = x
+    c, d = y
+    bd = b * d
+    return (a * c - bd, a * d + b * c - bd)
 
 
 def _operand(value):

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Q(w) for small matrices.
 
-Everything here runs fraction-free of floating point: Gaussian elimination
-with exact field division, reduced row echelon form for spaces of linear
-forms, and Gram matrices of quadratic forms.  The record of a set of values
-of the family parameter t lives here too.
+Everything here is exact.  One fraction-free elimination over Z[w] on
+plain int pairs gives ranks and, back-substituted over the field, reduced
+row echelon forms for spaces of linear forms; Gram matrices of quadratic
+forms come from their coefficients.  The record of a set of values of the
+family parameter t lives here too.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .eisenstein import Eisenstein, ZERO
+from .eisenstein import Eisenstein, ZERO, _cleared, _make, _pair_mul
 from .poly import NVARS, Polynomial
 
 DIMENSION_CAP = 16
+
+_UNIT_MONOMIALS = tuple(
+    tuple(int(j == i) for j in range(NVARS)) for i in range(NVARS)
+)
 
 
 class Matrix:
@@ -39,10 +44,9 @@ class Matrix:
         self.rows = coerced
 
     def rank(self) -> int:
-        """Row rank by Gaussian elimination; the pivot in each column is the
-        first nonzero entry scanning top to bottom, columns left to right."""
-        _, pivots = _row_reduce([list(r) for r in self.rows])
-        return len(pivots)
+        """Row rank: the pivot count of the fraction-free echelon form of
+        the rows, each cleared of its denominators."""
+        return len(_echelon([_cleared(row) for row in self.rows]))
 
     def __repr__(self):
         body = "; ".join(
@@ -51,33 +55,52 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _row_reduce(rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _echelon(rows) -> list:
+    """Fraction-free echelon form over Z[w], in place; returns the pivot
+    columns.
+
+    Each entry is an (a, b) int pair meaning a + b*w.  The pivot in each
+    column is the first nonzero entry at or below the current row.  Every
+    update e*pivot - f*g of a lower row is divided exactly by the previous
+    pivot (Bareiss, Math. Comp. 22, 1968), so each entry stays a minor of
+    the input and its size grows linearly with the step count; without
+    that division a 16x16 matrix of 4-bit entries reaches entries of over
+    a million bits.
+    """
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
+    # The previous pivot c + d*w.  Dividing by it is multiplying by its
+    # conjugate (c - d) - d*w and dividing by its norm c^2 - cd + d^2, or
+    # just dividing by c when it is rational.
+    c, d = 1, 0
     r = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
+        pivot_row = next(
+            (i for i in range(r, nrows) if rows[i][col] != (0, 0)), None
+        )
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r]
+        conjugate = (c - d, -d)
+        divisor = c * c - c * d + d * d if d else c
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                ea, eb = _pair_mul(row[j], pivot[col])
+                fa, fb = _pair_mul(f, pivot[j])
+                x, y = ea - fa, eb - fb
+                if d:
+                    x, y = _pair_mul((x, y), conjugate)
+                row[j] = (x // divisor, y // divisor)
+            row[col] = (0, 0)
         pivots.append(col)
+        c, d = pivot[col]
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows, pivots
+    return pivots
 
 
 def rref_linear_forms(forms: Sequence[Polynomial]) -> list:
@@ -85,7 +108,8 @@ def rref_linear_forms(forms: Sequence[Polynomial]) -> list:
 
     Pivot coefficients are scaled to 1 and eliminated from the other rows,
     so two form lists span the same hyperplane system iff their outputs are
-    identical lists.
+    identical lists.  The echelon form is fraction-free; only its pivot
+    rows are back-substituted over the field, from the bottom up.
     """
     rows = []
     for form in forms:
@@ -94,22 +118,24 @@ def rref_linear_forms(forms: Sequence[Polynomial]) -> list:
         if form.degree() != 1 or not form.is_homogeneous():
             raise ValueError(f"not a homogeneous linear form: {form}")
         rows.append(
-            [form.coefficient(_unit_monomial(i)) for i in range(NVARS)]
+            _cleared([form.coefficient(unit) for unit in _UNIT_MONOMIALS])
         )
     if not rows:
         return []
-    reduced, pivots = _row_reduce(rows)
-    basis = []
-    for row in reduced[: len(pivots)]:
-        terms = {
-            _unit_monomial(i): c for i, c in enumerate(row) if c
-        }
-        basis.append(Polynomial(terms))
-    return basis
-
-
-def _unit_monomial(i: int):
-    return tuple(1 if j == i else 0 for j in range(NVARS))
+    pivots = _echelon(rows)
+    reduced = [[_make(a, b, 1) for a, b in row] for row in rows[: len(pivots)]]
+    for k in reversed(range(len(pivots))):
+        col = pivots[k]
+        scale = reduced[k][col].inverse()
+        pivot_row = reduced[k] = [e * scale for e in reduced[k]]
+        for i in range(k):
+            f = reduced[i][col]
+            if f:
+                reduced[i] = [a - f * b for a, b in zip(reduced[i], pivot_row)]
+    return [
+        Polynomial({unit: c for unit, c in zip(_UNIT_MONOMIALS, row) if c})
+        for row in reduced
+    ]
 
 
 def gram_matrix(quadric: Polynomial, variables: Sequence[int]) -> Matrix:

@@ -185,10 +185,11 @@ class PermGroup:
         """Partition into conjugacy classes, each a sorted tuple; the class
         list is ordered by (size, smallest member)."""
         remaining = set(self.elements)
+        with_inverses = [(g, g.inverse()) for g in self.elements]
         classes = []
         while remaining:
             seed = min(remaining)
-            cls_set = {g * seed * g.inverse() for g in self.elements}
+            cls_set = {g * seed * g_inv for g, g_inv in with_inverses}
             classes.append(tuple(sorted(cls_set)))
             remaining -= cls_set
         classes.sort(key=lambda c: (len(c), c[0]))
@@ -220,11 +221,18 @@ class PermGroup:
         return found
 
     def commutator_subgroup(self) -> "PermGroup":
+        """The subgroup generated by every commutator [a, b] = a b a^-1 b^-1.
+
+        Since [b, a] = [a, b]^-1 lies in the closure of [a, b], the
+        unordered pairs are enough to generate it.
+        """
+        with_inverses = [(g, g.inverse()) for g in self.elements]
         commutators = {
-            a * b * a.inverse() * b.inverse()
-            for a in self.elements
-            for b in self.elements
+            a * b * a_inv * b_inv
+            for k, (a, a_inv) in enumerate(with_inverses)
+            for b, b_inv in with_inverses[k + 1:]
         }
+        commutators.add(self.identity())
         return PermGroup.generate(sorted(commutators))
 
 
@@ -257,7 +265,9 @@ def semidirect_structure_check(
         raise ValueError("non-subgroup input")
     n_set = set(normal.elements)
     is_normal = all(
-        g * n * g.inverse() in n_set for g in group for n in normal
+        g * n * g_inv in n_set
+        for g, g_inv in ((g, g.inverse()) for g in group)
+        for n in normal
     )
     trivial_meet = n_set & set(complement.elements) == {group.identity()}
     orders_multiply = normal.order * complement.order == group.order

@@ -14,10 +14,12 @@ family member.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
-from .linalg import ALL_T, EMPTY, Matrix, TSolutionSet, rref_linear_forms
+from .eisenstein import _cleared, _pair_mul
+from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
 from .parsing import parse_point_coordinates
 from .perms import STANDARD_LABELS, Permutation
 from .poly import NVARS, Polynomial, X, divide_exact, family_parameter
@@ -220,7 +222,10 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
 #   dQ/dx_i = 4*(t*x_i^2 - p2)*x_i,
 #   H_ij    = (12*t*x_i^2 - 4*p2)*delta_ij - 8*x_i*x_j,
 #
-# so no symbolic derivative is ever taken.
+# so no symbolic derivative is ever taken.  Every condition is homogeneous
+# in the coordinates and in (t, 1), so the tests run on the coordinates
+# times their common denominator, as (a, b) int pairs meaning a + b*w, and
+# on t = p/q cleared to p and q: plain int arithmetic, no field division.
 
 
 def family_member(t) -> LinearSliceVariety:
@@ -229,11 +234,15 @@ def family_member(t) -> LinearSliceVariety:
     return LinearSliceVariety([linear], quartic)
 
 
-def _power_sums(coords) -> tuple:
-    """(squares of the coordinates, p2, p4) at a coordinate vector."""
-    squares = [c * c for c in coords]
-    p2 = sum(squares, ZERO)
-    p4 = sum((s * s for s in squares), ZERO)
+def _on_hyperplane(xs) -> bool:
+    return not any(map(sum, zip(*xs)))
+
+
+def _power_sums(xs) -> tuple:
+    """(squares of the coordinates, p2, p4) at int-pair coordinates."""
+    squares = [(a * a - b * b, (2 * a - b) * b) for a, b in xs]
+    p2 = tuple(map(sum, zip(*squares)))
+    p4 = tuple(map(sum, zip(*[_pair_mul(s, s) for s in squares])))
     return squares, p2, p4
 
 
@@ -243,19 +252,24 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     The point is singular iff it lies on both forms and the 2x6 matrix of
     their gradients has rank at most 1, i.e. the gradient of Q is a
     multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the
-    same for every i.
+    same for every i.  With t = p/q both conditions are tested times q:
+    p*p4 = q*p2^2, and (p*x_i^2 - q*p2)*x_i is the same for every i.
     """
-    t = Eisenstein.coerce(family_parameter(t))
-    coords = point.coords
-    if sum(coords, ZERO):
+    t = family_parameter(t)
+    p, q = t.numerator, t.denominator
+    xs = _cleared(point.coords)
+    if not _on_hyperplane(xs):
         return False
-    squares, p2, p4 = _power_sums(coords)
-    if t * p4 != p2 * p2:
+    squares, p2, p4 = _power_sums(xs)
+    p2_squared = _pair_mul(p2, p2)
+    if p * p4[0] != q * p2_squared[0] or p * p4[1] != q * p2_squared[1]:
         return False
-    first = (t * squares[0] - p2) * coords[0]
-    return all(
-        (t * s - p2) * c == first for s, c in zip(squares[1:], coords[1:])
-    )
+    qa, qb = q * p2[0], q * p2[1]
+    gradient = {
+        _pair_mul((p * sa - qa, p * sb - qb), x)
+        for (sa, sb), x in zip(squares, xs)
+    }
+    return len(gradient) == 1
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -274,33 +288,34 @@ def is_node(t, point: ProjectivePoint) -> bool:
             f"node test requires a singular point; {point} is smooth on the "
             f"t = {t} member"
         )
-    coords = point.coords
-    chart = next(i for i, c in enumerate(coords) if c)
-    eliminated = next(i for i in range(NVARS) if i != chart)
-    rest = [i for i in range(NVARS) if i not in (chart, eliminated)]
-    # On the chart x_chart = 1 the linear form solves to x_eliminated =
-    # -1 - sum(rest), an affine substitution.  The Hessian of the
-    # substituted quartic is therefore A^T H A for the constant Jacobian A
-    # whose column for the variable r is e_r - e_eliminated, i.e. entrywise
-    # H[r][s] - H[r][e] - H[e][s] + H[e][e] on the full Hessian H at the
-    # point.
-    squares, p2, _ = _power_sums(coords)
-    twelve_t = Eisenstein.coerce(12 * t)
-    four_p2 = 4 * p2
-    involved = rest + [eliminated]
-    vals = {}
-    for a, i in enumerate(involved):
-        vals[i, i] = twelve_t * squares[i] - four_p2 - 8 * squares[i]
-        for j in involved[a + 1:]:
-            value = -8 * coords[i] * coords[j]
-            vals[i, j] = value
-            vals[j, i] = value
-    e = eliminated
+    xs = _cleared(point.coords)
+    chart = next(i for i, x in enumerate(xs) if x != (0, 0))
+    e = next(i for i in range(NVARS) if i != chart)
+    rest = [i for i in range(NVARS) if i not in (chart, e)]
+    # On the chart x_chart = 1 the linear form solves to x_e = -1 -
+    # sum(rest), an affine substitution.  The Hessian of the substituted
+    # quartic is therefore A^T H A for the constant Jacobian A whose column
+    # for the variable r is e_r - e_e, i.e. entrywise H[r][s] - H[r][e] -
+    # H[e][s] + H[e][e] on the full Hessian H at the point.  Times q/4,
+    # H_ij = d_i*delta_ij - 2q*x_i*x_j with d_i = 3p*x_i^2 - q*p2, so that
+    # entry is d_r*delta_rs + d_e - 2q*(x_r - x_e)*(x_s - x_e).
+    p, q = t.numerator, t.denominator
+    squares, p2, _ = _power_sums(xs)
+    d = [(3 * p * a - q * p2[0], 3 * p * b - q * p2[1]) for a, b in squares]
+    ea, eb = xs[e]
+    u = [(xs[r][0] - ea, xs[r][1] - eb) for r in rest]
+    da, db = d[e]
     hessian = [
-        [vals[r, s] - vals[r, e] - vals[e, s] + vals[e, e] for s in rest]
-        for r in rest
+        [
+            (da - 2 * q * a, db - 2 * q * b)
+            for a, b in (_pair_mul(ur, us) for us in u)
+        ]
+        for ur in u
     ]
-    return Matrix(hessian).rank() == len(rest)
+    for k, r in enumerate(rest):
+        a, b = hessian[k][k]
+        hessian[k][k] = (a + d[r][0], b + d[r][1])
+    return len(_echelon(hessian)) == len(rest)
 
 
 def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
@@ -311,23 +326,28 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
     t = p2^2/p4 when p4 != 0, and nowhere when p4 = 0 != p2.  When
     p2 = p4 = 0 it vanishes for every t, and the gradient 4*t*x_i^3 is a
     multiple of the all-ones vector for every t if the cubes x_i^3 agree,
-    and only at t = 0 otherwise.
+    and only at t = 0 otherwise.  Clearing the coordinates' denominator
+    leaves p2^2/p4 and the agreement of the cubes unchanged.
     """
-    coords = point.coords
-    if sum(coords, ZERO):
+    xs = _cleared(point.coords)
+    if not _on_hyperplane(xs):
         raise ValueError(
             f"singular-parameter analysis requires the linear form to vanish "
             f"at {point}"
         )
-    squares, p2, p4 = _power_sums(coords)
-    if p4:
-        t = p2 * p2 / p4
-        if t.is_rational() and is_singular_on_family(t.re, point):
-            return TSolutionSet.finite([t.re])
+    squares, p2, p4 = _power_sums(xs)
+    if p4 != (0, 0):
+        # p2^2/p4 = p2^2 * conj(p4) / N(p4), with conj(c + d*w) = c - d - d*w.
+        c, d = p4
+        num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
+        if not num_w:
+            t = Fraction(num, c * c - c * d + d * d)
+            if is_singular_on_family(t, point):
+                return TSolutionSet.finite([t])
         return EMPTY
-    if p2:
+    if p2 != (0, 0):
         return EMPTY
-    cubes = {s * c for s, c in zip(squares, coords)}
+    cubes = {_pair_mul(s, x) for s, x in zip(squares, xs)}
     return ALL_T if len(cubes) == 1 else TSolutionSet.finite([0])
 
 

@@ -265,7 +265,10 @@ class TestConfigValidation:
                 "bad alphabet list: list entries must be constants",
             ),
             ({"scan_alphabet": "missing"}, "unknown alphabet 'missing'"),
-            ({"t_values": ()}, "t_values must be nonempty"),
+            (
+                {"selected_checks": ("special-t", "scan-todd"), "t_values": ()},
+                "t_values must be nonempty",
+            ),
             ({"scan_alphabet": "[w w]"}, "bad alphabet list: expected ']'"),
             ({"scan_alphabet": "[]"}, "bad alphabet list: empty list"),
         ],
@@ -275,6 +278,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as info:
             run_checks(cfg)
         assert message in str(info.value)
+
+    def test_empty_t_values_only_matter_to_the_scan(self):
+        # The default selection is the registry, which never reads t_values.
+        records = run_checks(RunConfig(t_values=()))
+        assert [r.check_id for r in records] == list(REGISTRY_CHECK_IDS)
+        assert {r.status for r in records} == {"pass"}
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)

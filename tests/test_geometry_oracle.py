@@ -4,12 +4,15 @@ The oracles below are the symbolic route the package no longer takes:
 the gradient and Hessian of the quartic come from the term-by-term
 partial_derivative defined here (the other tests import it too), the
 singularity test is the rank of the 2x6 Jacobian of (linear form,
-quartic), the singular parameters solve the 2x2 minors of that Jacobian
-and the quartic itself as one system linear in t, and orbits of varieties
-compare canonical forms pair by pair.  They are compared with the
-package, alphabet by alphabet, on every projectively distinct point with
-coordinates in pm1, zero_pm1 or cube_roots, and the singular parameters
-also on random hyperplane points with coordinates a + b*w.
+quartic), the node test the rank of the symbolic chart Hessian (both
+ranks by the field elimination of test_linalg, not the package's), the
+singular parameters solve the 2x2 minors of that Jacobian and the quartic
+itself as one system linear in t, and orbits of varieties compare
+canonical forms pair by pair.  They are compared with the package,
+alphabet by alphabet, on every projectively distinct point with
+coordinates in pm1, zero_pm1, cube_roots or [0, 1, -1, 2, -2] and on the
+orbit of (-5, 1, 1, 1, 1, 1), and the singular parameters also on random
+hyperplane points with coordinates a + b*w.
 """
 
 from fractions import Fraction
@@ -41,13 +44,18 @@ from s6quartic import (
 )
 from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS, X
-from s6quartic.linalg import ALL_T, EMPTY, Matrix, TSolutionSet
+from s6quartic.linalg import ALL_T, EMPTY, TSolutionSet
 from s6quartic.checks import _label_group, _quadric_translates
 from s6quartic.eisenstein import OMEGA, ZERO
 from s6quartic.varieties import act_on_point, canonicalize
+from test_linalg import oracle_rank
 
 T_VALUES = tuple(
-    Fraction(t) for t in (6, 2, 4, 0, Fraction(1, 2), 7, Fraction(-11, 3))
+    Fraction(t)
+    for t in (
+        6, 2, 4, 0, Fraction(1, 2), 7, Fraction(-11, 3), Fraction(10, 7),
+        Fraction(3, 2),
+    )
 )
 ONES = [Eisenstein(1)] * NVARS
 
@@ -73,19 +81,37 @@ P4_GRADIENT = gradient(P4)
 NEG_P2_SQUARED_GRADIENT = gradient(NEG_P2_SQUARED)
 
 
-def alphabet_points(name):
+def alphabet_points(letters):
     points = {
         ProjectivePoint(coords)
-        for coords in product(DEFAULT_ALPHABETS[name], repeat=NVARS)
+        for coords in product(letters, repeat=NVARS)
         if any(coords)
     }
     return sorted(points, key=ProjectivePoint.sort_key)
 
 
+# A point is normalised to first nonzero coordinate 1, so the letters 2 and
+# -2 give points with coordinates in (1/2)Z.  The orbit of
+# (-5, 1, 1, 1, 1, 1) is singular at t = 10/7 and holds the non-integral
+# point [1 : -1/5 : -1/5 : -1/5 : -1/5 : -1/5].  With the non-integral t
+# values they exercise the clearing of both denominators.  Of
+# [0, 1, -1, 2, -2] only the points on the hyperplane are kept: the package
+# and the oracle refuse the others at their first test, as the named
+# alphabets already show.
+WIDE_POINTS = sorted(
+    {
+        ProjectivePoint(coords)
+        for coords in product((0, 1, -1, 2, -2), repeat=NVARS)
+        if any(coords) and not sum(coords)
+    },
+    key=ProjectivePoint.sort_key,
+) + [ProjectivePoint(c) for c in set(permutations((-5, 1, 1, 1, 1, 1)))]
 # The alphabets share a few points; each is checked once per alphabet.
 POINTS = [
-    p for name in ("pm1", "zero_pm1", "cube_roots") for p in alphabet_points(name)
-]
+    p
+    for name in ("pm1", "zero_pm1", "cube_roots")
+    for p in alphabet_points(DEFAULT_ALPHABETS[name])
+] + WIDE_POINTS
 ON_HYPERPLANE = [p for p in POINTS if not sum(p.coords, Eisenstein(0))]
 
 
@@ -102,7 +128,7 @@ class Symbolic:
         if self.linear.evaluate(coords) or self.quartic.evaluate(coords):
             return False
         rows = [ONES, [g.evaluate(coords) for g in self.gradient]]
-        return Matrix(rows).rank() <= 1
+        return oracle_rank(rows) <= 1
 
     def is_node(self, point):
         # The same chart as the package: dehomogenize at the first nonzero
@@ -115,7 +141,7 @@ class Symbolic:
         chart_hessian = [
             [h[r][s] - h[r][e] - h[e][s] + h[e][e] for s in rest] for r in rest
         ]
-        return Matrix(chart_hessian).rank() == len(rest)
+        return oracle_rank(chart_hessian) == len(rest)
 
 
 SYMBOLIC = {t: Symbolic(t) for t in T_VALUES}
@@ -266,18 +292,22 @@ def test_singular_parameters_match_the_oracle_on_random_hyperplane_points():
 
 
 def test_the_comparison_is_not_vacuous():
-    assert len(POINTS) == 639
+    assert len(POINTS) == 1450
     singular = [
         p for p in POINTS if any(is_singular_on_family(t, p) for t in T_VALUES)
     ]
-    assert len(singular) == 110
-    verdicts = {
-        is_node(t, p)
-        for t in T_VALUES
-        for p in singular
-        if is_singular_on_family(t, p)
-    }
-    assert verdicts == {True, False}
+    assert len(singular) == 201
+    pairs = [
+        (t, p) for t in T_VALUES for p in singular if is_singular_on_family(t, p)
+    ]
+    assert {is_node(t, p) for t, p in pairs} == {True, False}
+    # Both denominators are cleared at a singular point at least once.
+    assert [
+        (t, p)
+        for t, p in pairs
+        if t.denominator != 1
+        and any(c.re.denominator != 1 or c.om.denominator != 1 for c in p)
+    ] == [(Fraction(10, 7), ProjectivePoint([5, -1, -1, -1, -1, -1]))]
 
 
 def _act_on_quadric(g, v):

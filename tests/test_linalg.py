@@ -1,5 +1,12 @@
-"""Unit tests for exact matrices, quadratic forms, and parameter sets."""
+"""Unit tests for exact matrices, quadratic forms, and parameter sets.
 
+The package ranks and reduces by fraction-free elimination over Z[w];
+row_reduce below, plain Gauss-Jordan elimination with field division, is
+the oracle it is compared with.
+"""
+
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +14,7 @@ import pytest
 from s6quartic import (
     OMEGA,
     Eisenstein,
+    Polynomial,
     gram_matrix,
     parse_polynomial,
 )
@@ -21,6 +29,43 @@ from s6quartic.linalg import (
 
 X0, X1, X2, X3, X4, X5 = X
 W = OMEGA
+
+
+def row_reduce(rows):
+    """In-place reduced row echelon form over the field; returns (rows,
+    pivot columns).  The pivot in each column is the first nonzero entry
+    at or below the current row."""
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def oracle_rank(rows) -> int:
+    return len(row_reduce([list(r) for r in rows])[1])
+
+
+def oracle_rref(rows) -> list:
+    reduced, pivots = row_reduce([list(r) for r in rows])
+    return [
+        sum((c * X[i] for i, c in enumerate(row) if c), Polynomial.zero())
+        for row in reduced[: len(pivots)]
+    ]
 
 
 def frac_det4(m: Matrix) -> Eisenstein:
@@ -66,6 +111,61 @@ class TestMatrix:
         assert Matrix([[1, 2], [2, 4]]).rank() == 1
         assert Matrix([[1, W], [W, W * W]]).rank() == 1
         assert Matrix([[1, 0], [W, 1]]).rank() == 2
+
+    def test_rank_matches_the_oracle_on_products_of_controlled_rank(self):
+        # An n x k times k x m product has rank at most k; its entries are
+        # non-integral, with denominators 1, 2, 3 and 7.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        sizes = st.integers(1, 7)
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+        @hypothesis.given(sizes, sizes, sizes, st.integers(0, 2**32))
+        def check(n, k, m, seed):
+            rng = random.Random(seed)
+
+            def entry():
+                den = rng.choice((1, 1, 2, 3, 7))
+                a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+                return Eisenstein(Fraction(a, den), Fraction(b, den))
+
+            left = [[entry() for _ in range(k)] for _ in range(n)]
+            right = [[entry() for _ in range(m)] for _ in range(k)]
+            rows = [
+                [
+                    sum((a * r[c] for a, r in zip(row, right)), Eisenstein(0))
+                    for c in range(m)
+                ]
+                for row in left
+            ]
+            assert Matrix(rows).rank() == oracle_rank(rows) <= k
+            # The same rows cut or padded to six columns, as linear forms.
+            coefficients = [(row + [Eisenstein(0)] * 6)[:6] for row in rows]
+            forms = [
+                sum((c * x for c, x in zip(row, X)), Polynomial.zero())
+                for row in coefficients
+            ]
+            assert rref_linear_forms(forms) == oracle_rref(coefficients)
+
+        check()
+
+    def test_rank_of_a_16x16_matrix_with_30_bit_entries(self):
+        # Cross-multiplying rows without dividing by the previous pivot
+        # grows these entries past two million bits; Bareiss keeps them
+        # minors of the input, a few hundred bits.
+        rng = random.Random(16)
+
+        def big():
+            return rng.getrandbits(30) - 2**29
+
+        rows = [[Eisenstein(big(), big()) for _ in range(16)] for _ in range(14)]
+        rows.append([W * e for e in rows[3]])
+        rows.append([-e for e in rows[11]])
+        rng.shuffle(rows)
+        start = time.perf_counter()
+        rank = Matrix(rows).rank()
+        assert time.perf_counter() - start < 5
+        assert rank == oracle_rank(rows) == 14
 
     def test_rank_of_gradient_configuration(self):
         # At (1, 1, w, w, w^2, w^2) on the t = 6 member the quartic gradient

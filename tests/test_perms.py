@@ -196,6 +196,33 @@ class TestStructure:
         # S4 has derived subgroup A4 of order 12.
         assert symmetric(4).commutator_subgroup().order == 12
 
+    @pytest.mark.parametrize(
+        "name", ["trivial", "S3", "S4", "D5", "C5", "G20"]
+    )
+    def test_commutator_subgroup_matches_the_closure_of_ordered_pairs(self, name):
+        group = {
+            "trivial": lambda: PermGroup.generate([Permutation.identity(3)]),
+            "S3": lambda: symmetric(3),
+            "S4": lambda: symmetric(4),
+            "D5": lambda: PermGroup.generate(
+                [Permutation([2, 3, 4, 5, 1]), Permutation([1, 5, 4, 3, 2])]
+            ),
+            "C5": lambda: PermGroup.generate([H_SHIFT]),
+            "G20": G20,
+        }[name]()
+        # Every ordered commutator, closed under products by hand.
+        closure = {
+            a * b * a.inverse() * b.inverse() for a in group for b in group
+        }
+        frontier = set(closure)
+        while frontier:
+            new = {a * b for a in frontier for b in closure} - closure
+            closure |= new
+            frontier = new
+        derived = group.commutator_subgroup()
+        assert set(derived.elements) == closure
+        assert derived.degree == group.degree
+
     def test_semidirect_product_structure(self):
         g = G20()
         translations = PermGroup.generate([H_SHIFT])
