@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED
 from .linalg import TSolutionSet, gram_matrix
@@ -75,7 +75,13 @@ class ConfigError(ValueError):
     """A configuration or usage problem; maps to process exit code 2."""
 
 
-class RunConfig(NamedTuple):
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        "selected_checks t_values scan_alphabet",
+        defaults=((), (Fraction(6),), "pm1"),
+    )
+):
     """Everything a run of the registry depends on; an immutable record.
 
     selected_checks empty means the full default registry.  t_values and
@@ -83,17 +89,11 @@ class RunConfig(NamedTuple):
     the registry checks pin their own parameter values.
     """
 
-    selected_checks: tuple = ()
-    t_values: tuple = (Fraction(6),)
-    scan_alphabet: str = "pm1"
+    __slots__ = ()
 
 
-class CheckRecord(NamedTuple):
-    check_id: str
-    paper_anchor: str
-    status: str  # "pass", "fail", or "error"
-    details: dict
-    elapsed: int  # milliseconds
+# status is "pass", "fail" or "error"; elapsed is in milliseconds.
+CheckRecord = namedtuple("CheckRecord", "check_id paper_anchor status details elapsed")
 
 
 @lru_cache(maxsize=1)

@@ -9,8 +9,9 @@ family parameter t lives here too.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from .eisenstein import Eisenstein, ZERO, _cleared, _make, _pair_mul
 from .poly import NVARS, Polynomial
@@ -168,15 +169,14 @@ def gram_matrix(quadric: Polynomial, variables: Sequence[int]) -> Matrix:
 
 # -- sets of family parameters ------------------------------------------------
 
-class TSolutionSet(NamedTuple):
+class TSolutionSet(namedtuple("TSolutionSet", "kind values", defaults=((),))):
     """A set of rational values of the family parameter t.
 
     kind is one of "all" (every rational t), "finite" (the listed values),
     or "empty".
     """
 
-    kind: str
-    values: tuple = ()
+    __slots__ = ()
 
     @classmethod
     def finite(cls, values) -> "TSolutionSet":

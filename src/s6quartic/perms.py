@@ -12,7 +12,7 @@ deterministic.  All of this is sized for groups of order a few hundred.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 GENERATE_CAP = 5040
 SUBGROUP_SCAN_CAP = 120

@@ -12,10 +12,10 @@ output) is lexicographic on the exponent vector with x0 most significant.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
-from typing import Mapping, Sequence
 
 from .eisenstein import Eisenstein, ONE, ZERO, _operand, _reduced
 

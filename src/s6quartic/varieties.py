@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
+from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
 from .eisenstein import _cleared, _pair_mul
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
 from .parsing import parse_point_coordinates
@@ -246,20 +246,15 @@ def _power_sums(xs) -> tuple:
     return squares, p2, p4
 
 
-def is_singular_on_family(t, point: ProjectivePoint) -> bool:
-    """Jacobian test on the pair (linear form, quartic) in P^5.
-
-    The point is singular iff it lies on both forms and the 2x6 matrix of
-    their gradients has rank at most 1, i.e. the gradient of Q is a
+def _singular(t: Fraction, xs) -> bool:
+    """Jacobian test at int-pair coordinates xs on the hyperplane: the
+    point is singular iff it lies on the quartic and the 2x6 matrix of the
+    gradients of (L, Q) has rank at most 1, i.e. the gradient of Q is a
     multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the
     same for every i.  With t = p/q both conditions are tested times q:
     p*p4 = q*p2^2, and (p*x_i^2 - q*p2)*x_i is the same for every i.
     """
-    t = family_parameter(t)
     p, q = t.numerator, t.denominator
-    xs = _cleared(point.coords)
-    if not _on_hyperplane(xs):
-        return False
     squares, p2, p4 = _power_sums(xs)
     p2_squared = _pair_mul(p2, p2)
     if p * p4[0] != q * p2_squared[0] or p * p4[1] != q * p2_squared[1]:
@@ -270,6 +265,14 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
         for (sa, sb), x in zip(squares, xs)
     }
     return len(gradient) == 1
+
+
+def is_singular_on_family(t, point: ProjectivePoint) -> bool:
+    """Whether the point is a singular point of the t-member: it lies on
+    the hyperplane and passes the Jacobian test of _singular."""
+    t = family_parameter(t)
+    xs = _cleared(point.coords)
+    return _on_hyperplane(xs) and _singular(t, xs)
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -283,12 +286,12 @@ def is_node(t, point: ProjectivePoint) -> bool:
     point that is not singular on the family member is an error.
     """
     t = family_parameter(t)
-    if not is_singular_on_family(t, point):
+    xs = _cleared(point.coords)
+    if not (_on_hyperplane(xs) and _singular(t, xs)):
         raise ValueError(
             f"node test requires a singular point; {point} is smooth on the "
             f"t = {t} member"
         )
-    xs = _cleared(point.coords)
     chart = next(i for i, x in enumerate(xs) if x != (0, 0))
     e = next(i for i in range(NVARS) if i != chart)
     rest = [i for i in range(NVARS) if i not in (chart, e)]
@@ -342,7 +345,7 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
         num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
         if not num_w:
             t = Fraction(num, c * c - c * d + d * d)
-            if is_singular_on_family(t, point):
+            if _singular(t, xs):
                 return TSolutionSet.finite([t])
         return EMPTY
     if p2 != (0, 0):
@@ -355,12 +358,13 @@ def scan_alphabet(t, alphabet) -> list:
     """All singular points of the t-member whose coordinates lie in the
     alphabet, deduplicated projectively and sorted deterministically.
 
-    Every member lies on the hyperplane sum(x) = 0, so only the first five
-    coordinates are enumerated: the sixth is minus their sum, kept when it
-    is a letter.  SCAN_CAP bounds the whole space, len(alphabet)^6.
+    The letters are cleared once to int pairs.  Every member lies on the
+    hyperplane sum(x) = 0, so only the first five coordinates are
+    enumerated, len(alphabet)^5 int-pair sums: the sixth is minus their
+    sum, kept when it is a letter.  Only the tuples that pass the Jacobian
+    test become points.  SCAN_CAP bounds the whole space, len(alphabet)^6.
     """
-    members = {Eisenstein.coerce(entry) for entry in alphabet}
-    letters = sorted(members, key=Eisenstein.sort_key)
+    letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
     if not letters:
         raise ValueError("the alphabet must be nonempty")
     if len(letters) ** NVARS > SCAN_CAP:
@@ -368,20 +372,14 @@ def scan_alphabet(t, alphabet) -> list:
             f"scan space {len(letters)}^{NVARS} exceeds the cap {SCAN_CAP}"
         )
     t = family_parameter(t)
-    seen = set()
-    found = []
-    for head in product(letters, repeat=NVARS - 1):
-        last = -sum(head, ZERO)
-        if last not in members or not any(head):
-            continue
-        p = ProjectivePoint(head + (last,))
-        if p in seen:
-            continue
-        seen.add(p)
-        if is_singular_on_family(t, p):
-            found.append(p)
-    found.sort(key=ProjectivePoint.sort_key)
-    return found
+    pairs = dict(zip(_cleared(letters), letters))
+    found = set()
+    for head in product(pairs, repeat=NVARS - 1):
+        a, b = map(sum, zip(*head))
+        xs = head + ((-a, -b),)
+        if xs[-1] in pairs and any(map(any, xs)) and _singular(t, xs):
+            found.add(ProjectivePoint([pairs[x] for x in xs]))
+    return sorted(found, key=ProjectivePoint.sort_key)
 
 
 # -- the distinguished plane, quadrics, and points ----------------------------

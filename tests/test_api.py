@@ -155,15 +155,16 @@ def test_readme_library_tour_runs(capsys):
 def test_import_loads_no_decorator_machinery():
     # The package needs none of these; dataclasses alone pulls in inspect,
     # ast, dis and tokenize.  Only a fresh interpreter shows what the import
-    # itself loads.
+    # itself loads, and only one started with -S: a site hook may preload
+    # typing.
     probe = (
-        "import sys; before = set(sys.modules); import s6quartic; "
-        "print(sorted({'configparser', 'dataclasses', 'inspect', 'string'} "
-        "& (set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import s6quartic.cli; "
+        "print(sorted({'configparser', 'dataclasses', 'inspect', 'string', "
+        "'typing'} & (set(sys.modules) - before)))"
     )
     src = str(Path(s6quartic.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
