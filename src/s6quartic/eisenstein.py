@@ -245,14 +245,21 @@ class Eisenstein:
         return hash(Fraction(self._a, self._den))
 
     def sort_key(self):
-        """Arbitrary but fixed total order, used for deterministic output."""
+        """Arbitrary but fixed total order, used for deterministic output:
+        (re, om).  An Eisenstein integer gives its int pair, which compares
+        exactly with the Fraction pairs of the others."""
+        if self._den == 1:
+            return (self._a, self._b)
         return (self.re, self.om)
 
     def __repr__(self):
         return f"Eisenstein({self.re!r}, {self.om!r})"
 
     def __str__(self):
-        re, om = self.re, self.om
+        if self._den == 1:
+            re, om = self._a, self._b
+        else:
+            re, om = self.re, self.om
         if om == 0:
             return str(re)
         if om == 1:

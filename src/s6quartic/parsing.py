@@ -2,8 +2,7 @@
 
     expression := term (('+' | '-') term)*
     term       := factor (('*' | '/') factor)*
-    factor     := ('-' | '+')* power
-    power      := atom ('^' integer)*
+    factor     := ('-' | '+')* atom ('^' integer)*
     atom       := x0..x5 | 'w' | integer | '(' expression ')'
 
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .eisenstein import Eisenstein, OMEGA
+from .eisenstein import Eisenstein, OMEGA, _make
 from .poly import NVARS, Polynomial, X, _int_pairs
 
 MAX_EXPONENT = 1000
@@ -143,9 +142,11 @@ class _Parser:
     # while it is constant and becomes a Polynomial once a variable enters.
 
     def expression(self):
+        tokens = self.tokens
         result = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
+        while tokens[self.pos][0] in ("+", "-"):
+            op, _, pos = tokens[self.pos]
+            self.pos += 1
             rhs = self.term()
             result = result + rhs if op == "+" else result - rhs
             if _too_wide(result):
@@ -155,9 +156,11 @@ class _Parser:
         return result
 
     def term(self):
+        tokens = self.tokens
         result = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            kind, _, pos = self.advance()
+        while tokens[self.pos][0] in ("*", "/"):
+            kind, _, pos = tokens[self.pos]
+            self.pos += 1
             rhs = self.factor()
             if kind == "/":
                 value = _constant(rhs)
@@ -182,18 +185,38 @@ class _Parser:
         return result
 
     def factor(self):
+        tokens = self.tokens
         sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
+        kind, value, pos = tokens[self.pos]
+        self.pos += 1
+        while kind in ("+", "-"):
+            if kind == "-":
                 sign = -sign
-        p = self.power()
-        return p if sign > 0 else -p
-
-    def power(self):
-        result = self.atom()
-        while self.peek()[0] == "^":
-            caret = self.advance()[2]
-            kind, value, pos = self.advance()
+            kind, value, pos = tokens[self.pos]
+            self.pos += 1
+        if kind == "int":
+            result = _make(value, 0, 1)
+        elif kind == "w":
+            result = OMEGA
+        elif kind == "var":
+            result = X[value]
+        elif kind == "(":
+            # Each level recurses through every grammar rule, so the depth
+            # is bounded well below the interpreter's recursion limit.
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
+            self.depth += 1
+            result = self.expression()
+            self.expect(")")
+            self.depth -= 1
+        else:
+            raise ParseError(f"unexpected token '{kind}'", pos)
+        while tokens[self.pos][0] == "^":
+            caret = tokens[self.pos][2]
+            kind, value, pos = tokens[self.pos + 1]
+            self.pos += 2
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", pos)
             if value > MAX_EXPONENT:
@@ -215,29 +238,7 @@ class _Parser:
                     f"constant exceeds {MAX_CONSTANT_BITS} bits", caret
                 )
             result = result ** value
-        return result
-
-    def atom(self):
-        kind, value, pos = self.advance()
-        if kind == "int":
-            return Eisenstein.coerce(value)
-        if kind == "w":
-            return OMEGA
-        if kind == "var":
-            return X[value]
-        if kind == "(":
-            # Each level recurses through every grammar rule, so the depth
-            # is bounded well below the interpreter's recursion limit.
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", pos
-                )
-            self.depth += 1
-            inner = self.expression()
-            self.expect(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(f"unexpected token '{kind}'", pos)
+        return result if sign > 0 else -result
 
     def finish(self):
         end = self.peek()
@@ -265,7 +266,8 @@ def _power_bits(base: Polynomial, exponent: int) -> int:
     |a| + |b| <= 2M, and a component of z = a + b*w is below 2|z|, so each
     component is below 2*(2*M*T)^n, and the denominator is D^n.
     """
-    den, pairs = _int_pairs(base)
+    # Only the coefficients are read, so the monomials need no field width.
+    den, pairs = _int_pairs(base, 0)
     largest = max((max(abs(a), abs(b)) for _, a, b in pairs), default=0)
     width = max(largest, den).bit_length() + len(pairs).bit_length() + 1
     return exponent * width + 1

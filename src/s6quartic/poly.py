@@ -102,26 +102,10 @@ class Polynomial:
             if not c:
                 return _raw({})
             return _raw({m: coeff * c for m, coeff in self.terms.items()})
-        # Both operands as (monomial, a, b) over one common denominator each,
-        # so every term product is plain int arithmetic and the only gcds are
-        # taken once per surviving monomial of the result.
-        d1, left = _int_pairs(self)
-        d2, right = _int_pairs(other)
-        acc: dict = {}
-        get = acc.get
-        for m1, a, b in left:
-            for m2, c, d in right:
-                mono = tuple(map(add, m1, m2))
-                # (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
-                bd = b * d
-                x = a * c - bd
-                y = a * d + b * c - bd
-                old = get(mono)
-                acc[mono] = (x, y) if old is None else (old[0] + x, old[1] + y)
-        den = d1 * d2
-        return _raw(
-            {m: _reduced(x, y, den) for m, (x, y) in acc.items() if x or y}
-        )
+        width = (_top_exponent(self) + _top_exponent(other)).bit_length()
+        d1, left = _int_pairs(self, width)
+        d2, right = _int_pairs(other, width)
+        return _unpacked(_product(left, right), d1 * d2, width)
 
     __rmul__ = __mul__
 
@@ -134,16 +118,20 @@ class Polynomial:
             raise ValueError("polynomial exponent must be a non-negative integer")
         if exponent == 0:
             return Polynomial.constant(1)
+        # No exponent of an intermediate power passes exponent * top, so
+        # fields of its bit length hold them all; the coefficients stay
+        # unreduced over den^k and each is reduced once, when unpacked.
+        width = (_top_exponent(self) * exponent).bit_length()
+        den, base = _int_pairs(self, width)
         result = None
-        base = self
         e = exponent
         while True:
             if e & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _product(result, base)
             e >>= 1
             if not e:
-                return result
-            base = base * base
+                return _unpacked(result, den**exponent, width)
+            base = _product(base, base)
 
     # -- queries -------------------------------------------------------------
 
@@ -282,15 +270,62 @@ def _raw(terms: dict) -> Polynomial:
     return p
 
 
-def _int_pairs(p: Polynomial):
-    """(D, [(monomial, a, b)]) with every coefficient equal to (a + b*w)/D."""
+def _top_exponent(p: Polynomial) -> int:
+    """The largest exponent of any variable in any term; 0 if none."""
+    return max(map(max, p.terms), default=0)
+
+
+def _int_pairs(p: Polynomial, width: int):
+    """(D, [(packed monomial, a, b)]) with every coefficient equal to
+    (a + b*w)/D.
+
+    A monomial is packed into one int, x0 in the most significant of six
+    fields of width bits.  While every exponent of a product stays below
+    2**width no field carries into the next, so multiplying two monomials
+    is adding their packed ints.
+    """
     den = lcm(*(c._den for c in p.terms.values()))
     pairs = []
     for mono, c in p.terms.items():
         a, b, d = c._parts()
         k = den // d
-        pairs.append((mono, a * k, b * k))
+        packed = 0
+        for e in mono:
+            packed = packed << width | e
+        pairs.append((packed, a * k, b * k))
     return den, pairs
+
+
+def _product(left: list, right: list) -> list:
+    """The product of two packed pair lists, without its zero terms.
+
+    Every term product is plain int arithmetic; nothing is reduced here.
+    """
+    acc: dict = {}
+    get = acc.get
+    for m1, a, b in left:
+        for m2, c, d in right:
+            m = m1 + m2
+            # (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
+            bd = b * d
+            x = a * c - bd
+            y = a * d + b * c - bd
+            old = get(m)
+            acc[m] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    return [(m, x, y) for m, (x, y) in acc.items() if x or y]
+
+
+def _unpacked(pairs: list, den: int, width: int) -> Polynomial:
+    """The polynomial of a packed pair list over den; each coefficient is
+    reduced here, once."""
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(NVARS - 1, -1, -1)]
+    return _raw(
+        {
+            tuple([m >> s & mask for s in shifts]): _reduced(x, y, den)
+            for m, x, y in pairs
+        }
+    )
 
 
 def _coerce_poly(value):

@@ -1,5 +1,6 @@
 """Unit tests for the exact quadratic-field arithmetic layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,17 @@ class TestComparisonAndHash:
         values = [OMEGA, ZERO, ONE, -ONE, OMEGA_SQUARED]
         ordered = sorted(values, key=lambda e: e.sort_key())
         assert ordered.index(-ONE) < ordered.index(ZERO) < ordered.index(ONE)
+
+    def test_sort_key_matches_the_fraction_pair_order(self):
+        # Integral elements give an int pair and the others Fractions; the
+        # mixed comparison must order them as (re, om) Fractions do.
+        halves = [Fraction(k, 2) for k in range(-5, 6)]
+        values = [Eisenstein(re, om) for re in halves for om in halves]
+        values += [OMEGA, OMEGA_SQUARED, Eisenstein(0, Fraction(-1, 3))]
+        random.Random(5).shuffle(values)
+        assert sorted(values, key=Eisenstein.sort_key) == sorted(
+            values, key=lambda e: (Fraction(e.re), Fraction(e.om))
+        )
 
 
 class TestFormatting:

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 import pytest
 
@@ -14,6 +16,7 @@ from s6quartic import (
     quartic_family,
 )
 from s6quartic.eisenstein import OMEGA_SQUARED, ONE
+from s6quartic import poly
 from s6quartic.poly import NVARS, X, format_polynomial
 from test_geometry_oracle import gradient, partial_derivative
 
@@ -383,17 +386,16 @@ class TestFormatting:
         )
 
 
-def _count_products(monkeypatch, cls):
-    """Count calls of cls.__mul__ and cls.__rmul__ from here on."""
+def _count_products(monkeypatch):
+    """Count calls of the packed product loop from here on."""
     calls = []
-    for name in ("__mul__", "__rmul__"):
-        original = getattr(cls, name)
+    original = poly._product
 
-        def counting(self, other, original=original):
-            calls.append(1)
-            return original(self, other)
+    def counting(left, right):
+        calls.append(1)
+        return original(left, right)
 
-        monkeypatch.setattr(cls, name, counting)
+    monkeypatch.setattr(poly, "_product", counting)
     return calls
 
 
@@ -401,7 +403,7 @@ class TestPowerProductCount:
     def test_power_makes_no_wasted_squaring(self, monkeypatch):
         p = X0 + 2 * X1 - OMEGA * X2
         expected = p * p * p * p * p * p * p * p
-        calls = _count_products(monkeypatch, Polynomial)
+        calls = _count_products(monkeypatch)
         assert p**8 == expected
         assert len(calls) == 3
 
@@ -411,6 +413,83 @@ class TestPowerProductCount:
         expected = Polynomial.constant(1)
         for _ in range(exponent):
             expected = expected * p
-        calls = _count_products(monkeypatch, Polynomial)
+        calls = _count_products(monkeypatch)
         assert p**exponent == expected
         assert len(calls) == products
+
+
+def product_oracle(p, q):
+    """p * q on tuple-keyed monomials: each operand as (monomial, a, b)
+    int pairs over its common denominator, every monomial product a tuple
+    sum, and each coefficient normalised by the public constructor."""
+
+    def cleared(poly):
+        den = lcm(*(c._den for c in poly.terms.values()))
+        return den, [
+            (m, c._a * (den // c._den), c._b * (den // c._den))
+            for m, c in poly.terms.items()
+        ]
+
+    d1, left = cleared(p)
+    d2, right = cleared(q)
+    acc = {}
+    for m1, a, b in left:
+        for m2, c, d in right:
+            mono = tuple(map(add, m1, m2))
+            # (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
+            bd = b * d
+            x = a * c - bd
+            y = a * d + b * c - bd
+            old = acc.get(mono)
+            acc[mono] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    den = d1 * d2
+    return Polynomial(
+        {m: Eisenstein(Fraction(x, den), Fraction(y, den)) for m, (x, y) in acc.items()}
+    )
+
+
+def power_oracle(p, exponent):
+    result = Polynomial.constant(1)
+    for _ in range(exponent):
+        result = product_oracle(result, p)
+    return result
+
+
+class TestPackedProducts:
+    def test_products_and_powers_match_the_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        parts = st.integers(-9, 9)
+        dens = st.integers(1, 6)
+        coefficients = st.builds(
+            lambda a, b, d, e: Eisenstein(Fraction(a, d), Fraction(b, e)),
+            parts, parts, dens, dens,
+        )
+        monomials = st.tuples(*[st.integers(0, 9)] * NVARS)
+        polynomials = st.dictionaries(monomials, coefficients, max_size=5).map(
+            Polynomial
+        )
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+        @hypothesis.given(polynomials, polynomials, st.integers(0, 4))
+        def check(p, q, k):
+            assert p * q == product_oracle(p, q)
+            assert p**k == power_oracle(p, k)
+
+        check()
+
+    def test_zero_polynomial(self):
+        zero = X1 - X1
+        assert zero**2 == Polynomial.zero()
+        assert zero**0 == Polynomial.constant(1)
+        assert zero * (X0 + 1) == (X0 + 1) * zero == Polynomial.zero()
+
+    def test_fields_widen_with_the_exponents(self):
+        def power_of_x0(e):
+            return Polynomial({(e, 0, 0, 0, 0, 0): 1})
+
+        assert X0**5000 == power_of_x0(5000)
+        assert X0**700 * X0**900 == power_of_x0(1600)
+        p = X0**700 + OMEGA * X5**3 / 2
+        assert p * (X0**900 - X5) == product_oracle(p, X0**900 - X5)
+        assert (X5**255 + X4) ** 3 == power_oracle(X5**255 + X4, 3)

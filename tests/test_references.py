@@ -1,10 +1,10 @@
 """The stored reference outputs, byte for byte.
 
 Every change must leave the `verify` JSON (without `elapsed`), the `scan`
-outputs and the demo outputs as they are stored under `tests/reference/`
-and `perfbench/reference/`.  Each case runs in-process, the CLI through
-`cli.main` and a demo through `runpy`, and compares the captured stdout
-bytes with the stored file.
+and `eval` outputs and the demo outputs as they are stored under
+`tests/reference/` and `perfbench/reference/`.  Each case runs in-process,
+the CLI through `cli.main` and a demo through `runpy`, and compares the
+captured stdout bytes with the stored file.
 """
 
 import re
@@ -40,6 +40,10 @@ VERIFY_RUNS = [
 
 DEMOS = ["family_tour", "group_action", "plane_slice"]
 
+# One `poly;point` pair per line; CI runs the same pairs through the
+# installed command.
+EVAL_ARGS = REFERENCE / "eval-powers-args.txt"
+
 _ELAPSED = re.compile(rb'"elapsed":[0-9]*,')
 
 
@@ -65,6 +69,15 @@ def test_verify_json_matches_reference(flags, reference, capsysbinary):
         _ELAPSED.sub(b"", line, count=1) for line in out.splitlines(keepends=True)
     )
     assert stripped == reference.read_bytes()
+
+
+def test_eval_matches_reference(capsysbinary):
+    out = b""
+    for line in EVAL_ARGS.read_text().splitlines():
+        poly, point = line.split(";")
+        assert main(["eval", "--poly", poly, "--point", point]) == 0
+        out += capsysbinary.readouterr()[0]
+    assert out == (REFERENCE / "eval-powers.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", DEMOS)

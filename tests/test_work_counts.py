@@ -1,9 +1,10 @@
-"""The deterministic work of a default verify and of twelve scans, pinned.
+"""The deterministic work of a default verify, of twelve scans and of
+nine parsed expansions, pinned.
 
 A profile hook counts the calls of a few functions by their code object,
 so a call is seen whichever module it comes from.  The counts are taken in
 a fresh interpreter, where no cache is warm, and compared exactly with
-`tests/reference/work-verify.json` and `tests/reference/work-scan.json`.
+`tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
 A change that changes a count updates those files and gives the reason.
 
     PYTHONPATH=src python tests/test_work_counts.py          # print the counts
@@ -20,6 +21,19 @@ from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
 SCAN_T_VALUES = (Fraction(6), Fraction(7), Fraction(10, 7))
+# One expansion per (terms, exponent) shape of the benchmark's eval-mix
+# schedule, with fixed coefficients, and a power of the zero polynomial.
+EVAL_TEXTS = (
+    "(1/2*x0 + w*x1 - 3*x2)^8",
+    "(2*x3 - 5/3*x4 + (1 + w)*x5)^6",
+    "(x0 + 7/2*x1 - w*x2 + 4*x3)^5",
+    "(-3/4*x1 + x2 + 2*w*x4 - 6*x5)^7",
+    "(x0 - x1 + 5/2*x2 + (3 - 2*w)*x3 + 9*x4)^4",
+    "(2*x0 + x1 - 1/3*x2 + x3 + w*x4 - 8*x5)^3",
+    "(x0 + 2*x1 + 3*x2 + 4*x3 + 5*x4 + 6*x5 + 7/5)^2",
+    "(1/2*x0 - x1 + w*x2 + 3*x3 - 2/7*x4 + x5 - (1 - w))^3",
+    "(x1 - x1)^2",
+)
 
 
 def _counted(run, targets: dict) -> tuple:
@@ -42,6 +56,7 @@ def _counted(run, targets: dict) -> tuple:
 def measure() -> dict:
     from s6quartic import DEFAULT_ALPHABETS, Eisenstein, ProjectivePoint
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
+    from s6quartic import Polynomial, eisenstein, parse_polynomial, poly
 
     work = {"points_built": ProjectivePoint.__init__, "additions": Eisenstein.__add__}
     calls = ("act_on_variety", "is_singular_on_family", "is_node", "projective_orbit")
@@ -57,7 +72,16 @@ def measure() -> dict:
                 lambda: scan_alphabet(t, DEFAULT_ALPHABETS[name]), work
             )
             scans.append({"t": str(t), "alphabet": name, **scan, "found": len(found)})
-    return {"verify": verify, "scan": scans}
+    products = {
+        "mul": Polynomial.__mul__,
+        "product": poly._product,
+        "reduced": eisenstein._reduced,
+    }
+    evals = []
+    for text in EVAL_TEXTS:
+        result, expansion = _counted(lambda: parse_polynomial(text), products)
+        evals.append({"text": text, **expansion, "terms": len(result.terms)})
+    return {"verify": verify, "scan": scans, "eval": evals}
 
 
 @lru_cache(maxsize=1)
@@ -82,6 +106,11 @@ def test_default_verify_work_matches_reference():
 def test_scan_work_matches_reference():
     stored = json.loads((REFERENCE / "work-scan.json").read_text())
     assert fresh_measurement()["scan"] == stored
+
+
+def test_eval_work_matches_reference():
+    stored = json.loads((REFERENCE / "work-eval.json").read_text())
+    assert fresh_measurement()["eval"] == stored
 
 
 if __name__ == "__main__":
