@@ -246,20 +246,20 @@ def _power_sums(xs) -> tuple:
     return squares, p2, p4
 
 
-def _singular(t: Fraction, xs) -> bool:
-    """Jacobian test at int-pair coordinates xs on the hyperplane: the
-    point is singular iff it lies on the quartic and the 2x6 matrix of the
-    gradients of (L, Q) has rank at most 1, i.e. the gradient of Q is a
-    multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the
-    same for every i.  With t = p/q both conditions are tested times q:
-    p*p4 = q*p2^2, and (p*x_i^2 - q*p2)*x_i is the same for every i.
+def _singular(t: Fraction, xs, squares, p2, p4) -> bool:
+    """Jacobian test at int-pair coordinates xs on the hyperplane, given
+    their squares, p2 and p4 (see _power_sums): the point is singular iff
+    it lies on the quartic and the 2x6 matrix of the gradients of (L, Q)
+    has rank at most 1, i.e. the gradient of Q is a multiple of the
+    all-ones gradient of L: (t*x_i^2 - p2)*x_i is the same for every i.
+    With t = p/q both conditions are tested times q: p*p4 = q*p2^2, and
+    (p*x_i^2 - q*p2)*x_i is the same for every i.
     """
     p, q = t.numerator, t.denominator
-    squares, p2, p4 = _power_sums(xs)
-    p2_squared = _pair_mul(p2, p2)
-    if p * p4[0] != q * p2_squared[0] or p * p4[1] != q * p2_squared[1]:
+    a, b = p2
+    if p * p4[0] != q * (a * a - b * b) or p * p4[1] != q * (2 * a - b) * b:
         return False
-    qa, qb = q * p2[0], q * p2[1]
+    qa, qb = q * a, q * b
     gradient = {
         _pair_mul((p * sa - qa, p * sb - qb), x)
         for (sa, sb), x in zip(squares, xs)
@@ -272,7 +272,7 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     the hyperplane and passes the Jacobian test of _singular."""
     t = family_parameter(t)
     xs = _cleared(point.coords)
-    return _on_hyperplane(xs) and _singular(t, xs)
+    return _on_hyperplane(xs) and _singular(t, xs, *_power_sums(xs))
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -287,7 +287,8 @@ def is_node(t, point: ProjectivePoint) -> bool:
     """
     t = family_parameter(t)
     xs = _cleared(point.coords)
-    if not (_on_hyperplane(xs) and _singular(t, xs)):
+    squares, p2, p4 = _power_sums(xs)
+    if not (_on_hyperplane(xs) and _singular(t, xs, squares, p2, p4)):
         raise ValueError(
             f"node test requires a singular point; {point} is smooth on the "
             f"t = {t} member"
@@ -303,7 +304,6 @@ def is_node(t, point: ProjectivePoint) -> bool:
     # H_ij = d_i*delta_ij - 2q*x_i*x_j with d_i = 3p*x_i^2 - q*p2, so that
     # entry is d_r*delta_rs + d_e - 2q*(x_r - x_e)*(x_s - x_e).
     p, q = t.numerator, t.denominator
-    squares, p2, _ = _power_sums(xs)
     d = [(3 * p * a - q * p2[0], 3 * p * b - q * p2[1]) for a, b in squares]
     ea, eb = xs[e]
     u = [(xs[r][0] - ea, xs[r][1] - eb) for r in rest]
@@ -345,7 +345,7 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
         num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
         if not num_w:
             t = Fraction(num, c * c - c * d + d * d)
-            if _singular(t, xs):
+            if _singular(t, xs, squares, p2, p4):
                 return TSolutionSet.finite([t])
         return EMPTY
     if p2 != (0, 0):
@@ -358,11 +358,15 @@ def scan_alphabet(t, alphabet) -> list:
     """All singular points of the t-member whose coordinates lie in the
     alphabet, deduplicated projectively and sorted deterministically.
 
-    The letters are cleared once to int pairs.  Every member lies on the
-    hyperplane sum(x) = 0, so only the first five coordinates are
-    enumerated, len(alphabet)^5 int-pair sums: the sixth is minus their
-    sum, kept when it is a letter.  Only the tuples that pass the Jacobian
-    test become points.  SCAN_CAP bounds the whole space, len(alphabet)^6.
+    The letters are cleared once to int pairs, and one table maps each
+    cleared letter to the int pairs of x, x^2 and x^4.  Every member lies
+    on the hyperplane sum(x) = 0, so only the first five coordinates are
+    enumerated, as a stream: the sums of x, x^2 and x^4 over each
+    four-letter prefix are taken once, and each fifth letter adds its
+    entry.  The sixth coordinate is minus the sum of x, kept only when it
+    is a letter, and its entry completes p2 and p4 for the Jacobian test.
+    Only the tuples that pass it become points.  SCAN_CAP bounds the whole
+    space, len(alphabet)^6.
     """
     letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
     if not letters:
@@ -373,12 +377,30 @@ def scan_alphabet(t, alphabet) -> list:
         )
     t = family_parameter(t)
     pairs = dict(zip(_cleared(letters), letters))
+    table = {}
+    for x in pairs:
+        square = _pair_mul(x, x)
+        table[x] = (x, square, _pair_mul(square, square))
+    entries = tuple(table.values())
     found = set()
-    for head in product(pairs, repeat=NVARS - 1):
+    for prefix in product(entries, repeat=NVARS - 2):
+        head, head_squares, head_fourths = zip(*prefix)
         a, b = map(sum, zip(*head))
-        xs = head + ((-a, -b),)
-        if xs[-1] in pairs and any(map(any, xs)) and _singular(t, xs):
-            found.add(ProjectivePoint([pairs[x] for x in xs]))
+        sa, sb = map(sum, zip(*head_squares))
+        fa, fb = map(sum, zip(*head_fourths))
+        for x5, s5, f5 in entries:
+            last = table.get((-a - x5[0], -b - x5[1]))
+            if last is None:
+                continue
+            x6, s6, f6 = last
+            xs = head + (x5, x6)
+            p2 = (sa + s5[0] + s6[0], sb + s5[1] + s6[1])
+            p4 = (fa + f5[0] + f6[0], fb + f5[1] + f6[1])
+            # The zero tuple passes the test but is no point.
+            if _singular(t, xs, head_squares + (s5, s6), p2, p4) and any(
+                map(any, xs)
+            ):
+                found.add(ProjectivePoint([pairs[x] for x in xs]))
     return sorted(found, key=ProjectivePoint.sort_key)
 
 

@@ -7,6 +7,7 @@ and keeps the singular ones, wherever they lie.  The two are compared list
 for list, in order.
 """
 
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -16,6 +17,7 @@ import pytest
 from s6quartic import (
     DEFAULT_ALPHABETS,
     Eisenstein,
+    OMEGA,
     ProjectivePoint,
     is_singular_on_family,
     scan_alphabet,
@@ -68,21 +70,36 @@ class TestScanWork:
     def test_only_points_on_the_hyperplane_are_built(self, monkeypatch):
         counts = {"points": 0, "tests": 0}
         point_init = ProjectivePoint.__init__
-        singular = varieties.is_singular_on_family
+        singular = varieties._singular
 
         def counting_init(self, coords):
             counts["points"] += 1
             point_init(self, coords)
 
-        def counting_test(t, point):
+        def counting_test(*args):
             counts["tests"] += 1
-            return singular(t, point)
+            return singular(*args)
 
         monkeypatch.setattr(ProjectivePoint, "__init__", counting_init)
-        monkeypatch.setattr(varieties, "is_singular_on_family", counting_test)
+        monkeypatch.setattr(varieties, "_singular", counting_test)
         for t in (Fraction(6), Fraction(7), Fraction(-11, 3)):
             for name in ("pm1", "zero_pm1", "cube_roots"):
                 scan_alphabet(t, DEFAULT_ALPHABETS[name])
-        # Per t: 20 + 140 + 90 tuples sum to zero, 10 + 70 + 30 points.
-        assert counts["points"] <= 750
-        assert counts["tests"] <= 330
+        # Per t: 20 + 141 + 90 tuples sum to zero, the zero tuple among
+        # them, and each gets one Jacobian test.  Every t keeps the 90
+        # cube-root tuples; t = 6 also keeps 20 + 20 sign tuples.
+        assert counts["tests"] == 3 * (20 + 141 + 90)
+        assert counts["points"] == 3 * 90 + 20 + 20
+
+    def test_the_heads_are_streamed_not_stored(self):
+        """Seven letters make 7^5 = 16,807 heads; a list of them as tuples
+        takes over a MiB, while the streamed scan peaks near 17 KiB."""
+        alphabet = [0, 1, -1, 2, -2, OMEGA, -OMEGA]
+        tracemalloc.start()
+        try:
+            found = scan_alphabet(6, alphabet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 10
+        assert peak < 128 * 1024

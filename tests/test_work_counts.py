@@ -65,11 +65,14 @@ def measure() -> dict:
         {**{name: getattr(varieties, name) for name in calls}, **work},
     )
     assert all_passed(records)
+    # "tests" counts the Jacobian tests, one per head whose sixth
+    # coordinate is a letter.
+    scan_work = {**work, "tests": varieties._singular}
     scans = []
     for t in SCAN_T_VALUES:
         for name in sorted(DEFAULT_ALPHABETS):
             found, scan = _counted(
-                lambda: scan_alphabet(t, DEFAULT_ALPHABETS[name]), work
+                lambda: scan_alphabet(t, DEFAULT_ALPHABETS[name]), scan_work
             )
             scans.append({"t": str(t), "alphabet": name, **scan, "found": len(found)})
     products = {
