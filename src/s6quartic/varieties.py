@@ -15,10 +15,11 @@ family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations, product, repeat
+from math import gcd
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
-from .eisenstein import _cleared, _pair_mul
+from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
 from .parsing import parse_point_coordinates
 from .perms import STANDARD_LABELS, Permutation
@@ -27,27 +28,59 @@ from .poly import quartic_family
 
 SCAN_CAP = 10**7
 
+_new = object.__new__
+
+
+def _projective_key(xs) -> tuple:
+    """The normal form of the point with int-pair coordinates xs, not all
+    (0, 0): the 12 ints of every pair times the conjugate (c - d, -d) of
+    the first nonzero pair (c, d), then its norm c^2 - c*d + d^2, all
+    divided by their gcd.  Each coordinate is its pair over that norm, so
+    the first nonzero one is 1, and two tuples get the same key iff they
+    are nonzero Q(w)-multiples of each other.
+    """
+    for c, d in xs:
+        if c or d:
+            break
+    e = c - d
+    # (a + b*w)(e - d*w) = a*e + b*d + (b*c - a*d)*w, since w^2 = -1 - w.
+    ints = [v for a, b in xs for v in (a * e + b * d, b * c - a * d)]
+    ints.append(c * c - c * d + d * d)
+    g = gcd(*ints)
+    return tuple(ints) if g == 1 else tuple(v // g for v in ints)
+
+
+def _coords(key) -> tuple:
+    """The field coordinates a _projective_key stands for."""
+    return tuple(map(_reduced, key[:-1:2], key[1::2], repeat(key[-1], NVARS)))
+
+
+def _point(key) -> "ProjectivePoint":
+    """Wrap the point of a _projective_key, skipping the coercion and
+    validation of the public constructor."""
+    p = _new(ProjectivePoint)
+    p.coords = _coords(key)
+    return p
+
 
 class ProjectivePoint:
     """A point of P^5 over Q(w), stored with first nonzero coordinate 1.
 
     Normalization makes equality of points the same as equality of the
-    stored coordinate tuples, so points can live in sets and dicts.
+    stored coordinate tuples, so points can live in sets and dicts.  The
+    coordinates are cleared to int pairs and normalized by
+    _projective_key, the one normalization of points.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        vals = tuple(Eisenstein.coerce(c) for c in coords)
+        vals = [Eisenstein.coerce(c) for c in coords]
         if len(vals) != NVARS:
             raise ValueError(f"a point needs {NVARS} homogeneous coordinates")
-        pivot = next((c for c in vals if c), None)
-        if pivot is None:
+        if not any(vals):
             raise ValueError("all coordinates are zero")
-        if pivot != ONE:
-            scale = pivot.inverse()
-            vals = tuple(scale * c for c in vals)
-        self.coords = vals
+        self.coords = _coords(_projective_key(_cleared(vals)))
 
     @classmethod
     def from_text(cls, text: str) -> "ProjectivePoint":
@@ -246,16 +279,15 @@ def _power_sums(xs) -> tuple:
     return squares, p2, p4
 
 
-def _singular(t: Fraction, xs, squares, p2, p4) -> bool:
-    """Jacobian test at int-pair coordinates xs on the hyperplane, given
-    their squares, p2 and p4 (see _power_sums): the point is singular iff
-    it lies on the quartic and the 2x6 matrix of the gradients of (L, Q)
-    has rank at most 1, i.e. the gradient of Q is a multiple of the
-    all-ones gradient of L: (t*x_i^2 - p2)*x_i is the same for every i.
-    With t = p/q both conditions are tested times q: p*p4 = q*p2^2, and
+def _singular(p: int, q: int, xs, squares, p2, p4) -> bool:
+    """Jacobian test on the t = p/q member at int-pair coordinates xs on
+    the hyperplane, given their squares, p2 and p4 (see _power_sums): the
+    point is singular iff it lies on the quartic and the 2x6 matrix of the
+    gradients of (L, Q) has rank at most 1, i.e. the gradient of Q is a
+    multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the same
+    for every i.  Both conditions are tested times q: p*p4 = q*p2^2, and
     (p*x_i^2 - q*p2)*x_i is the same for every i.
     """
-    p, q = t.numerator, t.denominator
     a, b = p2
     if p * p4[0] != q * (a * a - b * b) or p * p4[1] != q * (2 * a - b) * b:
         return False
@@ -272,7 +304,9 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     the hyperplane and passes the Jacobian test of _singular."""
     t = family_parameter(t)
     xs = _cleared(point.coords)
-    return _on_hyperplane(xs) and _singular(t, xs, *_power_sums(xs))
+    return _on_hyperplane(xs) and _singular(
+        t.numerator, t.denominator, xs, *_power_sums(xs)
+    )
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -286,9 +320,10 @@ def is_node(t, point: ProjectivePoint) -> bool:
     point that is not singular on the family member is an error.
     """
     t = family_parameter(t)
+    p, q = t.numerator, t.denominator
     xs = _cleared(point.coords)
     squares, p2, p4 = _power_sums(xs)
-    if not (_on_hyperplane(xs) and _singular(t, xs, squares, p2, p4)):
+    if not (_on_hyperplane(xs) and _singular(p, q, xs, squares, p2, p4)):
         raise ValueError(
             f"node test requires a singular point; {point} is smooth on the "
             f"t = {t} member"
@@ -303,7 +338,6 @@ def is_node(t, point: ProjectivePoint) -> bool:
     # H[e][s] + H[e][e] on the full Hessian H at the point.  Times q/4,
     # H_ij = d_i*delta_ij - 2q*x_i*x_j with d_i = 3p*x_i^2 - q*p2, so that
     # entry is d_r*delta_rs + d_e - 2q*(x_r - x_e)*(x_s - x_e).
-    p, q = t.numerator, t.denominator
     d = [(3 * p * a - q * p2[0], 3 * p * b - q * p2[1]) for a, b in squares]
     ea, eb = xs[e]
     u = [(xs[r][0] - ea, xs[r][1] - eb) for r in rest]
@@ -345,7 +379,7 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
         num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
         if not num_w:
             t = Fraction(num, c * c - c * d + d * d)
-            if _singular(t, xs, squares, p2, p4):
+            if _singular(t.numerator, t.denominator, xs, squares, p2, p4):
                 return TSolutionSet.finite([t])
         return EMPTY
     if p2 != (0, 0):
@@ -365,8 +399,9 @@ def scan_alphabet(t, alphabet) -> list:
     four-letter prefix are taken once, and each fifth letter adds its
     entry.  The sixth coordinate is minus the sum of x, kept only when it
     is a letter, and its entry completes p2 and p4 for the Jacobian test.
-    Only the tuples that pass it become points.  SCAN_CAP bounds the whole
-    space, len(alphabet)^6.
+    Each tuple that passes it is reduced to its _projective_key, and each
+    distinct key becomes one point.  SCAN_CAP bounds the whole space,
+    len(alphabet)^6.
     """
     letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
     if not letters:
@@ -376,13 +411,13 @@ def scan_alphabet(t, alphabet) -> list:
             f"scan space {len(letters)}^{NVARS} exceeds the cap {SCAN_CAP}"
         )
     t = family_parameter(t)
-    pairs = dict(zip(_cleared(letters), letters))
+    p, q = t.numerator, t.denominator
     table = {}
-    for x in pairs:
+    for x in _cleared(letters):
         square = _pair_mul(x, x)
         table[x] = (x, square, _pair_mul(square, square))
     entries = tuple(table.values())
-    found = set()
+    keys = set()
     for prefix in product(entries, repeat=NVARS - 2):
         head, head_squares, head_fourths = zip(*prefix)
         a, b = map(sum, zip(*head))
@@ -397,11 +432,11 @@ def scan_alphabet(t, alphabet) -> list:
             p2 = (sa + s5[0] + s6[0], sb + s5[1] + s6[1])
             p4 = (fa + f5[0] + f6[0], fb + f5[1] + f6[1])
             # The zero tuple passes the test but is no point.
-            if _singular(t, xs, head_squares + (s5, s6), p2, p4) and any(
+            if _singular(p, q, xs, head_squares + (s5, s6), p2, p4) and any(
                 map(any, xs)
             ):
-                found.add(ProjectivePoint([pairs[x] for x in xs]))
-    return sorted(found, key=ProjectivePoint.sort_key)
+                keys.add(_projective_key(xs))
+    return sorted(map(_point, keys), key=ProjectivePoint.sort_key)
 
 
 # -- the distinguished plane, quadrics, and points ----------------------------

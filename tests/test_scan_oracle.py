@@ -68,28 +68,29 @@ class TestScanWork:
     alphabets at t = 6, a generic integer t and a non-integer t."""
 
     def test_only_points_on_the_hyperplane_are_built(self, monkeypatch):
-        counts = {"points": 0, "tests": 0}
-        point_init = ProjectivePoint.__init__
-        singular = varieties._singular
+        counts = {"keys": 0, "points": 0, "tests": 0}
 
-        def counting_init(self, coords):
-            counts["points"] += 1
-            point_init(self, coords)
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        def counting_test(*args):
-            counts["tests"] += 1
-            return singular(*args)
+            monkeypatch.setattr(varieties, fn.__name__, counted)
 
-        monkeypatch.setattr(ProjectivePoint, "__init__", counting_init)
-        monkeypatch.setattr(varieties, "_singular", counting_test)
+        counting("keys", varieties._projective_key)
+        counting("points", varieties._point)
+        counting("tests", varieties._singular)
         for t in (Fraction(6), Fraction(7), Fraction(-11, 3)):
             for name in ("pm1", "zero_pm1", "cube_roots"):
                 scan_alphabet(t, DEFAULT_ALPHABETS[name])
         # Per t: 20 + 141 + 90 tuples sum to zero, the zero tuple among
         # them, and each gets one Jacobian test.  Every t keeps the 90
-        # cube-root tuples; t = 6 also keeps 20 + 20 sign tuples.
+        # cube-root tuples; t = 6 also keeps 20 + 20 sign tuples.  Each
+        # kept tuple is reduced to a key, and each of the 30 + 10 + 10
+        # distinct keys becomes one point.
         assert counts["tests"] == 3 * (20 + 141 + 90)
-        assert counts["points"] == 3 * 90 + 20 + 20
+        assert counts["keys"] == 3 * 90 + 20 + 20
+        assert counts["points"] == 3 * 30 + 10 + 10
 
     def test_the_heads_are_streamed_not_stored(self):
         """Seven letters make 7^5 = 16,807 heads; a list of them as tuples

@@ -78,8 +78,8 @@ class TestProjectivePoint:
         assert ProjectivePoint(list(p)) == p
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            ProjectivePoint([0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="all coordinates are zero"):
+            ProjectivePoint([0, Fraction(0), Eisenstein(0), 0, 0, 0])
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):

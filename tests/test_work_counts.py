@@ -54,20 +54,37 @@ def _counted(run, targets: dict) -> tuple:
 
 
 def measure() -> dict:
-    from s6quartic import DEFAULT_ALPHABETS, Eisenstein, ProjectivePoint
+    from s6quartic import DEFAULT_ALPHABETS, Eisenstein
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
     from s6quartic import Polynomial, eisenstein, parse_polynomial, poly
 
-    work = {"points_built": ProjectivePoint.__init__, "additions": Eisenstein.__add__}
-    calls = ("act_on_variety", "is_singular_on_family", "is_node", "projective_orbit")
+    # Every point, from the public constructor or from the scan's keys,
+    # gets its coordinates from one _coords call.
+    work = {"points_built": varieties._coords, "additions": Eisenstein.__add__}
+    calls = (
+        "act_on_variety",
+        "is_singular_on_family",
+        "is_node",
+        "projective_orbit",
+        "canonicalize",
+    )
     records, verify = _counted(
         lambda: run_checks(RunConfig()),
-        {**{name: getattr(varieties, name) for name in calls}, **work},
+        {
+            **{name: getattr(varieties, name) for name in calls},
+            **work,
+            "multiplications": Eisenstein.__mul__,
+        },
     )
     assert all_passed(records)
     # "tests" counts the Jacobian tests, one per head whose sixth
-    # coordinate is a letter.
-    scan_work = {**work, "tests": varieties._singular}
+    # coordinate is a letter, and "keys" the normalizations, one per
+    # singular tuple.
+    scan_work = {
+        **work,
+        "keys": varieties._projective_key,
+        "tests": varieties._singular,
+    }
     scans = []
     for t in SCAN_T_VALUES:
         for name in sorted(DEFAULT_ALPHABETS):
