@@ -12,6 +12,7 @@ from s6quartic import (
     family_member,
     is_node,
     is_singular_on_family,
+    parse_point_coordinates,
     quartic_family,
     singular_t_values,
 )
@@ -55,7 +56,7 @@ def main() -> None:
 
     print("Not every singular point is a node.  At t = 0 the point below is")
     print("singular with a degenerate (rank-1) Hessian:")
-    degenerate = ProjectivePoint.from_text("[1, w, w^2, 0, 0, 0]")
+    degenerate = ProjectivePoint(parse_point_coordinates("[1, w, w^2, 0, 0, 0]"))
     print(f"  p = {degenerate}")
     print(f"  singular at t = 0? {is_singular_on_family(0, degenerate)}")
     print(f"  node at t = 0?     {is_node(0, degenerate)}")
@@ -64,7 +65,7 @@ def main() -> None:
     print()
 
     print("A generic member point is smooth, so no parameter makes it singular:")
-    generic = ProjectivePoint.from_text("[1, -2 - w, 1, 0, 2 + w, -2]")
+    generic = ProjectivePoint(parse_point_coordinates("[1, -2 - w, 1, 0, 2 + w, -2]"))
     assert family_member(6).contains(generic)
     print(f"  p = {generic} lies on the t = 6 member")
     print(f"  singular parameter set: {singular_t_values(generic)}")

@@ -108,10 +108,9 @@ def _singular_orbits():
 
 @lru_cache(maxsize=len(QUADRIC_SURFACES))
 def _quadric_translates(index: int) -> dict:
-    """The label group's translates of one quadric surface, keyed by the
-    elements h^a*tau^b; Lemmas 2.1 and 2.2 and Eq. (2.2) all read them."""
-    elements = (H_SHIFT**a * TAU**b for a in range(5) for b in range(4))
-    return label_translates(elements, QUADRIC_SURFACES[index])
+    """The label group's translates of one quadric surface, keyed by its
+    elements; Lemmas 2.1 and 2.2 and Eq. (2.2) all read them."""
+    return label_translates(_label_group(), QUADRIC_SURFACES[index])
 
 
 # -- the checks ---------------------------------------------------------------

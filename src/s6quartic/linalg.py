@@ -149,6 +149,9 @@ def gram_matrix(quadric: Polynomial, variables: Sequence[int]) -> Matrix:
     vars_ = list(variables)
     if len(set(vars_)) != len(vars_):
         raise ValueError("variables must be distinct")
+    for index in vars_:
+        if not 0 <= index < NVARS:
+            raise ValueError(f"variable index {index} out of range")
     if not quadric.is_zero():
         if quadric.degree() != 2 or not quadric.is_homogeneous():
             raise ValueError("gram_matrix needs a homogeneous quadratic")

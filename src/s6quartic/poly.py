@@ -356,25 +356,20 @@ def _monomial_text(mono: Monomial) -> str:
 
 
 def _term_text(mono: Monomial, coeff: Eisenstein):
-    """Return (sign, body) with sign in {+1, -1} and body free of a sign."""
+    """Return (sign, body) with sign in {+1, -1} and body free of a sign.
+
+    The coefficient is written by str(coeff), parenthesized when it has
+    both a rational and a w part, else with its leading '-' split off."""
     mtext = _monomial_text(mono)
-    if coeff.om == 0:
-        sign = 1 if coeff.re > 0 else -1
-        mag = abs(coeff.re)
-        if mtext and mag == 1:
-            return sign, mtext
-        ctext = str(mag)
-        return sign, f"{ctext}*{mtext}" if mtext else ctext
-    if coeff.re == 0:
-        sign = 1 if coeff.om > 0 else -1
-        mag = abs(coeff.om)
-        ctext = "w" if mag == 1 else f"{mag}*w"
-        return sign, f"{ctext}*{mtext}" if mtext else ctext
-    inner_sign = "+" if coeff.om > 0 else "-"
-    om_mag = abs(coeff.om)
-    wtext = "w" if om_mag == 1 else f"{om_mag}*w"
-    ctext = f"({coeff.re} {inner_sign} {wtext})"
-    return 1, f"{ctext}*{mtext}" if mtext else ctext
+    ctext = str(coeff)
+    sign = 1
+    if coeff.re and coeff.om:
+        ctext = f"({ctext})"
+    elif ctext.startswith("-"):
+        sign, ctext = -1, ctext[1:]
+    if not mtext:
+        return sign, ctext
+    return sign, mtext if ctext == "1" else f"{ctext}*{mtext}"
 
 
 def format_polynomial(p: Polynomial) -> str:

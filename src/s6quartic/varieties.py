@@ -21,7 +21,6 @@ from math import gcd
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
 from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
-from .parsing import parse_point_coordinates
 from .perms import STANDARD_LABELS, Permutation
 from .poly import NVARS, Polynomial, X, divide_exact, family_parameter
 from .poly import quartic_family
@@ -63,13 +62,20 @@ def _point(key) -> "ProjectivePoint":
     return p
 
 
+def _sorted_points(keys) -> list:
+    """One point per distinct _projective_key, sorted deterministically."""
+    return sorted(map(_point, set(keys)), key=ProjectivePoint.sort_key)
+
+
 class ProjectivePoint:
     """A point of P^5 over Q(w), stored with first nonzero coordinate 1.
 
     Normalization makes equality of points the same as equality of the
     stored coordinate tuples, so points can live in sets and dicts.  The
     coordinates are cleared to int pairs and normalized by
-    _projective_key, the one normalization of points.
+    _projective_key, the one normalization of points.  The constructor
+    coerces and validates outside input; points derived from other points
+    are built from their keys by _point.
     """
 
     __slots__ = ("coords",)
@@ -81,11 +87,6 @@ class ProjectivePoint:
         if not any(vals):
             raise ValueError("all coordinates are zero")
         self.coords = _coords(_projective_key(_cleared(vals)))
-
-    @classmethod
-    def from_text(cls, text: str) -> "ProjectivePoint":
-        """Parse the bracketed point syntax, e.g. '[1, 1, w, w, w^2, w^2]'."""
-        return cls(parse_point_coordinates(text))
 
     def __getitem__(self, index: int) -> Eisenstein:
         return self.coords[index]
@@ -121,9 +122,9 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     if perm.degree != NVARS:
         raise ValueError(f"need a permutation of the {NVARS} coordinates")
     image = [None] * NVARS
-    for target, c in zip(perm.index_map(), point.coords):
-        image[target] = c
-    return ProjectivePoint(image)
+    for target, x in zip(perm.index_map(), _cleared(point.coords)):
+        image[target] = x
+    return _point(_projective_key(image))
 
 
 class LinearSliceVariety:
@@ -234,17 +235,12 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
     deduplicated projectively and sorted deterministically.
 
     The orbit is the set of distinct rearrangements of the coordinate
-    tuple, so no group is built: the rearrangements are enumerated on
-    small-int labels of the distinct coordinates, and only the distinct
-    tuples are normalised.
+    tuple, so no group is built: the coordinates are cleared once to int
+    pairs, each distinct rearrangement is reduced to its _projective_key,
+    and each distinct key becomes one point.
     """
-    values = list(dict.fromkeys(point.coords))
-    labels = tuple(values.index(c) for c in point.coords)
-    seen = {
-        ProjectivePoint([values[k] for k in arrangement])
-        for arrangement in set(permutations(labels))
-    }
-    return tuple(sorted(seen, key=ProjectivePoint.sort_key))
+    arrangements = set(permutations(_cleared(point.coords)))
+    return tuple(_sorted_points(map(_projective_key, arrangements)))
 
 
 # -- the quartic family -------------------------------------------------------
@@ -267,21 +263,22 @@ def family_member(t) -> LinearSliceVariety:
     return LinearSliceVariety([linear], quartic)
 
 
-def _on_hyperplane(xs) -> bool:
-    return not any(map(sum, zip(*xs)))
-
-
-def _power_sums(xs) -> tuple:
-    """(squares of the coordinates, p2, p4) at int-pair coordinates."""
+def _hyperplane_pairs(point: ProjectivePoint):
+    """(xs, squares, p2, p4): the point's coordinates cleared to int pairs
+    xs, their squares and the power sums p2 and p4; None when the point is
+    off the hyperplane sum(x) = 0."""
+    xs = _cleared(point.coords)
+    if any(map(sum, zip(*xs))):
+        return None
     squares = [(a * a - b * b, (2 * a - b) * b) for a, b in xs]
     p2 = tuple(map(sum, zip(*squares)))
     p4 = tuple(map(sum, zip(*[_pair_mul(s, s) for s in squares])))
-    return squares, p2, p4
+    return xs, squares, p2, p4
 
 
 def _singular(p: int, q: int, xs, squares, p2, p4) -> bool:
     """Jacobian test on the t = p/q member at int-pair coordinates xs on
-    the hyperplane, given their squares, p2 and p4 (see _power_sums): the
+    the hyperplane, given their squares, p2 and p4 (_hyperplane_pairs): the
     point is singular iff it lies on the quartic and the 2x6 matrix of the
     gradients of (L, Q) has rank at most 1, i.e. the gradient of Q is a
     multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the same
@@ -303,10 +300,8 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     """Whether the point is a singular point of the t-member: it lies on
     the hyperplane and passes the Jacobian test of _singular."""
     t = family_parameter(t)
-    xs = _cleared(point.coords)
-    return _on_hyperplane(xs) and _singular(
-        t.numerator, t.denominator, xs, *_power_sums(xs)
-    )
+    pairs = _hyperplane_pairs(point)
+    return pairs is not None and _singular(t.numerator, t.denominator, *pairs)
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -321,13 +316,13 @@ def is_node(t, point: ProjectivePoint) -> bool:
     """
     t = family_parameter(t)
     p, q = t.numerator, t.denominator
-    xs = _cleared(point.coords)
-    squares, p2, p4 = _power_sums(xs)
-    if not (_on_hyperplane(xs) and _singular(p, q, xs, squares, p2, p4)):
+    pairs = _hyperplane_pairs(point)
+    if pairs is None or not _singular(p, q, *pairs):
         raise ValueError(
             f"node test requires a singular point; {point} is smooth on the "
             f"t = {t} member"
         )
+    xs, squares, p2, _ = pairs
     chart = next(i for i, x in enumerate(xs) if x != (0, 0))
     e = next(i for i in range(NVARS) if i != chart)
     rest = [i for i in range(NVARS) if i not in (chart, e)]
@@ -363,29 +358,29 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
     t = p2^2/p4 when p4 != 0, and nowhere when p4 = 0 != p2.  When
     p2 = p4 = 0 it vanishes for every t, and the gradient 4*t*x_i^3 is a
     multiple of the all-ones vector for every t if the cubes x_i^3 agree,
-    and only at t = 0 otherwise.  Clearing the coordinates' denominator
-    leaves p2^2/p4 and the agreement of the cubes unchanged.
+    and only at t = 0 otherwise; that is the Jacobian test at t = 1.
+    Clearing the coordinates' denominator leaves p2^2/p4 and the agreement
+    of the cubes unchanged.
     """
-    xs = _cleared(point.coords)
-    if not _on_hyperplane(xs):
+    pairs = _hyperplane_pairs(point)
+    if pairs is None:
         raise ValueError(
             f"singular-parameter analysis requires the linear form to vanish "
             f"at {point}"
         )
-    squares, p2, p4 = _power_sums(xs)
+    _, _, p2, p4 = pairs
     if p4 != (0, 0):
         # p2^2/p4 = p2^2 * conj(p4) / N(p4), with conj(c + d*w) = c - d - d*w.
         c, d = p4
         num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
         if not num_w:
             t = Fraction(num, c * c - c * d + d * d)
-            if _singular(t.numerator, t.denominator, xs, squares, p2, p4):
+            if _singular(t.numerator, t.denominator, *pairs):
                 return TSolutionSet.finite([t])
         return EMPTY
     if p2 != (0, 0):
         return EMPTY
-    cubes = {_pair_mul(s, x) for s, x in zip(squares, xs)}
-    return ALL_T if len(cubes) == 1 else TSolutionSet.finite([0])
+    return ALL_T if _singular(1, 1, *pairs) else TSolutionSet.finite([0])
 
 
 def scan_alphabet(t, alphabet) -> list:
@@ -436,7 +431,7 @@ def scan_alphabet(t, alphabet) -> list:
                 map(any, xs)
             ):
                 keys.add(_projective_key(xs))
-    return sorted(map(_point, keys), key=ProjectivePoint.sort_key)
+    return _sorted_points(keys)
 
 
 # -- the distinguished plane, quadrics, and points ----------------------------

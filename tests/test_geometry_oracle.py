@@ -38,6 +38,7 @@ from s6quartic import (
     incidence_table,
     label_translates,
     orbit_and_stabilizer,
+    parse_point_coordinates,
     projective_orbit,
     quartic_family,
     singular_t_values,
@@ -259,8 +260,10 @@ def test_singular_parameters_match_the_gradient_path():
 
 
 # Its 15 minors alone pin t = 850/299 - 600/299*w, outside Q.
-IRRATIONAL_MINOR_ROOT = ProjectivePoint.from_text(
-    "[1, 6/7 + 4/7*w, -10/7 - 2/7*w, -1, 1/7 + 3/7*w, 3/7 - 5/7*w]"
+IRRATIONAL_MINOR_ROOT = ProjectivePoint(
+    parse_point_coordinates(
+        "[1, 6/7 + 4/7*w, -10/7 - 2/7*w, -1, 1/7 + 3/7*w, 3/7 - 5/7*w]"
+    )
 )
 
 
@@ -335,6 +338,15 @@ def test_hash_keyed_orbit_matches_pairwise_canonical_comparison():
     assert (len(orbit), stabilizer.order) == (10, 2)
 
 
+def _field_action(perm, point):
+    """(g.p)_{g(i)} = p_i on the field coordinates, normalized by the
+    public constructor rather than from an int key."""
+    image = [None] * NVARS
+    for target, c in zip(perm.index_map(), point.coords):
+        image[target] = c
+    return ProjectivePoint(image)
+
+
 @pytest.mark.parametrize(
     "point",
     [
@@ -349,8 +361,10 @@ def test_hash_keyed_orbit_matches_pairwise_canonical_comparison():
     ids=str,
 )
 def test_projective_orbit_matches_the_point_action(point):
-    group = map(Permutation, permutations(range(1, NVARS + 1)))
-    expected = {act_on_point(g, point) for g in group}
+    group = list(map(Permutation, permutations(range(1, NVARS + 1))))
+    images = [_field_action(g, point) for g in group]
+    assert [act_on_point(g, point) for g in group] == images
+    expected = set(images)
     orbit = projective_orbit(point)
     assert set(orbit) == expected
     assert len(orbit) == len(expected)

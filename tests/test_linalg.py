@@ -225,6 +225,10 @@ class TestGramMatrix:
             gram_matrix(X0**2, [0, 0])
         with pytest.raises(ValueError):
             gram_matrix(X0 * X1, [0])
+        with pytest.raises(ValueError, match="out of range"):
+            gram_matrix(X0 * X5, [0, 5, -1])
+        with pytest.raises(ValueError, match="out of range"):
+            gram_matrix(X0**2, [0, 6])
 
     def test_conjugate_quadrics_have_full_rank(self):
         from s6quartic import QUADRIC_PAIR

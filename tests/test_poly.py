@@ -386,6 +386,39 @@ class TestFormatting:
         )
 
 
+def _oracle_term_text(mono, coeff):
+    """An independent term writer: the sign and the w-part are built from
+    the re and om Fractions, not split off str(coeff)."""
+    mtext = poly._monomial_text(mono)
+    if coeff.om == 0:
+        sign = 1 if coeff.re > 0 else -1
+        mag = abs(coeff.re)
+        if mtext and mag == 1:
+            return sign, mtext
+        ctext = str(mag)
+        return sign, f"{ctext}*{mtext}" if mtext else ctext
+    if coeff.re == 0:
+        sign = 1 if coeff.om > 0 else -1
+        mag = abs(coeff.om)
+        ctext = "w" if mag == 1 else f"{mag}*w"
+        return sign, f"{ctext}*{mtext}" if mtext else ctext
+    inner_sign = "+" if coeff.om > 0 else "-"
+    om_mag = abs(coeff.om)
+    wtext = "w" if om_mag == 1 else f"{om_mag}*w"
+    ctext = f"({coeff.re} {inner_sign} {wtext})"
+    return 1, f"{ctext}*{mtext}" if mtext else ctext
+
+
+def test_term_text_matches_the_fraction_oracle():
+    rng = random.Random(20261019)
+    for _ in range(5000):
+        mono = tuple(rng.choice([0, 0, 1, 2]) for _ in range(NVARS))
+        coeff = _random_scalar(rng)
+        if not coeff:
+            coeff = Eisenstein(rng.choice([1, -1]), rng.choice([0, 1, -1]))
+        assert poly._term_text(mono, coeff) == _oracle_term_text(mono, coeff)
+
+
 def _count_products(monkeypatch):
     """Count calls of the packed product loop from here on."""
     calls = []

@@ -23,6 +23,7 @@ from s6quartic import (
     is_node,
     is_singular_on_family,
     label_translates,
+    parse_point_coordinates,
     projective_orbit,
     quartic_family,
     restrict_to_plane,
@@ -86,8 +87,10 @@ class TestProjectivePoint:
             ProjectivePoint([1, 2, 3])
 
     def test_from_text(self):
-        assert ProjectivePoint.from_text("[1, 1, w, w, w^2, w^2]") == CUBE_ROOT_POINT
-        assert ProjectivePoint.from_text("[2, 2, 2, -2, -2, -2]") == SIGN_POINT
+        parsed = ProjectivePoint(parse_point_coordinates("[1, 1, w, w, w^2, w^2]"))
+        assert parsed == CUBE_ROOT_POINT
+        parsed = ProjectivePoint(parse_point_coordinates("[2, 2, 2, -2, -2, -2]"))
+        assert parsed == SIGN_POINT
 
     def test_scaling_invariance_of_equality_and_hash(self):
         a = ProjectivePoint([1, W, 0, 0, 0, 0])
@@ -315,8 +318,8 @@ class TestSingularity:
 
     def test_t_values_where_p4_vanishes_but_p2_does_not(self):
         # The quartic is -p2^2 at every t, nonzero at the point.
-        p = ProjectivePoint.from_text(
-            "[1, 1, 1/2 - w, w, -1 + 1/2*w, -3/2 - 1/2*w]"
+        p = ProjectivePoint(
+            parse_point_coordinates("[1, 1, 1/2 - w, w, -1 + 1/2*w, -3/2 - 1/2*w]")
         )
         assert singular_t_values(p) == EMPTY
 

@@ -56,11 +56,15 @@ def _counted(run, targets: dict) -> tuple:
 def measure() -> dict:
     from s6quartic import DEFAULT_ALPHABETS, Eisenstein
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
-    from s6quartic import Polynomial, eisenstein, parse_polynomial, poly
+    from s6quartic import Polynomial, eisenstein, parse_polynomial, perms, poly
 
-    # Every point, from the public constructor or from the scan's keys,
-    # gets its coordinates from one _coords call.
-    work = {"points_built": varieties._coords, "additions": Eisenstein.__add__}
+    # Every point, from the public constructor or from a key, gets its
+    # coordinates from one _coords call; "keys" counts the normalizations.
+    work = {
+        "points_built": varieties._coords,
+        "additions": Eisenstein.__add__,
+        "keys": varieties._projective_key,
+    }
     calls = (
         "act_on_variety",
         "is_singular_on_family",
@@ -74,17 +78,14 @@ def measure() -> dict:
             **{name: getattr(varieties, name) for name in calls},
             **work,
             "multiplications": Eisenstein.__mul__,
+            "validated_permutations": perms.Permutation.__init__,
+            "polynomial_mul": Polynomial.__mul__,
         },
     )
     assert all_passed(records)
     # "tests" counts the Jacobian tests, one per head whose sixth
-    # coordinate is a letter, and "keys" the normalizations, one per
-    # singular tuple.
-    scan_work = {
-        **work,
-        "keys": varieties._projective_key,
-        "tests": varieties._singular,
-    }
+    # coordinate is a letter; a scan makes one key per singular tuple.
+    scan_work = {**work, "tests": varieties._singular}
     scans = []
     for t in SCAN_T_VALUES:
         for name in sorted(DEFAULT_ALPHABETS):
