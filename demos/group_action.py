@@ -12,9 +12,7 @@ from s6quartic import (
     TAU,
     PermGroup,
     act_on_variety,
-    incidence_table,
     irreducible_degrees,
-    label_translates,
     orbit_and_stabilizer,
     projective_orbit,
     semidirect_structure_check,
@@ -72,8 +70,14 @@ def main() -> None:
     print("How translates of one quadric surface pass through o: the group")
     print("has order 20, 8 translates hit the point, and they bunch into 4")
     print("distinct surfaces counted twice each:")
-    translates = label_translates(group, QUADRIC_SURFACES[0])
-    table = incidence_table(translates, CUBE_ROOT_POINT)
+    # Each translate through o, with the number of elements landing on it;
+    # slices compare, and so hash, by their canonical forms.
+    table = {}
+    for g in group:
+        induced = STANDARD_LABELS.induced_variable_permutation(g)
+        image = act_on_variety(induced, QUADRIC_SURFACES[0])
+        if image.contains(CUBE_ROOT_POINT):
+            table[image] = table.get(image, 0) + 1
     multiplicities = list(table.values())
     print(f"  hits: {sum(multiplicities)}")
     print(f"  distinct surfaces through o: {len(table)}")

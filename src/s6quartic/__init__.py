@@ -42,10 +42,8 @@ from .varieties import (
     SIGN_POINT,
     act_on_variety,
     family_member,
-    incidence_table,
     is_node,
     is_singular_on_family,
-    label_translates,
     projective_orbit,
     restrict_to_plane,
     restriction_factorization_check,
@@ -87,11 +85,9 @@ __all__ = [
     "emit_report",
     "family_member",
     "gram_matrix",
-    "incidence_table",
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",
-    "label_translates",
     "orbit_and_stabilizer",
     "parse_point_coordinates",
     "parse_polynomial",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,10 +39,8 @@ from .varieties import (
     SIGN_POINT,
     act_on_point,
     act_on_variety,
-    incidence_table,
     is_node,
     is_singular_on_family,
-    label_translates,
     projective_orbit,
     restriction_factorization_check,
     scan_alphabet,
@@ -106,11 +104,44 @@ def _singular_orbits():
     return projective_orbit(CUBE_ROOT_POINT), projective_orbit(SIGN_POINT)
 
 
+# The supports of PLANE_FORMS.  Their sums span no other 0/1 vector with
+# three ones, so a permutation keeps the plane iff it maps blocks to blocks.
+_PLANE_BLOCKS = frozenset({frozenset({0, 2, 5}), frozenset({1, 3, 4})})
+
+
+def _keeps_plane(perm: Permutation) -> bool:
+    m = perm.index_map()
+    return {frozenset(m[i] for i in b) for b in _PLANE_BLOCKS} == _PLANE_BLOCKS
+
+
+@lru_cache(maxsize=1)
+def _label_action() -> tuple:
+    """(g, its coordinate permutation, g^-1.o) for each label element g."""
+    rows = []
+    for g in _label_group():
+        perm = STANDARD_LABELS.induced_variable_permutation(g)
+        rows.append((g, perm, act_on_point(perm.inverse(), CUBE_ROOT_POINT)))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=len(QUADRIC_SURFACES))
-def _quadric_translates(index: int) -> dict:
-    """The label group's translates of one quadric surface, keyed by its
-    elements; Lemmas 2.1 and 2.2 and Eq. (2.2) all read them."""
-    return label_translates(_label_group(), QUADRIC_SURFACES[index])
+def _quadric_translates(index: int) -> tuple:
+    """(cosets, hits) for the label group's translates g.S of one quadric
+    surface S; Lemmas 2.1 and 2.2 and Eq. (2.2) all read them.  g.S = h.S
+    iff h^-1 g lies in K = Stab(S), so cosets maps each g to the coset gK
+    naming its translate; only plane-keeping elements can lie in K.  hits
+    holds the g with o in g.S, i.e. g^-1.o in S, by the dual point action.
+    """
+    quadric = QUADRIC_SURFACES[index]
+    action = _label_action()
+    stabilizer = [
+        g
+        for g, perm, _ in action
+        if _keeps_plane(perm) and act_on_variety(perm, quadric) == quadric
+    ]
+    cosets = {g: frozenset(g * k for k in stabilizer) for g, _, _ in action}
+    hits = {g for g, _, image in action if quadric.contains(image)}
+    return cosets, hits
 
 
 # -- the checks ---------------------------------------------------------------
@@ -137,8 +168,8 @@ def _check_lemma_2_1(cfg: RunConfig):
     details = {}
     ok = True
     for i in range(len(QUADRIC_SURFACES)):
-        translates = _quadric_translates(i)
-        row = [translates[TAU**c].contains(CUBE_ROOT_POINT) for c in range(4)]
+        _, hits = _quadric_translates(i)
+        row = [TAU**c in hits for c in range(4)]
         details[f"q{i + 1}"] = row
         ok = ok and row == expected
     details["expected"] = expected
@@ -153,26 +184,21 @@ _HIT_PAIRS = frozenset(
 def _check_lemma_2_2(cfg: RunConfig):
     details = {"expected_pairs": sorted(_HIT_PAIRS)}
     ok = True
-    o = CUBE_ROOT_POINT
-    for i, quadric in enumerate(QUADRIC_SURFACES):
-        translates = _quadric_translates(i)
-        images = {
-            (a, b): translates[H_SHIFT**a * TAU**b]
-            for a in range(5)
-            for b in range(4)
-        }
-        hits = {pair for pair, image in images.items() if image.contains(o)}
+    elements = {(a, b): H_SHIFT**a * TAU**b for a in range(5) for b in range(4)}
+    for i in range(len(QUADRIC_SURFACES)):
+        cosets, hit_elements = _quadric_translates(i)
+        # Each translate is named by its coset.
+        images = {pair: cosets[g] for pair, g in elements.items()}
+        hits = {pair for pair, g in elements.items() if g in hit_elements}
+        quadric = images[0, 0]
         t2, h3, h4, ht = images[0, 2], images[3, 0], images[4, 0], images[1, 1]
         h4t2, ht2, h3t3 = images[4, 2], images[1, 2], images[3, 3]
         bullets = [
-            t2 == h4 and t2.contains(o) and t2 != quadric,
-            h4t2 == h3
-            and h4t2.contains(o)
-            and h4t2 != quadric
-            and h4t2 != t2,
+            t2 == h4 and (0, 2) in hits and t2 != quadric,
+            h4t2 == h3 and (4, 2) in hits and h4t2 != quadric and h4t2 != t2,
             ht2 == quadric,
             h3t3 == ht
-            and h3t3.contains(o)
+            and (3, 3) in hits
             and h3t3 != quadric
             and h3t3 != t2
             and h3t3 != h4t2,
@@ -185,12 +211,12 @@ def _check_lemma_2_2(cfg: RunConfig):
 
 def _check_divisor_incidence(cfg: RunConfig):
     group = _label_group()
-    translates = _quadric_translates(0)
-    # The action is only ever asked for images of the surface itself.
+    cosets, hits = _quadric_translates(0)
+    # The translate g.S is named by its coset gK, and S by K itself.
     orbit, stabilizer = orbit_and_stabilizer(
-        group, QUADRIC_SURFACES[0], lambda g, _: translates[g]
+        group, cosets[group.identity()], lambda g, _: cosets[g]
     )
-    table = incidence_table(translates, CUBE_ROOT_POINT)
+    table = Counter(cosets[g] for g in hits)
     multiplicities = sorted(table.values())
     details = {
         "orbit_size": len(orbit),

@@ -209,9 +209,6 @@ class Eisenstein:
 
     # -- structure queries ------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     def __bool__(self):
         return self._a != 0 or self._b != 0
 

@@ -21,7 +21,7 @@ from math import gcd
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
 from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
-from .perms import STANDARD_LABELS, Permutation
+from .perms import Permutation
 from .poly import NVARS, Polynomial, X, divide_exact, family_parameter
 from .poly import quartic_family
 
@@ -208,28 +208,6 @@ def canonicalize(variety: LinearSliceVariety):
     return (linear_key, (reduced / reduced.leading_coefficient()).key())
 
 
-def label_translates(group, variety: LinearSliceVariety) -> dict:
-    """Each label permutation of the group mapped to its translate of the
-    variety, the group acting on the coordinates through STANDARD_LABELS.
-    Orbit, stabilizer and incidence bookkeeping can all read this one map.
-    """
-    induced = STANDARD_LABELS.induced_variable_permutation
-    return {gamma: act_on_variety(induced(gamma), variety) for gamma in group}
-
-
-def incidence_table(translates: dict, point: ProjectivePoint) -> dict:
-    """Which translates of a label_translates map pass through the point.
-
-    The result maps each distinct translate through the point, in order of
-    first appearance, to the number of group elements that land on it.
-    """
-    counts = {}
-    for image in translates.values():
-        if image.contains(point):
-            counts[image] = counts.get(image, 0) + 1
-    return counts
-
-
 def projective_orbit(point: ProjectivePoint) -> tuple:
     """Orbit of the point under all permutations of the coordinates,
     deduplicated projectively and sorted deterministically.
@@ -279,11 +257,11 @@ def _hyperplane_pairs(point: ProjectivePoint):
 def _singular(p: int, q: int, xs, squares, p2, p4) -> bool:
     """Jacobian test on the t = p/q member at int-pair coordinates xs on
     the hyperplane, given their squares, p2 and p4 (_hyperplane_pairs): the
-    point is singular iff it lies on the quartic and the 2x6 matrix of the
-    gradients of (L, Q) has rank at most 1, i.e. the gradient of Q is a
-    multiple of the all-ones gradient of L: (t*x_i^2 - p2)*x_i is the same
-    for every i.  Both conditions are tested times q: p*p4 = q*p2^2, and
-    (p*x_i^2 - q*p2)*x_i is the same for every i.
+    point is singular iff the 2x6 matrix of the gradients of (L, Q) has
+    rank at most 1, i.e. dQ/dx_i = c for every i: (t*x_i^2 - p2)*x_i is the
+    same for every i, tested times q as (p*x_i^2 - q*p2)*x_i.  That alone
+    puts the point on the quartic, as 4Q = sum x_i*dQ/dx_i = c*sum x_i = 0
+    by Euler, so the quartic test p*p4 = q*p2^2 is only an early exit.
     """
     a, b = p2
     if p * p4[0] != q * (a * a - b * b) or p * p4[1] != q * (2 * a - b) * b:

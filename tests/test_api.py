@@ -43,11 +43,9 @@ PUBLIC = [
     "emit_report",
     "family_member",
     "gram_matrix",
-    "incidence_table",
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",
-    "label_translates",
     "orbit_and_stabilizer",
     "parse_point_coordinates",
     "parse_polynomial",

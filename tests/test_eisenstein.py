@@ -133,10 +133,6 @@ class TestFieldStructure:
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
 
-    def test_is_rational(self):
-        assert Eisenstein(Fraction(5, 3)).is_rational()
-        assert not OMEGA.is_rational()
-
 
 class TestComparisonAndHash:
     def test_equality_with_plain_numbers(self):

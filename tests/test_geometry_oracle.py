@@ -7,8 +7,10 @@ singularity test is the rank of the 2x6 Jacobian of (linear form,
 quartic), the node test the rank of the symbolic chart Hessian (both
 ranks by the field elimination of test_linalg, not the package's), the
 singular parameters solve the 2x2 minors of that Jacobian and the quartic
-itself as one system linear in t, and orbits of varieties compare
-canonical forms pair by pair.  They are compared with the package,
+itself as one system linear in t, orbits of varieties compare
+canonical forms pair by pair, and the translates of a quadric surface
+come from one act_on_variety per label element (label_translates).  They
+are compared with the package,
 alphabet by alphabet, on every projectively distinct point with
 coordinates in pm1, zero_pm1, cube_roots or [0, 1, -1, 2, -2] and on the
 orbit of (-5, 1, 1, 1, 1, 1), and the singular parameters also on random
@@ -24,7 +26,9 @@ from s6quartic import (
     CUBE_ROOT_POINT,
     DEFAULT_ALPHABETS,
     H_SHIFT,
+    PLANE_FORMS,
     QUADRIC_SURFACES,
+    RunConfig,
     SIGN_POINT,
     STANDARD_LABELS,
     TAU,
@@ -35,8 +39,6 @@ from s6quartic import (
     act_on_variety,
     is_node,
     is_singular_on_family,
-    incidence_table,
-    label_translates,
     orbit_and_stabilizer,
     parse_point_coordinates,
     projective_orbit,
@@ -45,8 +47,9 @@ from s6quartic import (
 )
 from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS, X
-from s6quartic.linalg import ALL_T, EMPTY, TSolutionSet
-from s6quartic.checks import _label_group, _quadric_translates
+from s6quartic.linalg import ALL_T, EMPTY, TSolutionSet, rref_linear_forms
+from s6quartic.checks import _check_divisor_incidence, _keeps_plane
+from s6quartic.checks import _label_action, _label_group, _quadric_translates
 from s6quartic.eisenstein import OMEGA, ZERO
 from s6quartic.varieties import act_on_point, canonicalize
 from test_linalg import oracle_rank
@@ -169,7 +172,7 @@ def solve_linear_in_t(conditions):
             return EMPTY
     if root is None:
         return ALL_T
-    return TSolutionSet.finite([root.re]) if root.is_rational() else EMPTY
+    return TSolutionSet.finite([root.re]) if not root.om else EMPTY
 
 
 def proportionality_minors(v0, v1, w):
@@ -371,39 +374,82 @@ def test_projective_orbit_matches_the_point_action(point):
     assert list(orbit) == sorted(expected, key=ProjectivePoint.sort_key)
 
 
+def label_translates(group, variety):
+    """Each label permutation of the group mapped to its translate of the
+    variety, one act_on_variety each."""
+    induced = STANDARD_LABELS.induced_variable_permutation
+    return {gamma: act_on_variety(induced(gamma), variety) for gamma in group}
+
+
+def incidence_table(translates, point):
+    """Each distinct translate of a label_translates map through the point,
+    in order of first appearance, mapped to the number of group elements
+    that land on it."""
+    counts = {}
+    for image in translates.values():
+        if image.contains(point):
+            counts[image] = counts.get(image, 0) + 1
+    return counts
+
+
+def test_the_block_rule_matches_the_span_test():
+    assert {frozenset(m.index(1) for m in f.terms) for f in PLANE_FORMS} == {
+        frozenset({0, 2, 5}),
+        frozenset({1, 3, 4}),
+    }
+    span = rref_linear_forms(list(PLANE_FORMS))
+
+    def keeps_span(perm):
+        m = perm.index_map()
+        return rref_linear_forms([f.apply_permutation(m) for f in PLANE_FORMS]) == span
+
+    induced = STANDARD_LABELS.induced_variable_permutation
+    label = [induced(g) for g in PermGroup.generate([TAU, H_SHIFT])]
+    assert [p for p in label if keeps_span(p)] == [p for p in label if _keeps_plane(p)]
+    assert sum(map(_keeps_plane, label)) == 2
+    for images in permutations(range(1, NVARS + 1)):
+        perm = Permutation(images)
+        assert _keeps_plane(perm) == keeps_span(perm), perm
+
+
 @pytest.mark.parametrize("index", [0, 1])
 def test_cached_translates_match_a_fresh_action_per_element(index):
+    _label_action.cache_clear()
     _quadric_translates.cache_clear()
-    translates = _quadric_translates(index)
+    cosets, hits = _quadric_translates(index)
     group = PermGroup.generate([TAU, H_SHIFT])
-    assert set(translates) == set(group)
-    for g, image in translates.items():
-        fresh = _act_on_quadric(g, QUADRIC_SURFACES[index])
-        assert image.canonical() == canonicalize(fresh)
+    quadric = QUADRIC_SURFACES[index]
+    translates = label_translates(group, quadric)
+    assert set(cosets) == set(group)
+    assert hits == {
+        g for g, image in translates.items() if image.contains(CUBE_ROOT_POINT)
+    }
+    # Each coset gK is exactly the set of h with h.S = g.S, which settles
+    # equality on all 20 x 20 pairs; K is the stabilizer.
+    for g in group:
+        assert cosets[g] == {h for h in group if translates[h] == translates[g]}, g
+    assert cosets[group.identity()] == {
+        g for g, image in translates.items() if image == quadric
+    }
+    assert len(hits) == 8 and len(cosets[group.identity()]) == 2
+    assert len(set(cosets.values())) == 10
 
 
 def test_divisor_bookkeeping_from_the_translates_matches_the_group_path():
+    _label_action.cache_clear()
     _quadric_translates.cache_clear()
     group = _label_group()
     x = QUADRIC_SURFACES[0]
-    translates = _quadric_translates(0)
-    orbit, stabilizer = orbit_and_stabilizer(group, x, lambda g, _: translates[g])
-    expected_orbit, expected_stabilizer = orbit_and_stabilizer(
-        group, x, _act_on_quadric
-    )
-    assert [canonicalize(v) for v in orbit] == [
-        canonicalize(v) for v in expected_orbit
-    ]
-    assert stabilizer == expected_stabilizer
-
-    # The incidence loop over group elements, one fresh action each.
-    expected_table = {}
-    for g in group:
-        image = _act_on_quadric(g, x)
-        if image.contains(CUBE_ROOT_POINT):
-            key = canonicalize(image)
-            expected_table[key] = expected_table.get(key, 0) + 1
-    table = incidence_table(translates, CUBE_ROOT_POINT)
-    assert {v.canonical(): n for v, n in table.items()} == expected_table
-    assert table == incidence_table(label_translates(group, x), CUBE_ROOT_POINT)
+    orbit, stabilizer = orbit_and_stabilizer(group, x, _act_on_quadric)
+    table = incidence_table(label_translates(group, x), CUBE_ROOT_POINT)
+    ok, details = _check_divisor_incidence(RunConfig())
+    assert ok
+    assert details == {
+        "orbit_size": len(orbit),
+        "stabilizer_order": stabilizer.order,
+        "stabilizer": [str(g) for g in stabilizer],
+        "hit_count": sum(table.values()),
+        "distinct_through_point": len(table),
+        "multiplicities": sorted(table.values()),
+    }
     assert sorted(table.values()) == [2, 2, 2, 2]

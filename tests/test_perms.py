@@ -230,6 +230,11 @@ class TestStructure:
         assert semidirect_structure_check(g, translations, complement)
         # Swapping the roles fails: the order-4 subgroup is not normal.
         assert not semidirect_structure_check(g, complement, translations)
+        # Normal, with orders multiplying to 4, but the two subgroups meet
+        # in the double transposition.
+        cyclic = PermGroup.generate([Permutation((2, 3, 4, 1))])
+        half_turn = PermGroup.generate([Permutation((3, 4, 1, 2))])
+        assert not semidirect_structure_check(cyclic, half_turn, half_turn)
 
     def test_semidirect_rejects_non_subgroups(self):
         g = G20()

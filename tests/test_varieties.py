@@ -19,10 +19,8 @@ from s6quartic import (
     ProjectivePoint,
     act_on_variety,
     family_member,
-    incidence_table,
     is_node,
     is_singular_on_family,
-    label_translates,
     parse_point_coordinates,
     projective_orbit,
     quartic_family,
@@ -43,6 +41,7 @@ from s6quartic.varieties import (
     quadric_pair_quotient,
 )
 from s6quartic.checks import S_SWAP
+from test_geometry_oracle import incidence_table, label_translates
 
 X0, X1, X2, X3, X4, X5 = X
 W = OMEGA
@@ -243,6 +242,9 @@ class TestCanonicalization:
 
 
 class TestIncidence:
+    """The test-side translate map the quadric-translate checks are
+    compared with in test_geometry_oracle."""
+
     def test_trivial_group_single_hit(self):
         translates = label_translates(
             PermGroup([Permutation.identity(5)], 5), QUADRIC_SURFACES[0]
