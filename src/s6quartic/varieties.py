@@ -15,7 +15,7 @@ family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product, repeat
+from itertools import combinations_with_replacement, permutations, repeat
 from math import gcd
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
@@ -60,6 +60,11 @@ def _point(key) -> "ProjectivePoint":
     p = _new(ProjectivePoint)
     p.coords = _coords(key)
     return p
+
+
+def _arrangement_keys(xs):
+    """The _projective_key of each distinct rearrangement of int pairs xs."""
+    return map(_projective_key, set(permutations(xs)))
 
 
 def _sorted_points(keys) -> list:
@@ -217,8 +222,7 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
     pairs, each distinct rearrangement is reduced to its _projective_key,
     and each distinct key becomes one point.
     """
-    arrangements = set(permutations(_cleared(point.coords)))
-    return tuple(_sorted_points(map(_projective_key, arrangements)))
+    return tuple(_sorted_points(_arrangement_keys(_cleared(point.coords))))
 
 
 # -- the quartic family -------------------------------------------------------
@@ -365,16 +369,15 @@ def scan_alphabet(t, alphabet) -> list:
     """All singular points of the t-member whose coordinates lie in the
     alphabet, deduplicated projectively and sorted deterministically.
 
-    The letters are cleared once to int pairs, and one table maps each
-    cleared letter to the int pairs of x, x^2 and x^4.  Every member lies
-    on the hyperplane sum(x) = 0, so only the first five coordinates are
-    enumerated, as a stream: the sums of x, x^2 and x^4 over each
-    four-letter prefix are taken once, and each fifth letter adds its
-    entry.  The sixth coordinate is minus the sum of x, kept only when it
-    is a letter, and its entry completes p2 and p4 for the Jacobian test.
-    Each tuple that passes it is reduced to its _projective_key, and each
-    distinct key becomes one point.  SCAN_CAP bounds the whole space,
-    len(alphabet)^6.
+    Every member lies on sum(x) = 0 and is symmetric in the coordinates,
+    so each multiset of six letters is tested once.  One table gives each
+    letter's index and the int pairs of x, x^2 and x^4.  The first five
+    indices are streamed non-decreasing, C(len + 4, 5) heads, with the
+    sums over each four-letter prefix taken once.  The sixth coordinate is
+    minus the sum of x, kept when it is a letter of index at least the
+    fifth's, and completes p2 and p4 for the Jacobian test.  Every distinct
+    rearrangement of a passing tuple is reduced to its _projective_key, and
+    each distinct key becomes one point.  SCAN_CAP bounds len(alphabet)^6.
     """
     letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
     if not letters:
@@ -385,30 +388,26 @@ def scan_alphabet(t, alphabet) -> list:
         )
     t = family_parameter(t)
     p, q = t.numerator, t.denominator
-    table = {}
-    for x in _cleared(letters):
-        square = _pair_mul(x, x)
-        table[x] = (x, square, _pair_mul(square, square))
-    entries = tuple(table.values())
+    cleared = [(x, _pair_mul(x, x)) for x in _cleared(letters)]
+    entries = tuple((i, x, s, _pair_mul(s, s)) for i, (x, s) in enumerate(cleared))
+    table = {entry[1]: entry for entry in entries}
     keys = set()
-    for prefix in product(entries, repeat=NVARS - 2):
-        head, head_squares, head_fourths = zip(*prefix)
+    for prefix in combinations_with_replacement(entries, NVARS - 2):
+        _, head, head_squares, head_fourths = zip(*prefix)
         a, b = map(sum, zip(*head))
         sa, sb = map(sum, zip(*head_squares))
         fa, fb = map(sum, zip(*head_fourths))
-        for x5, s5, f5 in entries:
+        for i5, x5, s5, f5 in entries[prefix[-1][0] :]:
             last = table.get((-a - x5[0], -b - x5[1]))
-            if last is None:
+            if last is None or last[0] < i5:
                 continue
-            x6, s6, f6 = last
-            xs = head + (x5, x6)
+            _, x6, s6, f6 = last
+            xs, squares = head + (x5, x6), head_squares + (s5, s6)
             p2 = (sa + s5[0] + s6[0], sb + s5[1] + s6[1])
             p4 = (fa + f5[0] + f6[0], fb + f5[1] + f6[1])
             # The zero tuple passes the test but is no point.
-            if _singular(p, q, xs, head_squares + (s5, s6), p2, p4) and any(
-                map(any, xs)
-            ):
-                keys.add(_projective_key(xs))
+            if _singular(p, q, xs, squares, p2, p4) and any(map(any, xs)):
+                keys.update(_arrangement_keys(xs))
     return _sorted_points(keys)
 
 

@@ -1,16 +1,16 @@
 """scan_alphabet against the enumeration it replaced.
 
-The package enumerates the first five coordinates and solves the sixth
-from the hyperplane sum(x) = 0.  The oracle below is the former loop: it
-normalises every nonzero tuple of len(alphabet)^6, deduplicates the points
-and keeps the singular ones, wherever they lie.  The two are compared list
-for list, in order.
+The package enumerates the first five coordinates of each multiset of
+letters once and solves the sixth from the hyperplane sum(x) = 0.  The
+oracle below is the former loop: it normalises every nonzero tuple of
+len(alphabet)^6, deduplicates the points and keeps the singular ones,
+wherever they lie.  The two are compared list for list, in order.
 """
 
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -83,18 +83,27 @@ class TestScanWork:
         for t in (Fraction(6), Fraction(7), Fraction(-11, 3)):
             for name in ("pm1", "zero_pm1", "cube_roots"):
                 scan_alphabet(t, DEFAULT_ALPHABETS[name])
-        # Per t: 20 + 141 + 90 tuples sum to zero, the zero tuple among
-        # them, and each gets one Jacobian test.  Every t keeps the 90
-        # cube-root tuples; t = 6 also keeps 20 + 20 sign tuples.  Each
+        # Per t, each multiset of six letters that sums to zero gets one
+        # Jacobian test, the zero multiset among them.  Every t keeps the
+        # 90 cube-root tuples; t = 6 also keeps 20 + 20 sign tuples.  Each
         # kept tuple is reduced to a key, and each of the 30 + 10 + 10
         # distinct keys becomes one point.
-        assert counts["tests"] == 3 * (20 + 141 + 90)
+        multisets = sum(
+            not sum(m, Eisenstein(0))
+            for name in ("pm1", "zero_pm1", "cube_roots")
+            for m in combinations_with_replacement(
+                {Eisenstein.coerce(c) for c in DEFAULT_ALPHABETS[name]}, NVARS
+            )
+        )
+        assert multisets == 1 + 4 + 1
+        assert counts["tests"] == 3 * multisets
         assert counts["keys"] == 3 * 90 + 20 + 20
         assert counts["points"] == 3 * 30 + 10 + 10
 
     def test_the_heads_are_streamed_not_stored(self):
-        """Seven letters make 7^5 = 16,807 heads; a list of them as tuples
-        takes over a MiB, while the streamed scan peaks near 17 KiB."""
+        """Seven letters make C(11, 5) = 462 non-decreasing heads, as a
+        stream; a list of all 7^5 = 16,807 ordered heads as tuples would
+        take over a MiB, while the scan peaks near 13 KiB."""
         alphabet = [0, 1, -1, 2, -2, OMEGA, -OMEGA]
         tracemalloc.start()
         try:
