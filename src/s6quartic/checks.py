@@ -34,6 +34,7 @@ from .perms import (
 from .poly import family_parameter
 from .varieties import (
     CUBE_ROOT_POINT,
+    PLANE_FORMS,
     QUADRIC_PAIR,
     QUADRIC_SURFACES,
     SIGN_POINT,
@@ -106,7 +107,7 @@ def _singular_orbits():
 
 # The supports of PLANE_FORMS.  Their sums span no other 0/1 vector with
 # three ones, so a permutation keeps the plane iff it maps blocks to blocks.
-_PLANE_BLOCKS = frozenset({frozenset({0, 2, 5}), frozenset({1, 3, 4})})
+_PLANE_BLOCKS = frozenset(frozenset(f.variables_used()) for f in PLANE_FORMS)
 
 
 def _keeps_plane(perm: Permutation) -> bool:

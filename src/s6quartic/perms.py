@@ -197,7 +197,8 @@ class PermGroup:
 
     def normal_subgroups(self) -> list:
         """All normal subgroups, found by closing unions of conjugacy
-        classes that contain the identity and keeping the closed ones."""
+        classes that contain the identity and keeping the closed ones.
+        SUBGROUP_SCAN_CAP bounds the order and the 2^k unions of k classes."""
         from itertools import combinations
 
         if self.order > SUBGROUP_SCAN_CAP:
@@ -207,6 +208,10 @@ class PermGroup:
         ident = self.identity()
         classes = self.conjugacy_classes()
         others = [c for c in classes if c != (ident,)]
+        if 2 ** len(others) > SUBGROUP_SCAN_CAP:
+            raise ValueError(
+                f"{2 ** len(others)} class unions exceed cap {SUBGROUP_SCAN_CAP}"
+            )
         found = []
         for k in range(len(others) + 1):
             for pick in combinations(range(len(others)), k):

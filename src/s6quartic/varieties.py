@@ -22,7 +22,7 @@ from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
 from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
 from .perms import Permutation
-from .poly import NVARS, Polynomial, X, divide_exact, family_parameter
+from .poly import NVARS, Polynomial, X, family_parameter
 from .poly import quartic_family
 
 SCAN_CAP = 10**7
@@ -287,14 +287,18 @@ def is_singular_on_family(t, point: ProjectivePoint) -> bool:
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
-    """Whether a singular point of the family member is an ordinary double
-    point, by the rank of a 4x4 Hessian in a fixed affine chart.
+    """Whether a singular point P of the family member is an ordinary
+    double point, by the rank of the Hessian H on the hyperplane V of
+    sum(x) = 0.
 
-    Chart rule: dehomogenize at the first nonzero coordinate, then
-    eliminate the lowest-index remaining variable using the linear form.
-    The Hessian rank of an isolated singularity does not depend on this
-    choice; fixing it makes reports reproducible.  Calling this on a
-    point that is not singular on the family member is an error.
+    By Euler, H.P = 3*grad Q(P), a multiple of the all-ones vector at a
+    singular point, so v.H.P = 0 for every v in V: P lies in the kernel of
+    H on V.  An affine chart at P sees H on a complement W of <P> in V
+    (the directions along which the chart coordinate is zero), and
+    V = W + <P>, so H on V has the rank of H on W whatever the chart.  The
+    point is a node iff that rank is NVARS - 2, the dimension of W.
+    Calling this on a point that is not singular on the family member is
+    an error.
     """
     t = family_parameter(t)
     p, q = t.numerator, t.denominator
@@ -305,20 +309,14 @@ def is_node(t, point: ProjectivePoint) -> bool:
             f"t = {t} member"
         )
     xs, squares, p2, _ = pairs
-    chart = next(i for i, x in enumerate(xs) if x != (0, 0))
-    e = next(i for i in range(NVARS) if i != chart)
-    rest = [i for i in range(NVARS) if i not in (chart, e)]
-    # On the chart x_chart = 1 the linear form solves to x_e = -1 -
-    # sum(rest), an affine substitution.  The Hessian of the substituted
-    # quartic is therefore A^T H A for the constant Jacobian A whose column
-    # for the variable r is e_r - e_e, i.e. entrywise H[r][s] - H[r][e] -
-    # H[e][s] + H[e][e] on the full Hessian H at the point.  Times q/4,
-    # H_ij = d_i*delta_ij - 2q*x_i*x_j with d_i = 3p*x_i^2 - q*p2, so that
-    # entry is d_r*delta_rs + d_e - 2q*(x_r - x_e)*(x_s - x_e).
+    # The hyperplane has the basis e_r - e_5 (r < 5), so its Hessian is
+    # entrywise H[r][s] - H[r][5] - H[5][s] + H[5][5] on the full Hessian H
+    # at the point.  Times q/4, H_ij = d_i*delta_ij - 2q*x_i*x_j with
+    # d_i = 3p*x_i^2 - q*p2, so that entry is
+    # d_r*delta_rs + d_5 - 2q*(x_r - x_5)*(x_s - x_5).
     d = [(3 * p * a - q * p2[0], 3 * p * b - q * p2[1]) for a, b in squares]
-    ea, eb = xs[e]
-    u = [(xs[r][0] - ea, xs[r][1] - eb) for r in rest]
-    da, db = d[e]
+    (ea, eb), (da, db) = xs[-1], d[-1]
+    u = [(a - ea, b - eb) for a, b in xs[:-1]]
     hessian = [
         [
             (da - 2 * q * a, db - 2 * q * b)
@@ -326,10 +324,9 @@ def is_node(t, point: ProjectivePoint) -> bool:
         ]
         for ur in u
     ]
-    for k, r in enumerate(rest):
-        a, b = hessian[k][k]
-        hessian[k][k] = (a + d[r][0], b + d[r][1])
-    return len(_echelon(hessian)) == len(rest)
+    for r, (a, b) in enumerate(d[:-1]):
+        hessian[r][r] = (hessian[r][r][0] + a, hessian[r][r][1] + b)
+    return len(_echelon(hessian)) == NVARS - 2
 
 
 def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
@@ -437,21 +434,15 @@ def restrict_to_plane(poly: Polynomial) -> Polynomial:
     return poly.substitute_linear({5: -X[0] - X[2], 4: -X[1] - X[3]})
 
 
-def quadric_pair_quotient(poly: Polynomial):
-    """Exact quotient of poly by both distinguished quadrics, if it is a
-    nonzero constant; None when the division fails or leaves a non-unit."""
-    once = divide_exact(poly, QUADRIC_PAIR[0])
-    if once is None:
-        return None
-    twice = divide_exact(once, QUADRIC_PAIR[1])
-    if twice is None or twice.is_zero() or not twice.is_constant():
-        return None
-    return twice.constant_value()
-
-
 def restriction_factorization_check(t):
     """The scalar c with the t-member restricted to the distinguished plane
     equal to c times the product of the two quadrics; None if it does not
     split that way."""
     _, quartic = quartic_family(t)
-    return quadric_pair_quotient(restrict_to_plane(quartic))
+    restricted = restrict_to_plane(quartic)
+    if restricted.is_zero():
+        return None
+    # The lex-leading term of a product is the product of the leading terms.
+    product = QUADRIC_PAIR[0] * QUADRIC_PAIR[1]
+    c = restricted.leading_coefficient() / product.leading_coefficient()
+    return c if restricted == c * product else None

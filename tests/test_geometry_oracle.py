@@ -4,8 +4,10 @@ The oracles below are the symbolic route the package no longer takes:
 the gradient and Hessian of the quartic come from the term-by-term
 partial_derivative defined here (the other tests import it too), the
 singularity test is the rank of the 2x6 Jacobian of (linear form,
-quartic), the node test the rank of the symbolic chart Hessian (both
-ranks by the field elimination of test_linalg, not the package's), the
+quartic), the node test the rank of the symbolic Hessian in an affine
+chart at the first and at the last nonzero coordinate (both ranks by the
+field elimination of test_linalg, not the package's; the package takes
+the rank on the hyperplane itself and picks no chart), the
 singular parameters solve the 2x2 minors of that Jacobian and the quartic
 itself as one system linear in t, orbits of varieties compare
 canonical forms pair by pair, and the translates of a quadric surface
@@ -134,11 +136,10 @@ class Symbolic:
         rows = [ONES, [g.evaluate(coords) for g in self.gradient]]
         return oracle_rank(rows) <= 1
 
-    def is_node(self, point):
-        # The same chart as the package: dehomogenize at the first nonzero
-        # coordinate, eliminate the lowest-index other variable.
+    def is_node(self, point, chart):
+        # Dehomogenize at the chart coordinate, nonzero at the point, and
+        # eliminate the lowest-index other variable with the linear form.
         coords = point.coords
-        chart = next(i for i, c in enumerate(coords) if c)
         e = next(i for i in range(NVARS) if i != chart)
         rest = [i for i in range(NVARS) if i not in (chart, e)]
         h = [[entry.evaluate(coords) for entry in row] for row in self.hessian]
@@ -254,7 +255,9 @@ def test_node_test_matches_the_symbolic_hessian(t):
     oracle = SYMBOLIC[t]
     for p in ON_HYPERPLANE:
         if oracle.is_singular(p):
-            assert is_node(t, p) == oracle.is_node(p), p
+            nonzero = [i for i, c in enumerate(p) if c]
+            charts = (nonzero[0], nonzero[-1])
+            assert {oracle.is_node(p, c) for c in charts} == {is_node(t, p)}, p
 
 
 def test_singular_parameters_match_the_gradient_path():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -188,6 +189,18 @@ class TestStructure:
     def test_normal_subgroup_cap(self):
         with pytest.raises(ValueError):
             symmetric(6).normal_subgroups()
+
+    def test_normal_subgroup_cap_counts_class_unions(self):
+        # 5 disjoint transpositions: order 32 is under the order cap, but
+        # its 31 non-identity classes would give 2^31 unions.
+        swaps = [[i ^ (i // 2 == k) for i in range(10)] for k in range(5)]
+        group = PermGroup.generate([Permutation.from_index_map(m) for m in swaps])
+        assert group.order == 32
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="class unions"):
+            group.normal_subgroups()
+        assert time.perf_counter() - start < 1
+        assert sorted(n.order for n in G20().normal_subgroups()) == [1, 5, 10, 20]
 
     def test_commutator_subgroup(self):
         derived = G20().commutator_subgroup()

@@ -1,5 +1,6 @@
 """Unit tests for projective points, sliced varieties, and the quartic family."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,6 @@ from s6quartic.varieties import (
     SCAN_CAP,
     LinearSliceVariety,
     act_on_point,
-    quadric_pair_quotient,
 )
 from s6quartic.checks import S_SWAP
 from test_geometry_oracle import incidence_table, label_translates
@@ -439,14 +439,15 @@ class TestPlaneRestriction:
         for t in (0, 2, 7):
             assert restriction_factorization_check(t) is None
 
-    def test_quotient_of_exact_product(self):
-        q1, q2 = QUADRIC_PAIR
-        assert quadric_pair_quotient(q1 * q2) == Eisenstein(1)
-        assert quadric_pair_quotient(-3 * q1 * q2) == Eisenstein(-3)
-
-    def test_quotient_rejects_non_multiples(self):
-        assert quadric_pair_quotient(X0**4) is None
-        assert quadric_pair_quotient(QUADRIC_PAIR[0] ** 2) is None
+    def test_factorization_splits_only_at_6(self):
+        rng = random.Random(2301)
+        others = {Fraction(4), Fraction(10, 7), Fraction(-11, 3)}
+        while len(others) < 50:
+            others.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+        others.discard(6)
+        for t in others:
+            assert restriction_factorization_check(t) is None, t
+        assert restriction_factorization_check(Fraction(6)) == Eisenstein(8)
 
 
 class TestFamilyCacheBound:
