@@ -228,7 +228,7 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
 # -- the quartic family -------------------------------------------------------
 #
 # The member at t is L = sum x_i and Q = t*p4 - p2^2, where pk = sum x_i^k.
-# Its geometry has a closed form in p2, p4 and the coordinates:
+# Its geometry has a closed form in p2 and the coordinates:
 #
 #   dQ/dx_i = 4*(t*x_i^2 - p2)*x_i,
 #   H_ij    = (12*t*x_i^2 - 4*p2)*delta_ij - 8*x_i*x_j,
@@ -246,44 +246,42 @@ def family_member(t) -> LinearSliceVariety:
 
 
 def _hyperplane_pairs(point: ProjectivePoint):
-    """(xs, squares, p2, p4): the point's coordinates cleared to int pairs
-    xs, their squares and the power sums p2 and p4; None when the point is
+    """The point's coordinates cleared to int pairs; None when the point is
     off the hyperplane sum(x) = 0."""
     xs = _cleared(point.coords)
-    if any(map(sum, zip(*xs))):
-        return None
+    return None if any(map(sum, zip(*xs))) else xs
+
+
+def _squares(xs) -> tuple:
+    """(squares, p2): the squares of the int pairs xs and their sum."""
     squares = [(a * a - b * b, (2 * a - b) * b) for a, b in xs]
-    p2 = tuple(map(sum, zip(*squares)))
-    p4 = tuple(map(sum, zip(*[_pair_mul(s, s) for s in squares])))
-    return xs, squares, p2, p4
+    return squares, tuple(map(sum, zip(*squares)))
 
 
-def _singular(p: int, q: int, xs, squares, p2, p4) -> bool:
+def _singular(p: int, q: int, xs) -> bool:
     """Jacobian test on the t = p/q member at int-pair coordinates xs on
-    the hyperplane, given their squares, p2 and p4 (_hyperplane_pairs): the
-    point is singular iff the 2x6 matrix of the gradients of (L, Q) has
-    rank at most 1, i.e. dQ/dx_i = c for every i: (t*x_i^2 - p2)*x_i is the
-    same for every i, tested times q as (p*x_i^2 - q*p2)*x_i.  That alone
-    puts the point on the quartic, as 4Q = sum x_i*dQ/dx_i = c*sum x_i = 0
-    by Euler, so the quartic test p*p4 = q*p2^2 is only an early exit.
+    the hyperplane: the point is singular iff the 2x6 matrix of the
+    gradients of (L, Q) has rank at most 1, i.e. dQ/dx_i = c for every i:
+    (t*x_i^2 - p2)*x_i is the same for every i, tested times q as
+    (p*x_i^2 - q*p2)*x_i.  That alone puts the point on the quartic, as
+    4Q = sum x_i*dQ/dx_i = c*sum x_i = 0 by Euler.
     """
-    a, b = p2
-    if p * p4[0] != q * (a * a - b * b) or p * p4[1] != q * (2 * a - b) * b:
-        return False
+    squares, (a, b) = _squares(xs)
     qa, qb = q * a, q * b
-    gradient = {
+    gradients = (
         _pair_mul((p * sa - qa, p * sb - qb), x)
         for (sa, sb), x in zip(squares, xs)
-    }
-    return len(gradient) == 1
+    )
+    first = next(gradients)
+    return all(g == first for g in gradients)
 
 
 def is_singular_on_family(t, point: ProjectivePoint) -> bool:
     """Whether the point is a singular point of the t-member: it lies on
     the hyperplane and passes the Jacobian test of _singular."""
     t = family_parameter(t)
-    pairs = _hyperplane_pairs(point)
-    return pairs is not None and _singular(t.numerator, t.denominator, *pairs)
+    xs = _hyperplane_pairs(point)
+    return xs is not None and _singular(t.numerator, t.denominator, xs)
 
 
 def is_node(t, point: ProjectivePoint) -> bool:
@@ -302,13 +300,13 @@ def is_node(t, point: ProjectivePoint) -> bool:
     """
     t = family_parameter(t)
     p, q = t.numerator, t.denominator
-    pairs = _hyperplane_pairs(point)
-    if pairs is None or not _singular(p, q, *pairs):
+    xs = _hyperplane_pairs(point)
+    if xs is None or not _singular(p, q, xs):
         raise ValueError(
             f"node test requires a singular point; {point} is smooth on the "
             f"t = {t} member"
         )
-    xs, squares, p2, _ = pairs
+    squares, p2 = _squares(xs)
     # The hyperplane has the basis e_r - e_5 (r < 5), so its Hessian is
     # entrywise H[r][s] - H[r][5] - H[5][s] + H[5][5] on the full Hessian H
     # at the point.  Times q/4, H_ij = d_i*delta_ij - 2q*x_i*x_j with
@@ -341,25 +339,26 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
     Clearing the coordinates' denominator leaves p2^2/p4 and the agreement
     of the cubes unchanged.
     """
-    pairs = _hyperplane_pairs(point)
-    if pairs is None:
+    xs = _hyperplane_pairs(point)
+    if xs is None:
         raise ValueError(
             f"singular-parameter analysis requires the linear form to vanish "
             f"at {point}"
         )
-    _, _, p2, p4 = pairs
+    squares, p2 = _squares(xs)
+    p4 = tuple(map(sum, zip(*[_pair_mul(s, s) for s in squares])))
     if p4 != (0, 0):
         # p2^2/p4 = p2^2 * conj(p4) / N(p4), with conj(c + d*w) = c - d - d*w.
         c, d = p4
         num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
         if not num_w:
             t = Fraction(num, c * c - c * d + d * d)
-            if _singular(t.numerator, t.denominator, *pairs):
+            if _singular(t.numerator, t.denominator, xs):
                 return TSolutionSet.finite([t])
         return EMPTY
     if p2 != (0, 0):
         return EMPTY
-    return ALL_T if _singular(1, 1, *pairs) else TSolutionSet.finite([0])
+    return ALL_T if _singular(1, 1, xs) else TSolutionSet.finite([0])
 
 
 def scan_alphabet(t, alphabet) -> list:
@@ -368,11 +367,11 @@ def scan_alphabet(t, alphabet) -> list:
 
     Every member lies on sum(x) = 0 and is symmetric in the coordinates,
     so each multiset of six letters is tested once.  One table gives each
-    letter's index and the int pairs of x, x^2 and x^4.  The first five
-    indices are streamed non-decreasing, C(len + 4, 5) heads, with the
-    sums over each four-letter prefix taken once.  The sixth coordinate is
-    minus the sum of x, kept when it is a letter of index at least the
-    fifth's, and completes p2 and p4 for the Jacobian test.  Every distinct
+    letter's int pair x and its index.  The first five indices are
+    streamed non-decreasing, C(len + 4, 5) heads, with the sum of x over
+    each four-letter prefix taken once.  The sixth coordinate is minus the
+    sum of the other five, kept when it is a letter of index at least the
+    fifth's, and the tuple gets the Jacobian test.  Every distinct
     rearrangement of a passing tuple is reduced to its _projective_key, and
     each distinct key becomes one point.  SCAN_CAP bounds len(alphabet)^6.
     """
@@ -385,25 +384,19 @@ def scan_alphabet(t, alphabet) -> list:
         )
     t = family_parameter(t)
     p, q = t.numerator, t.denominator
-    cleared = [(x, _pair_mul(x, x)) for x in _cleared(letters)]
-    entries = tuple((i, x, s, _pair_mul(s, s)) for i, (x, s) in enumerate(cleared))
-    table = {entry[1]: entry for entry in entries}
+    entries = tuple(enumerate(_cleared(letters)))
+    index = {x: i for i, x in entries}
     keys = set()
     for prefix in combinations_with_replacement(entries, NVARS - 2):
-        _, head, head_squares, head_fourths = zip(*prefix)
+        _, head = zip(*prefix)
         a, b = map(sum, zip(*head))
-        sa, sb = map(sum, zip(*head_squares))
-        fa, fb = map(sum, zip(*head_fourths))
-        for i5, x5, s5, f5 in entries[prefix[-1][0] :]:
-            last = table.get((-a - x5[0], -b - x5[1]))
-            if last is None or last[0] < i5:
+        for i5, x5 in entries[prefix[-1][0] :]:
+            x6 = (-a - x5[0], -b - x5[1])
+            if index.get(x6, -1) < i5:
                 continue
-            _, x6, s6, f6 = last
-            xs, squares = head + (x5, x6), head_squares + (s5, s6)
-            p2 = (sa + s5[0] + s6[0], sb + s5[1] + s6[1])
-            p4 = (fa + f5[0] + f6[0], fb + f5[1] + f6[1])
+            xs = head + (x5, x6)
             # The zero tuple passes the test but is no point.
-            if _singular(p, q, xs, squares, p2, p4) and any(map(any, xs)):
+            if _singular(p, q, xs) and any(map(any, xs)):
                 keys.update(_arrangement_keys(xs))
     return _sorted_points(keys)
 

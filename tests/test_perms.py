@@ -267,6 +267,13 @@ class TestIrreducibleDegrees:
     def test_symmetric_group_4(self):
         assert irreducible_degrees(symmetric(4)) == (1, 1, 2, 3, 3)
 
+    def test_symmetric_group_5_is_ambiguous(self):
+        # Order 120, 7 classes, abelianization 2: two multisets fit.
+        with pytest.raises(ValueError) as info:
+            irreducible_degrees(symmetric(5))
+        assert "(2, 3, 4, 5, 8)" in str(info.value)
+        assert "(4, 4, 5, 5, 6)" in str(info.value)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             irreducible_degrees(symmetric(6))
