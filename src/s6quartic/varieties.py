@@ -30,23 +30,26 @@ SCAN_CAP = 10**7
 _new = object.__new__
 
 
-def _projective_key(xs) -> tuple:
-    """The normal form of the point with int-pair coordinates xs, not all
-    (0, 0): the 12 ints of every pair times the conjugate (c - d, -d) of
-    the first nonzero pair (c, d), then its norm c^2 - c*d + d^2, all
-    divided by their gcd.  Each coordinate is its pair over that norm, so
-    the first nonzero one is 1, and two tuples get the same key iff they
-    are nonzero Q(w)-multiples of each other.
-    """
-    for c, d in xs:
-        if c or d:
-            break
+def _scaled(xs, c, d) -> list:
+    """The 12 ints of the int pairs xs times the conjugate (c - d, -d) of
+    c + d*w, then the norm c^2 - c*d + d^2, all divided by their gcd.
+    Each pair over that norm is a coordinate of xs / (c + d*w)."""
     e = c - d
     # (a + b*w)(e - d*w) = a*e + b*d + (b*c - a*d)*w, since w^2 = -1 - w.
     ints = [v for a, b in xs for v in (a * e + b * d, b * c - a * d)]
     ints.append(c * c - c * d + d * d)
     g = gcd(*ints)
-    return tuple(ints) if g == 1 else tuple(v // g for v in ints)
+    return ints if g == 1 else [v // g for v in ints]
+
+
+def _projective_key(xs) -> tuple:
+    """The normal form of the point with int-pair coordinates xs, not all
+    (0, 0): xs _scaled by its first nonzero pair, so that pair becomes
+    (n, 0) over the norm n and the first nonzero coordinate is 1.  Two
+    tuples get the same key iff they are nonzero Q(w)-multiples of each
+    other.
+    """
+    return tuple(_scaled(xs, *next(filter(any, xs))))
 
 
 def _coords(key) -> tuple:
@@ -54,22 +57,44 @@ def _coords(key) -> tuple:
     return tuple(map(_reduced, key[:-1:2], key[1::2], repeat(key[-1], NVARS)))
 
 
-def _point(key) -> "ProjectivePoint":
-    """Wrap the point of a _projective_key, skipping the coercion and
+def _point(coords) -> "ProjectivePoint":
+    """Wrap normalized field coordinates, skipping the coercion and
     validation of the public constructor."""
     p = _new(ProjectivePoint)
-    p.coords = _coords(key)
+    p.coords = coords
     return p
 
 
-def _arrangement_keys(xs):
-    """The _projective_key of each distinct rearrangement of int pairs xs."""
-    return map(_projective_key, set(permutations(xs)))
+def _orbit_points(xs, seen) -> list:
+    """One point per distinct rearrangement of the int pairs xs up to a
+    nonzero scalar, skipping the batches named in seen and adding new ones.
 
-
-def _sorted_points(keys) -> list:
-    """One point per distinct _projective_key, sorted deterministically."""
-    return sorted(map(_point, set(keys)), key=ProjectivePoint.sort_key)
+    xs is _scaled once per distinct nonzero value v.  Each distinct
+    arrangement of the image that starts, after zeros, with v's image
+    (n, 0) is a _projective_key as it stands, and each key of the orbit
+    arises so.  A batch is named by its sorted pairs and n: the scalings
+    of the cube-root tuple by 1, w and w^2 give the same keys, but
+    [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
+    with n = 1 and 2.  Each batch makes its at most six field values once.
+    """
+    points = []
+    for v in set(xs) - {(0, 0)}:
+        *ints, n = _scaled(xs, *v)
+        pairs = sorted(zip(ints[::2], ints[1::2]))
+        batch = (tuple(pairs), n)
+        if batch in seen:
+            continue
+        seen.add(batch)
+        values = {x: _reduced(*x, n) for x in set(pairs)}
+        rest = [x for x in pairs if any(x)]
+        rest.remove((n, 0))
+        zeros = NVARS - 1 - len(rest)
+        # k zeros, then v's image, then any arrangement of what is left.
+        for k in range(zeros + 1):
+            head = ((0, 0),) * k + ((n, 0),)
+            for tail in set(permutations(rest + [(0, 0)] * (zeros - k))):
+                points.append(_point(tuple(map(values.__getitem__, head + tail))))
+    return points
 
 
 class ProjectivePoint:
@@ -80,7 +105,7 @@ class ProjectivePoint:
     coordinates are cleared to int pairs and normalized by
     _projective_key, the one normalization of points.  The constructor
     coerces and validates outside input; points derived from other points
-    are built from their keys by _point.
+    wrap their normalized coordinates with _point.
     """
 
     __slots__ = ("coords",)
@@ -129,7 +154,7 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     image = [None] * NVARS
     for target, x in zip(perm.index_map(), _cleared(point.coords)):
         image[target] = x
-    return _point(_projective_key(image))
+    return _point(_coords(_projective_key(image)))
 
 
 class LinearSliceVariety:
@@ -219,10 +244,11 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
 
     The orbit is the set of distinct rearrangements of the coordinate
     tuple, so no group is built: the coordinates are cleared once to int
-    pairs, each distinct rearrangement is reduced to its _projective_key,
-    and each distinct key becomes one point.
+    pairs, and _orbit_points scales them once per distinct nonzero value
+    and builds each point of the orbit once.
     """
-    return tuple(_sorted_points(_arrangement_keys(_cleared(point.coords))))
+    points = _orbit_points(_cleared(point.coords), set())
+    return tuple(sorted(points, key=ProjectivePoint.sort_key))
 
 
 # -- the quartic family -------------------------------------------------------
@@ -351,6 +377,8 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
         # p2^2/p4 = p2^2 * conj(p4) / N(p4), with conj(c + d*w) = c - d - d*w.
         c, d = p4
         num, num_w = _pair_mul(_pair_mul(p2, p2), (c - d, -d))
+        # Only an early exit: an irrational p2^2/p4 gives no rational t,
+        # and by Euler no rational t passes _singular at such a point.
         if not num_w:
             t = Fraction(num, c * c - c * d + d * d)
             if _singular(t.numerator, t.denominator, xs):
@@ -371,9 +399,10 @@ def scan_alphabet(t, alphabet) -> list:
     streamed non-decreasing, C(len + 4, 5) heads, with the sum of x over
     each four-letter prefix taken once.  The sixth coordinate is minus the
     sum of the other five, kept when it is a letter of index at least the
-    fifth's, and the tuple gets the Jacobian test.  Every distinct
-    rearrangement of a passing tuple is reduced to its _projective_key, and
-    each distinct key becomes one point.  SCAN_CAP bounds len(alphabet)^6.
+    fifth's, and the tuple gets the Jacobian test.  _orbit_points builds
+    the points of a passing tuple's rearrangements, each once, and skips
+    the orbits the scan has already built: the sixth-root multiples of the
+    cube-root tuple are one orbit.  SCAN_CAP bounds len(alphabet)^6.
     """
     letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
     if not letters:
@@ -386,7 +415,8 @@ def scan_alphabet(t, alphabet) -> list:
     p, q = t.numerator, t.denominator
     entries = tuple(enumerate(_cleared(letters)))
     index = {x: i for i, x in entries}
-    keys = set()
+    seen = set()
+    points = []
     for prefix in combinations_with_replacement(entries, NVARS - 2):
         _, head = zip(*prefix)
         a, b = map(sum, zip(*head))
@@ -395,10 +425,11 @@ def scan_alphabet(t, alphabet) -> list:
             if index.get(x6, -1) < i5:
                 continue
             xs = head + (x5, x6)
-            # The zero tuple passes the test but is no point.
-            if _singular(p, q, xs) and any(map(any, xs)):
-                keys.update(_arrangement_keys(xs))
-    return _sorted_points(keys)
+            # The zero tuple passes the test but has no nonzero value, so
+            # it makes no point.
+            if _singular(p, q, xs):
+                points += _orbit_points(xs, seen)
+    return sorted(points, key=ProjectivePoint.sort_key)
 
 
 # -- the distinguished plane, quadrics, and points ----------------------------

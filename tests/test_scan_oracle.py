@@ -77,7 +77,7 @@ class TestScanWork:
 
             monkeypatch.setattr(varieties, fn.__name__, counted)
 
-        counting("keys", varieties._projective_key)
+        counting("keys", varieties._scaled)
         counting("points", varieties._point)
         counting("tests", varieties._singular)
         for t in (Fraction(6), Fraction(7), Fraction(-11, 3)):
@@ -85,9 +85,9 @@ class TestScanWork:
                 scan_alphabet(t, DEFAULT_ALPHABETS[name])
         # Per t, each multiset of six letters that sums to zero gets one
         # Jacobian test, the zero multiset among them.  Every t keeps the
-        # 90 cube-root tuples; t = 6 also keeps 20 + 20 sign tuples.  Each
-        # kept tuple is reduced to a key, and each of the 30 + 10 + 10
-        # distinct keys becomes one point.
+        # cube-root tuple, scaled once by each of its 3 values (one batch
+        # of 30 points); t = 6 also keeps one sign tuple per alphabet,
+        # scaled by each of its 2 values (one batch of 10 points).
         multisets = sum(
             not sum(m, Eisenstein(0))
             for name in ("pm1", "zero_pm1", "cube_roots")
@@ -97,7 +97,7 @@ class TestScanWork:
         )
         assert multisets == 1 + 4 + 1
         assert counts["tests"] == 3 * multisets
-        assert counts["keys"] == 3 * 90 + 20 + 20
+        assert counts["keys"] == 3 * 3 + 2 + 2
         assert counts["points"] == 3 * 30 + 10 + 10
 
     def test_the_heads_are_streamed_not_stored(self):

@@ -58,12 +58,14 @@ def measure() -> dict:
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
     from s6quartic import Polynomial, eisenstein, parse_polynomial, perms, poly
 
-    # Every point, from the public constructor or from a key, gets its
-    # coordinates from one _coords call; "keys" counts the normalizations.
+    # Every point the package derives is wrapped by one _point call (the
+    # public constructor is not called after import); "keys" counts the
+    # normalizations, one _scaled call per key or per distinct value of an
+    # orbit's tuple.
     work = {
-        "points_built": varieties._coords,
+        "points_built": varieties._point,
         "additions": Eisenstein.__add__,
-        "keys": varieties._projective_key,
+        "keys": varieties._scaled,
     }
     calls = (
         "act_on_variety",
@@ -84,7 +86,8 @@ def measure() -> dict:
     )
     assert all_passed(records)
     # "tests" counts the Jacobian tests, one per head whose sixth
-    # coordinate is a letter; a scan makes one key per singular tuple.
+    # coordinate is a letter; a scan scales each singular tuple once per
+    # distinct nonzero value.
     scan_work = {**work, "tests": varieties._singular}
     scans = []
     for t in SCAN_T_VALUES:
