@@ -6,7 +6,6 @@ Run with: python3 demos/plane_slice.py
 from s6quartic import (
     PLANE_FORMS,
     QUADRIC_PAIR,
-    divide_exact,
     family_member,
     gram_matrix,
     restrict_to_plane,
@@ -38,13 +37,6 @@ def main() -> None:
     print(f"  factors: {scalar is not None}   scalar: {scalar}")
     assert str(scalar) == "8"
     assert restricted == 8 * q1 * q2
-    print()
-
-    print("Exact division confirms the quotients both ways:")
-    print(f"  restricted / q1 = 8*q2? {divide_exact(restricted, q1) == 8 * q2}")
-    print(f"  restricted / q2 = 8*q1? {divide_exact(restricted, q2) == 8 * q1}")
-    assert divide_exact(restricted, q1) == 8 * q2
-    assert divide_exact(restricted, q2) == 8 * q1
     print()
 
     print("Away from t = 6 the factorization breaks down:")

@@ -17,7 +17,6 @@ from .eisenstein import (
 )
 from .poly import (
     Polynomial,
-    divide_exact,
     quartic_family,
 )
 from .parsing import (
@@ -81,7 +80,6 @@ __all__ = [
     "TAU",
     "act_on_variety",
     "all_passed",
-    "divide_exact",
     "emit_report",
     "family_member",
     "gram_matrix",

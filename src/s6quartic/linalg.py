@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .eisenstein import Eisenstein, ZERO, _cleared, _make, _pair_mul
-from .poly import NVARS, Polynomial
+from .poly import NVARS, Polynomial, family_parameter
 
 DIMENSION_CAP = 16
 
@@ -183,7 +183,7 @@ class TSolutionSet(namedtuple("TSolutionSet", "kind values", defaults=((),))):
 
     @classmethod
     def finite(cls, values) -> "TSolutionSet":
-        vals = tuple(sorted(set(Fraction(v) for v in values)))
+        vals = tuple(sorted(set(map(family_parameter, values))))
         if not vals:
             return EMPTY
         return cls("finite", vals)

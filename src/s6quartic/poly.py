@@ -6,8 +6,8 @@ operation, so structural equality is mathematical equality.  The ambient
 variable set is fixed at six, matching the projective space P^5 all the
 geometry lives in.
 
-The monomial order used everywhere (leading terms, exact division, text
-output) is lexicographic on the exponent vector with x0 most significant.
+The monomial order used everywhere (leading terms, text output) is
+lexicographic on the exponent vector with x0 most significant.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
 
 from .eisenstein import Eisenstein, ONE, ZERO, _operand, _reduced
 
@@ -383,39 +382,6 @@ def format_polynomial(p: Polynomial) -> str:
         else:
             pieces.append(f" + {body}" if sign > 0 else f" - {body}")
     return "".join(pieces)
-
-
-# -- exact division -----------------------------------------------------------
-
-def divide_exact(numerator: Polynomial, divisor: Polynomial):
-    """Quotient with zero remainder, or None when the division is not exact.
-
-    Single-divisor division under the lex order: at every step the divisor's
-    leading term must divide the running remainder's leading term, otherwise
-    no exact quotient exists (any cofactor would contribute that leading
-    term).  The leading monomial strictly decreases, so this terminates.
-    """
-    if divisor.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead_mono = divisor.leading_monomial()
-    lead_coeff = divisor.terms[lead_mono]
-    remainder = dict(numerator.terms)
-    quotient: dict = {}
-    while remainder:
-        top = max(remainder)
-        qm = tuple(map(sub, top, lead_mono))
-        if min(qm) < 0:
-            return None
-        qc = remainder[top] / lead_coeff
-        quotient[qm] = qc
-        for mono, coeff in divisor.terms.items():
-            target = tuple(map(add, qm, mono))
-            acc = remainder.get(target, ZERO) - qc * coeff
-            if acc:
-                remainder[target] = acc
-            else:
-                remainder.pop(target, None)
-    return _raw(quotient)
 
 
 # -- the pencil of invariant quartics -----------------------------------------

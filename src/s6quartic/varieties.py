@@ -453,8 +453,8 @@ SIGN_POINT = ProjectivePoint((-1, -1, -1, 1, 1, 1))
 
 
 def restrict_to_plane(poly: Polynomial) -> Polynomial:
-    """Restriction to the distinguished plane: substitute the two echelon
-    pivot variables, x5 -> -x0 - x2 and x4 -> -x1 - x3."""
+    """Restriction to the distinguished plane: substitute x5 -> -x0 - x2
+    and x4 -> -x1 - x3, so that the result is a form in x0..x3."""
     return poly.substitute_linear({5: -X[0] - X[2], 4: -X[1] - X[3]})
 
 

@@ -3,7 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the criterion lines.
 
 Criteria 1-11 drive the registered verification checks and pin their full
-result payloads.  Criterion 12 runs seven randomized property suites of at
+result payloads.  Criterion 12 runs six randomized property suites of at
 least 1000 cases each with the fixed seed recorded below.
 """
 
@@ -20,7 +20,6 @@ from s6quartic import (
     PermGroup,
     Polynomial,
     RunConfig,
-    divide_exact,
     orbit_and_stabilizer,
     parse_polynomial,
     run_checks,
@@ -215,13 +214,6 @@ def _random_polynomial(rng, max_terms=4, max_degree=3):
     return Polynomial(terms)
 
 
-def _random_nonzero_polynomial(rng, max_terms=4, max_degree=3):
-    while True:
-        p = _random_polynomial(rng, max_terms, max_degree)
-        if not p.is_zero():
-            return p
-
-
 def _random_homogeneous(rng, degree, max_terms=5):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -355,13 +347,6 @@ def _suite_parser_round_trip(rng):
         assert parse_field_element(str(e)) == e
 
 
-def _suite_exact_division(rng):
-    for _ in range(CASES):
-        f = _random_polynomial(rng, max_terms=3, max_degree=3)
-        g = _random_nonzero_polynomial(rng, max_terms=3, max_degree=3)
-        assert divide_exact(f * g, g) == f
-
-
 PROPERTY_SUITES = (
     _suite_field_axioms,
     _suite_euler_identity,
@@ -369,7 +354,6 @@ PROPERTY_SUITES = (
     _suite_orbit_stabilizer,
     _suite_rank_congruence,
     _suite_parser_round_trip,
-    _suite_exact_division,
 )
 
 

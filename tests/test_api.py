@@ -39,7 +39,6 @@ PUBLIC = [
     "TAU",
     "act_on_variety",
     "all_passed",
-    "divide_exact",
     "emit_report",
     "family_member",
     "gram_matrix",

@@ -270,6 +270,14 @@ class TestSolutionSets:
         assert s.values == (Fraction(1, 2), Fraction(2))
         assert str(s) == "{1/2, 2}"
 
+    def test_finite_reads_family_parameters(self):
+        assert TSolutionSet.finite([6, Fraction(6)]).values == (Fraction(6),)
+        # 0.1 would be read as 3602879701896397/36028797018963968 and "6"
+        # as a number from its text.
+        for bad in (0.1, "6"):
+            with pytest.raises(TypeError):
+                TSolutionSet.finite([bad])
+
     def test_finite_empty_is_empty(self):
         assert TSolutionSet.finite([]) is EMPTY or TSolutionSet.finite([]) == EMPTY
 

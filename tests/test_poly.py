@@ -12,7 +12,6 @@ from s6quartic import (
     QUADRIC_PAIR,
     Eisenstein,
     Polynomial,
-    divide_exact,
     quartic_family,
 )
 from s6quartic.eisenstein import OMEGA_SQUARED, ONE
@@ -116,6 +115,12 @@ class TestRingOperations:
             X0 + "x1"
         with pytest.raises(TypeError):
             X0 * 1.5
+
+    def test_golden_quadric_product(self):
+        q1, q2 = QUADRIC_PAIR
+        assert (q1 * q2).terms == {
+            m: Eisenstein(c) for m, c in GOLDEN_QUADRIC_PRODUCT.items()
+        }
 
 
 class TestStructureQueries:
@@ -305,33 +310,6 @@ class TestSubstitution:
         second = (0, 1, 2, 5, 3, 4)
         composed = tuple(second[first[i]] for i in range(NVARS))
         assert p.apply_permutation(first).apply_permutation(second) == p.apply_permutation(composed)
-
-
-class TestExactDivision:
-    def test_golden_product_and_quotients(self):
-        q1, q2 = QUADRIC_PAIR
-        product = q1 * q2
-        assert product.terms == {
-            m: Eisenstein(c) for m, c in GOLDEN_QUADRIC_PRODUCT.items()
-        }
-        assert divide_exact(product, q1) == q2
-        assert divide_exact(product, q2) == q1
-
-    def test_divide_exact_with_scalar_factor(self):
-        f = X0 + OMEGA * X1
-        g = X2**2 - X3
-        assert divide_exact(3 * f * g, g) == 3 * f
-
-    def test_non_exact_division_returns_none(self):
-        assert divide_exact(X0**2 + X1, X0) is None
-        assert divide_exact(X0 + 1, X1) is None
-
-    def test_zero_numerator(self):
-        assert divide_exact(Polynomial.zero(), X0) == Polynomial.zero()
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            divide_exact(X0, Polynomial.zero())
 
 
 class TestFamily:
