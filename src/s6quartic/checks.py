@@ -15,6 +15,8 @@ when selected by name.
 from __future__ import annotations
 
 import json
+import re
+import sys
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -443,15 +445,24 @@ def emit_report(records, mode: str) -> bytes:
 def parse_rational(text: str) -> Fraction:
     """An integer, p/q or decimal in ASCII.  Exponent notation is refused,
     since '1e10000000' alone asks Fraction for a 33-million-bit int, and so
-    are the Unicode digits and '_' separators that Fraction would take."""
+    are the Unicode digits and '_' separators that Fraction would take.  A
+    run of digits longer than Python converts to an int, and a zero
+    denominator, are refused with messages of their own."""
     try:
         if not text.isascii() or "_" in text:
             raise ValueError("only ASCII digits without '_' are accepted")
         text = text.strip()
         if "e" in text.lower():
             raise ValueError("exponent notation is not accepted")
+        # Fraction converts each run of digits with int().
+        digits = max(map(len, re.findall("[0-9]+", text)), default=0)
+        limit = sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise ValueError(f"literal too long ({digits} digits)")
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ConfigError(f"bad rational {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 
 

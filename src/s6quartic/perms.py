@@ -13,6 +13,7 @@ deterministic.  All of this is sized for groups of order a few hundred.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from functools import lru_cache
 
 GENERATE_CAP = 5040
 SUBGROUP_SCAN_CAP = 120
@@ -321,6 +322,27 @@ def irreducible_degrees(group: PermGroup) -> tuple:
             f"ambiguous degree data: {sorted(solutions)} all satisfy the constraints"
         )
     return tuple([1] * a + list(solutions[0]))
+
+
+@lru_cache(maxsize=32)
+def _arrangements(shape: tuple) -> tuple:
+    """Every distinct arrangement of the multiset that holds shape[i]
+    copies of i, once each, as index tuples in lexicographic order.
+
+    The table depends on the multiplicities alone, never on what the
+    indices stand for.  varieties._orbit_points arranges tails of at most
+    five entries, whose shapes are the 32 compositions of 0..5, so the
+    cache holds every shape it is asked for.  The recursion bypasses the
+    cache, which would otherwise also fill with shapes holding zeros.
+    """
+    if not any(shape):
+        return ((),)
+    return tuple(
+        (i,) + rest
+        for i, m in enumerate(shape)
+        if m
+        for rest in _arrangements.__wrapped__(shape[:i] + (m - 1,) + shape[i + 1 :])
+    )
 
 
 class LabelDictionary:

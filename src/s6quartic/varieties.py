@@ -15,10 +15,11 @@ family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, repeat
+from itertools import combinations_with_replacement, repeat
 from math import gcd
 
-from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
+from . import perms
+from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
 from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
 from .perms import Permutation
@@ -57,11 +58,14 @@ def _coords(key) -> tuple:
     return tuple(map(_reduced, key[:-1:2], key[1::2], repeat(key[-1], NVARS)))
 
 
-def _point(coords) -> "ProjectivePoint":
+def _point(coords, text, key) -> "ProjectivePoint":
     """Wrap normalized field coordinates, skipping the coercion and
-    validation of the public constructor."""
+    validation of the public constructor.  text and key are the point's
+    str and sort_key when the caller has them already, else None."""
     p = _new(ProjectivePoint)
     p.coords = coords
+    p._text = text
+    p._key = key
     return p
 
 
@@ -75,7 +79,12 @@ def _orbit_points(xs, seen) -> list:
     arises so.  A batch is named by its sorted pairs and n: the scalings
     of the cube-root tuple by 1, w and w^2 give the same keys, but
     [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
-    with n = 1 and 2.  Each batch makes its at most six field values once.
+    with n = 1 and 2.
+
+    Each batch makes the field value, text and sort key of its at most six
+    distinct values once, and every point's coordinates, str and sort_key
+    are joined from those.  The distinct arrangements of a tail come from
+    perms._arrangements, a table keyed by the tail's multiplicities alone.
     """
     points = []
     for v in set(xs) - {(0, 0)}:
@@ -85,15 +94,29 @@ def _orbit_points(xs, seen) -> list:
         if batch in seen:
             continue
         seen.add(batch)
-        values = {x: _reduced(*x, n) for x in set(pairs)}
         rest = [x for x in pairs if any(x)]
         rest.remove((n, 0))
         zeros = NVARS - 1 - len(rest)
-        # k zeros, then v's image, then any arrangement of what is left.
+        distinct = sorted(set(rest))
+        counts = tuple(map(rest.count, distinct))
+        # Index i < len(distinct) stands for distinct[i], then 0 and 1.
+        zero = len(distinct)
+        values = [_reduced(*x, n) for x in distinct] + [ZERO, ONE]
+        texts = list(map(str, values))
+        keys = [c.sort_key() for c in values]
+        # k zeros, then v's image 1, then any arrangement of what is left.
         for k in range(zeros + 1):
-            head = ((0, 0),) * k + ((n, 0),)
-            for tail in set(permutations(rest + [(0, 0)] * (zeros - k))):
-                points.append(_point(tuple(map(values.__getitem__, head + tail))))
+            head = (zero,) * k + (zero + 1,)
+            shape = counts + (zeros - k,) if k < zeros else counts
+            for tail in perms._arrangements(shape):
+                a = head + tail
+                points.append(
+                    _point(
+                        tuple(map(values.__getitem__, a)),
+                        "[" + " : ".join(map(texts.__getitem__, a)) + "]",
+                        tuple(map(keys.__getitem__, a)),
+                    )
+                )
     return points
 
 
@@ -106,9 +129,14 @@ class ProjectivePoint:
     _projective_key, the one normalization of points.  The constructor
     coerces and validates outside input; points derived from other points
     wrap their normalized coordinates with _point.
+
+    Two more slots carry the point's str and sort_key.  _orbit_points
+    fills them from its batch's per-value texts and keys; the constructor
+    and act_on_point leave them None, and the first use fills them from
+    the coordinates.  Equality and hashing use the coordinates alone.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_text", "_key")
 
     def __init__(self, coords):
         vals = [Eisenstein.coerce(c) for c in coords]
@@ -117,6 +145,7 @@ class ProjectivePoint:
         if not any(vals):
             raise ValueError("all coordinates are zero")
         self.coords = _coords(_projective_key(_cleared(vals)))
+        self._text = self._key = None
 
     def __getitem__(self, index: int) -> Eisenstein:
         return self.coords[index]
@@ -125,7 +154,10 @@ class ProjectivePoint:
         return iter(self.coords)
 
     def sort_key(self):
-        return tuple(c.sort_key() for c in self.coords)
+        key = self._key
+        if key is None:
+            key = self._key = tuple(c.sort_key() for c in self.coords)
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -139,7 +171,10 @@ class ProjectivePoint:
         return f"ProjectivePoint({[str(c) for c in self.coords]})"
 
     def __str__(self):
-        return "[" + " : ".join(str(c) for c in self.coords) + "]"
+        text = self._text
+        if text is None:
+            text = self._text = "[" + " : ".join(map(str, self.coords)) + "]"
+        return text
 
 
 def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
@@ -154,7 +189,7 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     image = [None] * NVARS
     for target, x in zip(perm.index_map(), _cleared(point.coords)):
         image[target] = x
-    return _point(_coords(_projective_key(image)))
+    return _point(_coords(_projective_key(image)), None, None)
 
 
 class LinearSliceVariety:

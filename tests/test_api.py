@@ -5,7 +5,9 @@ from the package root; everything else is imported from its submodule.
 """
 
 import ast
+import functools
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -149,15 +151,14 @@ def test_readme_library_tour_runs(capsys):
     ]
 
 
-def test_import_loads_no_decorator_machinery():
-    # The package needs none of these; dataclasses alone pulls in inspect,
-    # ast, dis and tokenize.  Only a fresh interpreter shows what the import
-    # itself loads, and only one started with -S: a site hook may preload
-    # typing.
+@functools.lru_cache(maxsize=1)
+def modules_loaded_by_the_cli() -> list:
+    """The sorted new entries of sys.modules after `import s6quartic.cli`
+    in a fresh interpreter.  Only a fresh one shows what the import itself
+    loads, and only one started with -S: a site hook may preload typing."""
     probe = (
         "import sys; before = set(sys.modules); import s6quartic.cli; "
-        "print(sorted({'configparser', 'dataclasses', 'inspect', 'string', "
-        "'typing'} & (set(sys.modules) - before)))"
+        "print(*sorted(set(sys.modules) - before), sep='\\n')"
     )
     src = str(Path(s6quartic.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -167,4 +168,26 @@ def test_import_loads_no_decorator_machinery():
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout.split()
+
+
+def test_import_loads_no_decorator_machinery():
+    # The package needs none of these; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize.
+    forbidden = {"configparser", "dataclasses", "inspect", "string", "typing"}
+    assert not forbidden & set(modules_loaded_by_the_cli())
+
+
+def test_import_loads_the_pinned_modules():
+    """The modules `import s6quartic.cli` loads, pinned per interpreter in
+    tests/reference/import-modules.json, so an import regression fails
+    whatever the machine load.  The standard library's own imports differ
+    between Python versions, so a version without a pin is skipped."""
+    pins = json.loads(
+        (ROOT / "tests" / "reference" / "import-modules.json").read_text()
+    )
+    v = sys.version_info
+    name = f"{sys.implementation.name}-{v.major}.{v.minor}-{sys.platform}"
+    if name not in pins:
+        pytest.skip(f"no import pin for {name}")
+    assert modules_loaded_by_the_cli() == pins[name]

@@ -382,6 +382,26 @@ class TestHostileInput:
                 "error: bad rational '1_000': "
                 "only ASCII digits without '_' are accepted",
             ),
+            (
+                # Fraction's own message was 'Fraction(3, 0)'.
+                ["scan", "--t", "3/0", "--alphabet", "pm1"],
+                "error: bad rational '3/0': zero denominator",
+            ),
+            (
+                ["verify", "--check", "scan-todd", "--t", "7/00"],
+                "error: bad rational '7/00': zero denominator",
+            ),
+            (
+                # int() refused this with advice to raise its digit limit.
+                ["scan", "--t", "1" + "0" * 4999, "--alphabet", "pm1"],
+                f"error: bad rational '1{'0' * 4999}': "
+                "literal too long (5000 digits)",
+            ),
+            (
+                ["verify", "--check", "scan-todd", "--t", "0." + "3" * 5000],
+                f"error: bad rational '0.{'3' * 5000}': "
+                "literal too long (5000 digits)",
+            ),
         ],
     )
     def test_non_ascii_and_oversized_numbers_are_clean_errors(
