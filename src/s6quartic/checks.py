@@ -447,7 +447,8 @@ def parse_rational(text: str) -> Fraction:
     since '1e10000000' alone asks Fraction for a 33-million-bit int, and so
     are the Unicode digits and '_' separators that Fraction would take.  A
     run of digits longer than Python converts to an int, and a zero
-    denominator, are refused with messages of their own."""
+    denominator, are refused with messages of their own, which echo at
+    most the first 32 characters of the text."""
     try:
         if not text.isascii() or "_" in text:
             raise ValueError("only ASCII digits without '_' are accepted")
@@ -460,10 +461,10 @@ def parse_rational(text: str) -> Fraction:
         if limit and digits > limit:
             raise ValueError(f"literal too long ({digits} digits)")
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ConfigError(f"bad rational {text!r}: zero denominator") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad rational {text!r}: {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        shown = repr(text[:32]) + (f"… ({len(text)} chars)" if len(text) > 32 else "")
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ConfigError(f"bad rational {shown}: {reason}") from None
 
 
 def alphabet_letters(text: str) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .checks import (
@@ -159,8 +160,12 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes '-3/2' for an option, but not '--t=-3/2'.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--t" and re.match("-[0-9.]", argv[i + 1]):
+            argv[i : i + 2] = ["--t=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

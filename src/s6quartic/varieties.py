@@ -43,30 +43,39 @@ def _scaled(xs, c, d) -> list:
     return ints if g == 1 else [v // g for v in ints]
 
 
-def _projective_key(xs) -> tuple:
-    """The normal form of the point with int-pair coordinates xs, not all
-    (0, 0): xs _scaled by its first nonzero pair, so that pair becomes
-    (n, 0) over the norm n and the first nonzero coordinate is 1.  Two
-    tuples get the same key iff they are nonzero Q(w)-multiples of each
-    other.
-    """
-    return tuple(_scaled(xs, *next(filter(any, xs))))
-
-
-def _coords(key) -> tuple:
-    """The field coordinates a _projective_key stands for."""
-    return tuple(map(_reduced, key[:-1:2], key[1::2], repeat(key[-1], NVARS)))
-
-
 def _point(coords, text, key) -> "ProjectivePoint":
-    """Wrap normalized field coordinates, skipping the coercion and
-    validation of the public constructor.  text and key are the point's
-    str and sort_key when the caller has them already, else None."""
+    """Wrap normalized field coordinates with their str and sort_key,
+    skipping the coercion and validation of the public constructor."""
     p = _new(ProjectivePoint)
     p.coords = coords
     p._text = text
     p._key = key
     return p
+
+
+def _joined(values, arrangements) -> list:
+    """One point per index tuple a of arrangements, with coordinates
+    values[i] for i in a.  The text and sort key of each value are made
+    once, and every point's str and sort_key are joined from them."""
+    texts = list(map(str, values))
+    keys = [c.sort_key() for c in values]
+    return [
+        _point(
+            tuple(map(values.__getitem__, a)),
+            "[" + " : ".join(map(texts.__getitem__, a)) + "]",
+            tuple(map(keys.__getitem__, a)),
+        )
+        for a in arrangements
+    ]
+
+
+def _normalized(xs) -> "ProjectivePoint":
+    """The point of the int pairs xs, not all (0, 0), as a batch of one
+    arrangement: xs _scaled by its first nonzero pair, which becomes (n, 0)
+    over the norm n, so that the first nonzero coordinate is 1."""
+    *ints, n = _scaled(xs, *next(filter(any, xs)))
+    values = list(map(_reduced, ints[::2], ints[1::2], repeat(n, NVARS)))
+    return _joined(values, [range(NVARS)])[0]
 
 
 def _orbit_points(xs, seen) -> list:
@@ -75,15 +84,14 @@ def _orbit_points(xs, seen) -> list:
 
     xs is _scaled once per distinct nonzero value v.  Each distinct
     arrangement of the image that starts, after zeros, with v's image
-    (n, 0) is a _projective_key as it stands, and each key of the orbit
-    arises so.  A batch is named by its sorted pairs and n: the scalings
-    of the cube-root tuple by 1, w and w^2 give the same keys, but
-    [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
+    (n, 0) is in _normalized form as it stands, and each point of the
+    orbit arises so.  A batch is named by its sorted pairs and n: the
+    scalings of the cube-root tuple by 1, w and w^2 give the same points,
+    but [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
     with n = 1 and 2.
 
-    Each batch makes the field value, text and sort key of its at most six
-    distinct values once, and every point's coordinates, str and sort_key
-    are joined from those.  The distinct arrangements of a tail come from
+    Each batch _joins its points from its at most six distinct field
+    values.  The distinct arrangements of a tail come from
     perms._arrangements, a table keyed by the tail's multiplicities alone.
     """
     points = []
@@ -102,21 +110,13 @@ def _orbit_points(xs, seen) -> list:
         # Index i < len(distinct) stands for distinct[i], then 0 and 1.
         zero = len(distinct)
         values = [_reduced(*x, n) for x in distinct] + [ZERO, ONE]
-        texts = list(map(str, values))
-        keys = [c.sort_key() for c in values]
         # k zeros, then v's image 1, then any arrangement of what is left.
+        arrangements = []
         for k in range(zeros + 1):
             head = (zero,) * k + (zero + 1,)
             shape = counts + (zeros - k,) if k < zeros else counts
-            for tail in perms._arrangements(shape):
-                a = head + tail
-                points.append(
-                    _point(
-                        tuple(map(values.__getitem__, a)),
-                        "[" + " : ".join(map(texts.__getitem__, a)) + "]",
-                        tuple(map(keys.__getitem__, a)),
-                    )
-                )
+            arrangements += [head + tail for tail in perms._arrangements(shape)]
+        points += _joined(values, arrangements)
     return points
 
 
@@ -125,15 +125,10 @@ class ProjectivePoint:
 
     Normalization makes equality of points the same as equality of the
     stored coordinate tuples, so points can live in sets and dicts.  The
-    coordinates are cleared to int pairs and normalized by
-    _projective_key, the one normalization of points.  The constructor
-    coerces and validates outside input; points derived from other points
-    wrap their normalized coordinates with _point.
-
-    Two more slots carry the point's str and sort_key.  _orbit_points
-    fills them from its batch's per-value texts and keys; the constructor
-    and act_on_point leave them None, and the first use fills them from
-    the coordinates.  Equality and hashing use the coordinates alone.
+    constructor coerces and validates outside input, clears it to int
+    pairs and _normalizes them, as act_on_point does.  Every point is
+    built by _joined, with two more slots holding its str and sort_key;
+    equality and hashing use the coordinates alone.
     """
 
     __slots__ = ("coords", "_text", "_key")
@@ -144,8 +139,8 @@ class ProjectivePoint:
             raise ValueError(f"a point needs {NVARS} homogeneous coordinates")
         if not any(vals):
             raise ValueError("all coordinates are zero")
-        self.coords = _coords(_projective_key(_cleared(vals)))
-        self._text = self._key = None
+        p = _normalized(_cleared(vals))
+        self.coords, self._text, self._key = p.coords, p._text, p._key
 
     def __getitem__(self, index: int) -> Eisenstein:
         return self.coords[index]
@@ -154,10 +149,7 @@ class ProjectivePoint:
         return iter(self.coords)
 
     def sort_key(self):
-        key = self._key
-        if key is None:
-            key = self._key = tuple(c.sort_key() for c in self.coords)
-        return key
+        return self._key
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -171,14 +163,12 @@ class ProjectivePoint:
         return f"ProjectivePoint({[str(c) for c in self.coords]})"
 
     def __str__(self):
-        text = self._text
-        if text is None:
-            text = self._text = "[" + " : ".join(map(str, self.coords)) + "]"
-        return text
+        return self._text
 
 
 def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
-    """Pushforward action on points: (g.p)_{g(i)} = p_i, re-normalized.
+    """Pushforward action on points: (g.p)_{g(i)} = p_i, _normalized from
+    the point's permuted int pairs.
 
     This is the action dual to Polynomial.apply_permutation, so that
     evaluating a transformed polynomial at a transformed point gives the
@@ -189,7 +179,7 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     image = [None] * NVARS
     for target, x in zip(perm.index_map(), _cleared(point.coords)):
         image[target] = x
-    return _point(_coords(_projective_key(image)), None, None)
+    return _normalized(image)
 
 
 class LinearSliceVariety:

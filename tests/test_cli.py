@@ -73,6 +73,21 @@ class TestVerifyCommand:
         assert code == 0
         assert record["details"]["per_t"] == {"7": {"found": 0, "nodes": 0}}
 
+    def test_negative_fraction_t_after_a_space(self, capsysbinary):
+        """argparse alone takes '-3/2' for an option; main passes it on
+        as '--t=-3/2'.  Both members have the cube-root orbit."""
+        code = main(
+            ["verify", "--check", "scan-todd", "--t", "-3/2", "--t", "6",
+             "--alphabet", "sixth_roots", "--format", "json"]
+        )
+        out, _ = capsysbinary.readouterr()
+        record = json.loads(out.splitlines()[0])
+        assert code == 0
+        assert record["details"]["per_t"] == {
+            "-3/2": {"found": 30, "nodes": 30},
+            "6": {"found": 40, "nodes": 40},
+        }
+
     @pytest.mark.parametrize(
         "alphabet,found", [("sixth_roots", 40), ("[1, -1, w]", 10)]
     )
@@ -170,6 +185,14 @@ class TestScanCommand:
         _, err = capsys.readouterr()
         assert code == 2
         assert "bad rational" in err
+
+    def test_missing_t_value_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--t", "--alphabet", "pm1"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert "argument --t: expected one argument" in err
 
     def test_cap_exceeded(self, capsys):
         code = main(["scan", "--t", "6", "--alphabet", WIDE_ALPHABET])
@@ -393,14 +416,20 @@ class TestHostileInput:
             ),
             (
                 # int() refused this with advice to raise its digit limit.
+                # The message echoes the first 32 characters alone.
                 ["scan", "--t", "1" + "0" * 4999, "--alphabet", "pm1"],
-                f"error: bad rational '1{'0' * 4999}': "
+                f"error: bad rational '1{'0' * 31}'… (5000 chars): "
                 "literal too long (5000 digits)",
             ),
             (
                 ["verify", "--check", "scan-todd", "--t", "0." + "3" * 5000],
-                f"error: bad rational '0.{'3' * 5000}': "
+                f"error: bad rational '0.{'3' * 30}'… (5002 chars): "
                 "literal too long (5000 digits)",
+            ),
+            (
+                ["scan", "--t", "-" + "1" * 40 + "/0", "--alphabet", "pm1"],
+                f"error: bad rational '-{'1' * 31}'… (43 chars): "
+                "zero denominator",
             ),
         ],
     )

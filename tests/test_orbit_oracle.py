@@ -1,18 +1,20 @@
-"""The orbit builder against the keying it replaced.
+"""The orbit builder against the public constructor on every rearrangement.
 
 The package scales a tuple of cleared int pairs once per distinct nonzero
 value and builds every point of its S6 orbit from that batch
-(varieties._orbit_points).  The oracle below is the former path: every
-distinct rearrangement of the tuple, reduced to its _projective_key, one
-point per distinct key.  Seeded tuples with zero coordinates (leading ones
-among them), w parts, denominators and repeated values are compared with
-it, and no point may be built twice.
+(varieties._orbit_points).  The oracle below is the plain path: every
+distinct rearrangement of the tuple given to the public constructor.
+Seeded tuples with zero coordinates (leading ones among them), w parts,
+denominators and repeated values are compared with it, and no point may
+be built twice.
 
-Each batch also joins every point's text and sort key from those of its
-distinct values, and takes the distinct arrangements of a tail from a
-table keyed by the tail's multiplicities (perms._arrangements).  The
-oracles for those are Eisenstein.__str__ and Eisenstein.sort_key of each
-coordinate, and set(permutations(...)) of each multiset.
+Every point, of a batch or of one arrangement (the constructor and
+act_on_point), is built by varieties._joined, which joins its text and
+sort key from those of its values.  The oracles for those are
+Eisenstein.__str__ and Eisenstein.sort_key of each coordinate.  A batch
+takes the distinct arrangements of a tail from a table keyed by the
+tail's multiplicities (perms._arrangements); the oracle for that is
+set(permutations(...)) of each multiset.
 """
 
 import random
@@ -26,17 +28,16 @@ from s6quartic import projective_orbit, perms, varieties
 from s6quartic.eisenstein import OMEGA, OMEGA_SQUARED, _cleared
 from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS
-from s6quartic.varieties import _coords, _orbit_points, _point, _projective_key
+from s6quartic.varieties import _orbit_points, _point
 from s6quartic.varieties import act_on_point
 
 EXAMPLES = 300
 SEED = 20160229
 
 
-def oracle_orbit(xs) -> set:
-    """One point per distinct key of the distinct rearrangements of xs."""
-    keys = set(map(_projective_key, set(permutations(xs))))
-    return {ProjectivePoint(_coords(key)) for key in keys}
+def oracle_orbit(coords) -> set:
+    """The points of the distinct rearrangements of coords."""
+    return {ProjectivePoint(c) for c in set(permutations(coords))}
 
 
 def random_element(rng) -> Eisenstein:
@@ -78,15 +79,15 @@ def built_once(points) -> set:
 def test_orbit_points_match_the_keyed_rearrangements(chunk):
     for coords in cases()[chunk::6]:
         xs = _cleared(coords)
-        assert built_once(_orbit_points(xs, set())) == oracle_orbit(xs)
+        assert built_once(_orbit_points(xs, set())) == oracle_orbit(coords)
 
 
 def test_values_that_scale_to_the_same_pairs_keep_their_norms():
     """1 and 2 scale [1 : 2 : -3 : 1 : 2 : -3] to the same pairs, with
     norms 1 and 2; the points led by 1 and those led by 2 differ."""
-    xs = [(1, 0), (2, 0), (-3, 0), (1, 0), (2, 0), (-3, 0)]
-    points = built_once(_orbit_points(xs, set()))
-    assert points == oracle_orbit(xs)
+    coords = [1, 2, -3, 1, 2, -3]
+    points = built_once(_orbit_points(_cleared(map(Eisenstein, coords)), set()))
+    assert points == oracle_orbit(coords)
     assert len(points) == 90
     # Led by 1, by 2 and by -3: three batches of 30.
     assert {frozenset(p) for p in points} == {
@@ -112,9 +113,7 @@ def test_a_scalar_multiple_adds_no_points():
 def test_projective_orbit_matches_the_oracle_in_order():
     for coords in cases()[:50]:
         point = ProjectivePoint(coords)
-        expected = sorted(
-            oracle_orbit(_cleared(point.coords)), key=ProjectivePoint.sort_key
-        )
+        expected = sorted(oracle_orbit(coords), key=ProjectivePoint.sort_key)
         assert list(projective_orbit(point)) == expected
 
 
@@ -147,23 +146,14 @@ def oracle_key(point) -> tuple:
 
 
 def assert_joined(points):
-    """Points of _orbit_points carry their text and sort key from the
-    start, and both equal the per-coordinate oracles."""
+    """Every point carries its text and sort key from the start, both
+    equal to the per-coordinate oracles, and str and sort_key read them."""
     assert points
     for point in points:
         assert point._text == oracle_text(point)
         assert point._key == oracle_key(point)
         assert str(point) is point._text
         assert point.sort_key() is point._key
-
-
-def assert_filled_lazily(point):
-    """Points of the constructor and of act_on_point fill both on first use."""
-    assert point._text is None and point._key is None
-    assert str(point) == oracle_text(point)
-    assert point.sort_key() == oracle_key(point)
-    assert str(point) is point._text
-    assert point.sort_key() is point._key
 
 
 def seeded_alphabets():
@@ -203,12 +193,20 @@ def test_orbit_points_join_their_texts_and_keys():
 
 
 def test_projective_orbit_and_act_on_point_texts_and_keys():
-    perm = Permutation([2, 3, 1, 6, 4, 5])
+    """The image of act_on_point is also the constructor's point of the
+    moved coordinates: (g.p)_{g(i)} = p_i."""
+    images = [2, 3, 1, 6, 4, 5]
+    perm = Permutation(images)
     for coords in cases()[:50]:
         point = ProjectivePoint(coords)
-        assert_filled_lazily(point)
+        assert_joined([point])
         assert_joined(projective_orbit(point))
-        assert_filled_lazily(act_on_point(perm, point))
+        moved = [None] * NVARS
+        for i, target in enumerate(images):
+            moved[target - 1] = coords[i]
+        image = act_on_point(perm, point)
+        assert_joined([image])
+        assert image == ProjectivePoint(moved)
 
 
 # -- the arrangement table ----------------------------------------------------

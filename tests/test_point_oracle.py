@@ -1,11 +1,13 @@
 """ProjectivePoint's int-pair normalization against the field one it replaced.
 
 The package clears a point's coordinates to (a, b) int pairs meaning
-a + b*w and reduces them to one key (varieties._projective_key), from
-which every point is built.  The oracle below is the former normalization
-on field elements: the inverse of the first nonzero coordinate times each
-coordinate.  Seeded random tuples of letters with denominators, w parts
-and zero coordinates are compared with it.
+a + b*w and scales them by the first nonzero pair (varieties._scaled)
+to 12 ints and a norm, the key from which the point is built.  The oracle
+below is the former normalization on field elements: the inverse of the
+first nonzero coordinate times each coordinate.  Seeded random tuples of
+letters with denominators, w parts and zero coordinates are compared with
+it, through the key and through the public constructor's point, its str
+and its sort_key.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 from s6quartic import DEFAULT_ALPHABETS, Eisenstein, ProjectivePoint, scan_alphabet
 from s6quartic.eisenstein import _cleared
 from s6quartic.poly import NVARS
-from s6quartic.varieties import _projective_key
+from s6quartic.varieties import _scaled
 
 EXAMPLES = 400
 SEED = 20151001
@@ -31,7 +33,16 @@ def oracle_coords(coords) -> tuple:
 
 
 def key(coords) -> tuple:
-    return _projective_key(_cleared([Eisenstein.coerce(c) for c in coords]))
+    """The 12 ints and the norm of coords _scaled by the first nonzero pair."""
+    xs = _cleared([Eisenstein.coerce(c) for c in coords])
+    return tuple(_scaled(xs, *next(filter(any, xs))))
+
+
+def point(coords) -> tuple:
+    """The public constructor's point with its str and sort_key, which
+    equality and hashing do not see."""
+    p = ProjectivePoint(coords)
+    return p, str(p), p.sort_key()
 
 
 def random_element(rng, nonzero=False) -> Eisenstein:
@@ -84,7 +95,9 @@ def test_the_key_is_invariant_under_scaling(tuples):
     rng = random.Random(SEED + 1)
     for coords in tuples:
         scale = random_element(rng, nonzero=True)
-        assert key([scale * c for c in coords]) == key(coords), (scale, coords)
+        scaled = [scale * c for c in coords]
+        assert key(scaled) == key(coords), (scale, coords)
+        assert point(scaled) == point(coords), (scale, coords)
 
 
 def test_keys_agree_exactly_when_the_oracle_points_agree(tuples):
@@ -94,6 +107,9 @@ def test_keys_agree_exactly_when_the_oracle_points_agree(tuples):
         other = nearby_tuple(rng, coords)
         same = oracle_coords(other) == oracle_coords(coords)
         assert (key(other) == key(coords)) == same, (coords, other)
+        assert (point(other) == point(coords)) == same, (coords, other)
+        # Distinct points print distinctly.
+        assert (point(other)[1] == point(coords)[1]) == same
         outcomes.add(same)
     assert outcomes == {True, False}
 
@@ -101,6 +117,11 @@ def test_keys_agree_exactly_when_the_oracle_points_agree(tuples):
 def test_units_and_integers_need_no_denominator():
     assert key([0, 0, -1, 1, 0, 0]) == (0, 0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 1)
     assert key([0, 2, 2, 2, 0, 0]) == key([0, 1, 1, 1, 0, 0])
+    p, text, sort_key = point([0, 0, -1, 1, 0, 0])
+    assert {c._parts()[2] for c in p} == {1}
+    assert text == "[0 : 0 : 1 : -1 : 0 : 0]"
+    assert sort_key == ((0, 0), (0, 0), (1, 0), (-1, 0), (0, 0), (0, 0))
+    assert point([0, 2, 2, 2, 0, 0]) == point([0, 1, 1, 1, 0, 0])
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_ALPHABETS))
