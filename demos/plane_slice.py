@@ -7,7 +7,7 @@ from s6quartic import (
     PLANE_FORMS,
     QUADRIC_PAIR,
     family_member,
-    gram_matrix,
+    gram_rank,
     restrict_to_plane,
     restriction_factorization_check,
 )
@@ -49,7 +49,7 @@ def main() -> None:
     print("Each quadric is a smooth surface in the 3-space: its symmetric")
     print("Gram matrix over the four variables has full rank 4:")
     for name, q in (("q1", q1), ("q2", q2)):
-        rank = gram_matrix(q, [0, 1, 2, 3]).rank()
+        rank = gram_rank(q, [0, 1, 2, 3])
         print(f"  rank of Gram({name}) = {rank}")
         assert rank == 4
     print("done.")

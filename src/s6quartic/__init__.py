@@ -24,7 +24,7 @@ from .parsing import (
     parse_point_coordinates,
     parse_polynomial,
 )
-from .linalg import gram_matrix
+from .linalg import gram_rank
 from .perms import (
     PermGroup,
     STANDARD_LABELS,
@@ -82,7 +82,7 @@ __all__ = [
     "all_passed",
     "emit_report",
     "family_member",
-    "gram_matrix",
+    "gram_rank",
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED
-from .linalg import TSolutionSet, gram_matrix
+from .linalg import TSolutionSet, gram_rank
 from .parsing import ParseError, parse_scalar_list
 from .perms import (
     PermGroup,
@@ -239,9 +239,7 @@ def _check_divisor_incidence(cfg: RunConfig):
 
 
 def _check_smooth_quadrics(cfg: RunConfig):
-    ranks = [
-        gram_matrix(q, (0, 1, 2, 3)).rank() for q in QUADRIC_PAIR
-    ]
+    ranks = [gram_rank(q, (0, 1, 2, 3)) for q in QUADRIC_PAIR]
     return ranks == [4, 4], {"gram_ranks": ranks}
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from .checks import (
@@ -161,10 +160,12 @@ def _cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes '-3/2' for an option, but not '--t=-3/2'.
+    # argparse takes '-x0^2' or '-3/2' for an option, but not '--t=-3/2'.
+    valued = ("--t", "--poly", "--point", "--alphabet", "--check", "--format")
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--t" and re.match("-[0-9.]", argv[i + 1]):
-            argv[i : i + 2] = ["--t=" + argv[i + 1]]
+        option, value = argv[i : i + 2]
+        if option in valued and value[:1] == "-" and value[:2] != "--":
+            argv[i : i + 2] = [f"{option}={value}"]
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)

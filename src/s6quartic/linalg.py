@@ -1,9 +1,9 @@
 """Exact dense linear algebra over Q(w) for small matrices.
 
 Everything here is exact.  One fraction-free elimination over Z[w] on
-plain int pairs gives ranks and, back-substituted over the field, reduced
-row echelon forms for spaces of linear forms; Gram matrices of quadratic
-forms come from their coefficients.  The record of a set of values of the
+plain int pairs gives ranks, among them that of the Gram matrix of a
+quadratic form, and, back-substituted over the field, reduced row echelon
+forms for spaces of linear forms.  The record of a set of values of the
 family parameter t lives here too.
 """
 
@@ -11,49 +11,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .eisenstein import Eisenstein, ZERO, _cleared, _make, _pair_mul
+from .eisenstein import _cleared, _make, _pair_mul
 from .poly import NVARS, Polynomial, family_parameter
-
-DIMENSION_CAP = 16
 
 _UNIT_MONOMIALS = tuple(
     tuple(int(j == i) for j in range(NVARS)) for i in range(NVARS)
 )
-
-
-class Matrix:
-    """Immutable dense matrix with Eisenstein entries, capped at 16x16."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence]):
-        coerced = tuple(
-            tuple(Eisenstein.coerce(e) for e in row) for row in rows
-        )
-        if not coerced or not coerced[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(coerced[0])
-        if any(len(row) != width for row in coerced):
-            raise ValueError("ragged rows")
-        if len(coerced) > DIMENSION_CAP or width > DIMENSION_CAP:
-            raise ValueError(
-                f"matrix {len(coerced)}x{width} exceeds the "
-                f"{DIMENSION_CAP}x{DIMENSION_CAP} cap"
-            )
-        self.rows = coerced
-
-    def rank(self) -> int:
-        """Row rank: the pivot count of the fraction-free echelon form of
-        the rows, each cleared of its denominators."""
-        return len(_echelon([_cleared(row) for row in self.rows]))
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(e) for e in row) for row in self.rows
-        )
-        return f"Matrix[{body}]"
 
 
 def _echelon(rows) -> list:
@@ -139,14 +103,19 @@ def rref_linear_forms(forms: Sequence[Polynomial]) -> list:
     ]
 
 
-def gram_matrix(quadric: Polynomial, variables: Sequence[int]) -> Matrix:
-    """Symmetric Gram matrix M with q = x^T M x on the listed variables.
+def gram_rank(quadric: Polynomial, variables: Sequence[int]) -> int:
+    """Rank of the symmetric Gram matrix M with q = x^T M x on the listed
+    variables.
 
-    Diagonal entries are the square coefficients; off-diagonal entries are
-    half the mixed coefficients.  The quadric must be homogeneous of degree
-    2 and involve only the listed variables.
+    The rows of 2M are the mixed coefficients with twice the square
+    coefficient on the diagonal; each is cleared of its denominators and
+    the pivots of their fraction-free echelon form are counted.  The
+    quadric must be homogeneous of degree 2 and involve only the listed
+    variables.
     """
     vars_ = list(variables)
+    if not vars_:
+        raise ValueError("gram_rank needs at least one variable")
     if len(set(vars_)) != len(vars_):
         raise ValueError("variables must be distinct")
     for index in vars_:
@@ -154,20 +123,19 @@ def gram_matrix(quadric: Polynomial, variables: Sequence[int]) -> Matrix:
             raise ValueError(f"variable index {index} out of range")
     if not quadric.is_zero():
         if quadric.degree() != 2 or not quadric.is_homogeneous():
-            raise ValueError("gram_matrix needs a homogeneous quadratic")
+            raise ValueError("gram_rank needs a homogeneous quadratic")
         if not quadric.variables_used() <= set(vars_):
             raise ValueError("quadric uses variables outside the given list")
-    n = len(vars_)
-    half = Fraction(1, 2)
-    entries = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            mono = [0] * NVARS
-            mono[vars_[a]] += 1
-            mono[vars_[b]] += 1
-            coeff = quadric.coefficient(tuple(mono))
-            entries[a][b] = coeff if a == b else coeff * half
-    return Matrix(entries)
+    units = [_UNIT_MONOMIALS[index] for index in vars_]
+    rows = []
+    for i, u in enumerate(units):
+        row = _cleared(
+            [quadric.coefficient(tuple(map(sum, zip(u, v)))) for v in units]
+        )
+        x, y = row[i]
+        row[i] = (2 * x, 2 * y)
+        rows.append(row)
+    return len(_echelon(rows))
 
 
 # -- sets of family parameters ------------------------------------------------

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 import s6quartic
-from s6quartic.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,7 +42,7 @@ PUBLIC = [
     "all_passed",
     "emit_report",
     "family_member",
-    "gram_matrix",
+    "gram_rank",
     "irreducible_degrees",
     "is_node",
     "is_singular_on_family",
@@ -126,7 +125,6 @@ def test_benchmark_attributes_exist():
 @pytest.mark.parametrize(
     "fn",
     [
-        Matrix,
         s6quartic.PermGroup.normal_subgroups,
         s6quartic.irreducible_degrees,
         s6quartic.scan_alphabet,
@@ -135,8 +133,8 @@ def test_benchmark_attributes_exist():
     ids=lambda fn: fn.__qualname__,
 )
 def test_size_bounds_are_constants_not_parameters(fn):
-    # DIMENSION_CAP, SUBGROUP_SCAN_CAP, SCAN_CAP and GENERATE_CAP bound
-    # these for every caller.
+    # SUBGROUP_SCAN_CAP, SCAN_CAP and GENERATE_CAP bound these for every
+    # caller.
     assert "cap" not in inspect.signature(fn).parameters
 
 

@@ -64,6 +64,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "error: unknown check ids: bogus" in err
 
+    def test_check_id_with_a_leading_dash_is_a_config_error(self, capsys):
+        # main passes '-x' on as '--check=-x'; no check has that id.
+        code = main(["verify", "--check", "-x"])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert "error: unknown check ids: -x" in err
+
     def test_t_flag_reaches_exploratory_scan(self, capsysbinary):
         code = main(
             ["verify", "--check", "scan-todd", "--t", "7", "--format", "json"]
@@ -220,6 +227,17 @@ class TestEvalCommand:
         assert main(base + ["--point", "[2, 0, 0, 0, 0, 0]"]) == 0
         sixteen = capsys.readouterr().out.strip()
         assert (one, sixteen) == ("1", "16")
+
+    @pytest.mark.parametrize(
+        "poly, value", [("-x0^2", "-1"), ("-w", "-w"), ("-x1 + 2", "2")]
+    )
+    def test_negated_poly_after_a_space(self, capsys, poly, value):
+        """argparse alone takes '-x0^2' for an option; main passes it on
+        as '--poly=-x0^2'."""
+        code = main(["eval", "--poly", poly, "--point", "[1, 0, 0, 0, 0, 0]"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert out == value + "\n"
 
     def test_parse_error(self, capsys):
         code = main(["eval", "--poly", "x0 +", "--point", "[1, 0, 0, 0, 0, 0]"])

@@ -1,8 +1,10 @@
-"""Unit tests for exact matrices, quadratic forms, and parameter sets.
+"""Unit tests for exact ranks, quadratic forms, and parameter sets.
 
 The package ranks and reduces by fraction-free elimination over Z[w];
 row_reduce below, plain Gauss-Jordan elimination with field division, is
-the oracle it is compared with.
+the oracle it is compared with.  gram_entries below halves the mixed
+coefficients over the field; its matrices are the oracle for gram_rank,
+which ranks twice the Gram matrix in int pairs.
 """
 
 import random
@@ -15,15 +17,16 @@ from s6quartic import (
     OMEGA,
     Eisenstein,
     Polynomial,
-    gram_matrix,
+    gram_rank,
     parse_polynomial,
 )
-from s6quartic.poly import X
+from s6quartic.eisenstein import _cleared
+from s6quartic.poly import NVARS, X
 from s6quartic.linalg import (
     ALL_T,
     EMPTY,
-    Matrix,
     TSolutionSet,
+    _echelon,
     rref_linear_forms,
 )
 
@@ -60,6 +63,11 @@ def oracle_rank(rows) -> int:
     return len(row_reduce([list(r) for r in rows])[1])
 
 
+def rank(rows) -> int:
+    """The package's rank: the pivot count of its elimination on the rows."""
+    return len(_echelon([_cleared(map(Eisenstein.coerce, r)) for r in rows]))
+
+
 def oracle_rref(rows) -> list:
     reduced, pivots = row_reduce([list(r) for r in rows])
     return [
@@ -68,49 +76,49 @@ def oracle_rref(rows) -> list:
     ]
 
 
-def frac_det4(m: Matrix) -> Eisenstein:
+def frac_det4(rows) -> Eisenstein:
     """Determinant by cofactor expansion, independent of the rank code."""
 
-    n = len(m.rows)
+    n = len(rows)
     if n == 1:
-        return m.rows[0][0]
+        return Eisenstein.coerce(rows[0][0])
     total = Eisenstein(0)
     for j in range(n):
-        minor = Matrix(
-            [
-                [m.rows[r][c] for c in range(n) if c != j]
-                for r in range(1, n)
-            ]
-        )
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
         sign = Eisenstein(1) if j % 2 == 0 else Eisenstein(-1)
-        total = total + sign * m.rows[0][j] * frac_det4(minor)
+        total = total + sign * rows[0][j] * frac_det4(minor)
     return total
 
 
-class TestMatrix:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Matrix([])
-        with pytest.raises(ValueError):
-            Matrix([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            Matrix([[1]] * 17)
+def gram_entries(quadric, variables) -> list:
+    """The symmetric M with q = x^T M x: square coefficients on the
+    diagonal, half the mixed coefficients off it."""
+    rows = []
+    for a in variables:
+        row = []
+        for b in variables:
+            mono = [0] * NVARS
+            mono[a] += 1
+            mono[b] += 1
+            coeff = quadric.coefficient(mono)
+            row.append(coeff if a == b else coeff * Fraction(1, 2))
+        rows.append(row)
+    return rows
 
+
+class TestMatrix:
     def test_identity_and_transpose(self):
-        eye = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert eye.rows[0][0] == Eisenstein(1)
-        assert Matrix(zip(*eye.rows)).rows == eye.rows
+        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
         # Row rank equals column rank.
         for rows in ([[1, 2, 3], [4, 5, 6]], [[1, W, 0], [W, W * W, 0]]):
-            m = Matrix(rows)
-            assert Matrix(zip(*m.rows)).rank() == m.rank()
+            assert rank(list(zip(*rows))) == rank(rows)
 
     def test_rank(self):
-        assert Matrix([[int(i == j) for j in range(4)] for i in range(4)]).rank() == 4
-        assert Matrix([[0, 0], [0, 0]]).rank() == 0
-        assert Matrix([[1, 2], [2, 4]]).rank() == 1
-        assert Matrix([[1, W], [W, W * W]]).rank() == 1
-        assert Matrix([[1, 0], [W, 1]]).rank() == 2
+        assert rank([[int(i == j) for j in range(4)] for i in range(4)]) == 4
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert rank([[1, 2], [2, 4]]) == 1
+        assert rank([[1, W], [W, W * W]]) == 1
+        assert rank([[1, 0], [W, 1]]) == 2
 
     def test_rank_matches_the_oracle_on_products_of_controlled_rank(self):
         # An n x k times k x m product has rank at most k; its entries are
@@ -138,7 +146,7 @@ class TestMatrix:
                 ]
                 for row in left
             ]
-            assert Matrix(rows).rank() == oracle_rank(rows) <= k
+            assert rank(rows) == oracle_rank(rows) <= k
             # The same rows cut or padded to six columns, as linear forms.
             coefficients = [(row + [Eisenstein(0)] * 6)[:6] for row in rows]
             forms = [
@@ -163,9 +171,9 @@ class TestMatrix:
         rows.append([-e for e in rows[11]])
         rng.shuffle(rows)
         start = time.perf_counter()
-        rank = Matrix(rows).rank()
+        pivots = rank(rows)
         assert time.perf_counter() - start < 5
-        assert rank == oracle_rank(rows) == 14
+        assert pivots == oracle_rank(rows) == 14
 
     def test_rank_of_gradient_configuration(self):
         # At (1, 1, w, w, w^2, w^2) on the t = 6 member the quartic gradient
@@ -173,7 +181,7 @@ class TestMatrix:
         # both has rank 1.
         ones = [Eisenstein(1)] * 6
         grad = [Eisenstein(24)] * 6
-        assert Matrix([ones, grad]).rank() == 1
+        assert rank([ones, grad]) == 1
 
 
 class TestRref:
@@ -211,57 +219,95 @@ class TestRref:
 
 
 class TestGramMatrix:
+    # Each quadric with its variables and the rank of its Gram matrix.  The
+    # squares of linear forms and the degenerate w quadric have a rank that
+    # a Gram matrix without the doubled diagonal gets wrong.
+    CASES = (
+        ("(x0 + x1)^2", [0, 1], 1),
+        ("(x0 - w*x2 + 2*x3)^2", [0, 1, 2, 3], 1),
+        ("(w*x1 + x4)^2", [1, 4, 5], 1),
+        ("(w*x1 + x4)^2 + w^2*x5^2", [5, 1, 4], 2),
+        ("x1*x4 + w*x5^2 - 1/2*x1^2", [1, 4, 5], 3),
+        ("x2*x3", [2, 3], 2),
+        ("0", [0, 1, 2], 0),
+        ("0", [3], 0),
+    )
+
     def test_small_example(self):
         q = X0**2 + X0 * X1 + 3 * X1**2
-        g = gram_matrix(q, [0, 1])
-        assert g.rows == Matrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]]).rows
+        half = Fraction(1, 2)
+        assert gram_entries(q, [0, 1]) == [[1, half], [half, 3]]
+        assert gram_rank(q, [0, 1]) == 2
+
+    @pytest.mark.parametrize("text, variables, expected", CASES)
+    def test_rank_matches_the_oracle(self, text, variables, expected):
+        quadric = parse_polynomial(text)
+        gram = gram_entries(quadric, variables)
+        assert oracle_rank(gram) == expected
+        assert gram_rank(quadric, variables) == expected
+
+    def test_rank_matches_the_oracle_on_sums_of_squares(self):
+        # A sum of k squares of linear forms has rank at most k.
+        rng = random.Random(23)
+
+        def entry():
+            return Eisenstein(rng.randint(-3, 3), rng.randint(-3, 3))
+
+        for _ in range(200):
+            variables = rng.sample(range(NVARS), rng.randint(1, NVARS))
+            k = rng.randint(0, 4)
+            quadric = Polynomial.zero()
+            for _ in range(k):
+                terms = (entry() * X[v] for v in variables)
+                form = sum(terms, Polynomial.zero())
+                quadric = quadric + entry() * form**2
+            gram = gram_entries(quadric, variables)
+            assert gram_rank(quadric, variables) == oracle_rank(gram) <= k
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gram_matrix(X0**3, [0])
+            gram_rank(X0**3, [0])
         with pytest.raises(ValueError):
-            gram_matrix(X0**2 + X1, [0, 1])
+            gram_rank(X0**2 + X1, [0, 1])
         with pytest.raises(ValueError):
-            gram_matrix(X0**2, [0, 0])
+            gram_rank(X0**2, [0, 0])
         with pytest.raises(ValueError):
-            gram_matrix(X0 * X1, [0])
+            gram_rank(X0 * X1, [0])
         with pytest.raises(ValueError, match="out of range"):
-            gram_matrix(X0 * X5, [0, 5, -1])
+            gram_rank(X0 * X5, [0, 5, -1])
         with pytest.raises(ValueError, match="out of range"):
-            gram_matrix(X0**2, [0, 6])
+            gram_rank(X0**2, [0, 6])
+        with pytest.raises(ValueError, match="at least one variable"):
+            gram_rank(Polynomial.zero(), [])
 
     def test_conjugate_quadrics_have_full_rank(self):
         from s6quartic import QUADRIC_PAIR
 
         w2 = W * W
         expected = [
-            Matrix(
-                [
-                    [1, 0, Fraction(1, 2), 0],
-                    [0, W, 0, W / 2],
-                    [Fraction(1, 2), 0, 1, 0],
-                    [0, W / 2, 0, W],
-                ]
-            ),
-            Matrix(
-                [
-                    [1, 0, Fraction(1, 2), 0],
-                    [0, w2, 0, w2 / 2],
-                    [Fraction(1, 2), 0, 1, 0],
-                    [0, w2 / 2, 0, w2],
-                ]
-            ),
+            [
+                [1, 0, Fraction(1, 2), 0],
+                [0, W, 0, W / 2],
+                [Fraction(1, 2), 0, 1, 0],
+                [0, W / 2, 0, W],
+            ],
+            [
+                [1, 0, Fraction(1, 2), 0],
+                [0, w2, 0, w2 / 2],
+                [Fraction(1, 2), 0, 1, 0],
+                [0, w2 / 2, 0, w2],
+            ],
         ]
         dets = [
             Eisenstein(Fraction(-9, 16), Fraction(-9, 16)),
             Eisenstein(0, Fraction(9, 16)),
         ]
         for quadric, matrix, det in zip(QUADRIC_PAIR, expected, dets):
-            g = gram_matrix(quadric, [0, 1, 2, 3])
-            assert g.rows == matrix.rows
-            assert frac_det4(g) == det
+            gram = gram_entries(quadric, [0, 1, 2, 3])
+            assert gram == matrix
+            assert frac_det4(matrix) == det
             assert det != Eisenstein(0)
-            assert g.rank() == 4
+            assert oracle_rank(gram) == gram_rank(quadric, [0, 1, 2, 3]) == 4
 
 
 class TestSolutionSets:
