@@ -15,11 +15,11 @@ family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 from math import gcd
 
 from . import perms
-from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE, ZERO
+from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
 from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
 from .perms import Permutation
@@ -43,25 +43,24 @@ def _scaled(xs, c, d) -> list:
     return ints if g == 1 else [v // g for v in ints]
 
 
-def _point(coords, text, key) -> "ProjectivePoint":
-    """Wrap normalized field coordinates with their str and sort_key,
-    skipping the coercion and validation of the public constructor."""
+def _point(pairs, text, key) -> "ProjectivePoint":
+    """Wrap normalized int pairs with their str and sort_key, skipping the
+    coercion and validation of the public constructor."""
     p = _new(ProjectivePoint)
-    p.coords = coords
-    p._text = text
-    p._key = key
+    p._pairs, p._text, p._key = pairs, text, key
     return p
 
 
-def _joined(values, arrangements) -> list:
-    """One point per index tuple a of arrangements, with coordinates
-    values[i] for i in a.  The text and sort key of each value are made
-    once, and every point's str and sort_key are joined from them."""
+def _joined(pairs, n, arrangements) -> list:
+    """One point per index tuple a of arrangements, with int pairs pairs[i]
+    for i in a over the norm n.  Each pair's field value, text and sort key
+    are made once; every point's str and sort_key are joined from them."""
+    values = [_reduced(a, b, n) for a, b in pairs]
     texts = list(map(str, values))
     keys = [c.sort_key() for c in values]
     return [
         _point(
-            tuple(map(values.__getitem__, a)),
+            tuple(map(pairs.__getitem__, a)),
             "[" + " : ".join(map(texts.__getitem__, a)) + "]",
             tuple(map(keys.__getitem__, a)),
         )
@@ -74,8 +73,7 @@ def _normalized(xs) -> "ProjectivePoint":
     arrangement: xs _scaled by its first nonzero pair, which becomes (n, 0)
     over the norm n, so that the first nonzero coordinate is 1."""
     *ints, n = _scaled(xs, *next(filter(any, xs)))
-    values = list(map(_reduced, ints[::2], ints[1::2], repeat(n, NVARS)))
-    return _joined(values, [range(NVARS)])[0]
+    return _joined(list(zip(ints[::2], ints[1::2])), n, [range(NVARS)])[0]
 
 
 def _orbit_points(xs, seen) -> list:
@@ -90,9 +88,9 @@ def _orbit_points(xs, seen) -> list:
     but [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
     with n = 1 and 2.
 
-    Each batch _joins its points from its at most six distinct field
-    values.  The distinct arrangements of a tail come from
-    perms._arrangements, a table keyed by the tail's multiplicities alone.
+    Each batch _joins its points from its at most six distinct pairs.  The
+    distinct arrangements of a tail come from perms._arrangements, a table
+    keyed by the tail's multiplicities alone.
     """
     points = []
     for v in set(xs) - {(0, 0)}:
@@ -109,29 +107,28 @@ def _orbit_points(xs, seen) -> list:
         counts = tuple(map(rest.count, distinct))
         # Index i < len(distinct) stands for distinct[i], then 0 and 1.
         zero = len(distinct)
-        values = [_reduced(*x, n) for x in distinct] + [ZERO, ONE]
         # k zeros, then v's image 1, then any arrangement of what is left.
         arrangements = []
         for k in range(zeros + 1):
             head = (zero,) * k + (zero + 1,)
             shape = counts + (zeros - k,) if k < zeros else counts
             arrangements += [head + tail for tail in perms._arrangements(shape)]
-        points += _joined(values, arrangements)
+        points += _joined(distinct + [(0, 0), (n, 0)], n, arrangements)
     return points
 
 
 class ProjectivePoint:
-    """A point of P^5 over Q(w), stored with first nonzero coordinate 1.
+    """A point of P^5 over Q(w), stored as the int pairs of its coordinates
+    times n, with first nonzero pair (n, 0) and gcd 1 over the 13 ints.
 
-    Normalization makes equality of points the same as equality of the
-    stored coordinate tuples, so points can live in sets and dicts.  The
-    constructor coerces and validates outside input, clears it to int
+    That form is unique, so equality and hashing compare the pairs, and
+    points can live in sets and dicts; coords is derived and read-only.
+    The constructor coerces and validates outside input, clears it to int
     pairs and _normalizes them, as act_on_point does.  Every point is
-    built by _joined, with two more slots holding its str and sort_key;
-    equality and hashing use the coordinates alone.
+    built by _joined, with two more slots holding its str and sort_key.
     """
 
-    __slots__ = ("coords", "_text", "_key")
+    __slots__ = ("_pairs", "_text", "_key")
 
     def __init__(self, coords):
         vals = [Eisenstein.coerce(c) for c in coords]
@@ -140,13 +137,17 @@ class ProjectivePoint:
         if not any(vals):
             raise ValueError("all coordinates are zero")
         p = _normalized(_cleared(vals))
-        self.coords, self._text, self._key = p.coords, p._text, p._key
+        self._pairs, self._text, self._key = p._pairs, p._text, p._key
 
-    def __getitem__(self, index: int) -> Eisenstein:
-        return self.coords[index]
+    @property
+    def coords(self) -> tuple:
+        return tuple(map(self.__getitem__, range(NVARS)))
 
-    def __iter__(self):
-        return iter(self.coords)
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.coords[index]
+        a, b = self._pairs[index]
+        return _reduced(a, b, next(filter(any, self._pairs))[0])
 
     def sort_key(self):
         return self._key
@@ -154,10 +155,10 @@ class ProjectivePoint:
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        return self.coords == other.coords
+        return self._pairs == other._pairs
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self._pairs)
 
     def __repr__(self):
         return f"ProjectivePoint({[str(c) for c in self.coords]})"
@@ -177,7 +178,7 @@ def act_on_point(perm: Permutation, point: ProjectivePoint) -> ProjectivePoint:
     if perm.degree != NVARS:
         raise ValueError(f"need a permutation of the {NVARS} coordinates")
     image = [None] * NVARS
-    for target, x in zip(perm.index_map(), _cleared(point.coords)):
+    for target, x in zip(perm.index_map(), point._pairs):
         image[target] = x
     return _normalized(image)
 
@@ -268,11 +269,11 @@ def projective_orbit(point: ProjectivePoint) -> tuple:
     deduplicated projectively and sorted deterministically.
 
     The orbit is the set of distinct rearrangements of the coordinate
-    tuple, so no group is built: the coordinates are cleared once to int
-    pairs, and _orbit_points scales them once per distinct nonzero value
-    and builds each point of the orbit once.
+    tuple, so no group is built: _orbit_points scales the point's int
+    pairs once per distinct nonzero value and builds each point of the
+    orbit once.
     """
-    points = _orbit_points(_cleared(point.coords), set())
+    points = _orbit_points(point._pairs, set())
     return tuple(sorted(points, key=ProjectivePoint.sort_key))
 
 
@@ -297,10 +298,9 @@ def family_member(t) -> LinearSliceVariety:
 
 
 def _hyperplane_pairs(point: ProjectivePoint):
-    """The point's coordinates cleared to int pairs; None when the point is
-    off the hyperplane sum(x) = 0."""
-    xs = _cleared(point.coords)
-    return None if any(map(sum, zip(*xs))) else xs
+    """The point's int pairs, its coordinates times n; None when the point
+    is off the hyperplane sum(x) = 0."""
+    return None if any(map(sum, zip(*point._pairs))) else point._pairs
 
 
 def _squares(xs) -> tuple:
@@ -387,8 +387,8 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
     p2 = p4 = 0 it vanishes for every t, and the gradient 4*t*x_i^3 is a
     multiple of the all-ones vector for every t if the cubes x_i^3 agree,
     and only at t = 0 otherwise; that is the Jacobian test at t = 1.
-    Clearing the coordinates' denominator leaves p2^2/p4 and the agreement
-    of the cubes unchanged.
+    The point's int pairs are its coordinates times n, which leaves p2^2/p4
+    and the agreement of the cubes unchanged.
     """
     xs = _hyperplane_pairs(point)
     if xs is None:

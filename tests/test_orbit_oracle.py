@@ -14,7 +14,9 @@ sort key from those of its values.  The oracles for those are
 Eisenstein.__str__ and Eisenstein.sort_key of each coordinate.  A batch
 takes the distinct arrangements of a tail from a table keyed by the
 tail's multiplicities (perms._arrangements); the oracle for that is
-set(permutations(...)) of each multiset.
+set(permutations(...)) of each multiset.  Every such point also carries
+the normal int pairs of its coordinates, checked against the field
+oracle of tests/test_point_oracle.py.
 """
 
 import random
@@ -30,6 +32,7 @@ from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS
 from s6quartic.varieties import _orbit_points, _point
 from s6quartic.varieties import act_on_point
+from test_point_oracle import assert_normal
 
 EXAMPLES = 300
 SEED = 20160229
@@ -137,21 +140,24 @@ def test_sixth_roots_at_t6_build_each_point_once(monkeypatch):
 # -- texts and sort keys ------------------------------------------------------
 
 
-def oracle_text(point) -> str:
-    return "[" + " : ".join(Eisenstein.__str__(c) for c in point.coords) + "]"
+def oracle_text(coords) -> str:
+    return "[" + " : ".join(Eisenstein.__str__(c) for c in coords) + "]"
 
 
-def oracle_key(point) -> tuple:
-    return tuple(Eisenstein.sort_key(c) for c in point.coords)
+def oracle_key(coords) -> tuple:
+    return tuple(Eisenstein.sort_key(c) for c in coords)
 
 
 def assert_joined(points):
     """Every point carries its text and sort key from the start, both
-    equal to the per-coordinate oracles, and str and sort_key read them."""
+    equal to the per-coordinate oracles, and str and sort_key read them;
+    its pairs and coordinates are in the oracle's normal form."""
     assert points
     for point in points:
-        assert point._text == oracle_text(point)
-        assert point._key == oracle_key(point)
+        coords = point.coords
+        assert_normal(point, coords)
+        assert point._text == oracle_text(coords)
+        assert point._key == oracle_key(coords)
         assert str(point) is point._text
         assert point.sort_key() is point._key
 

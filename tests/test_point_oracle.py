@@ -8,17 +8,26 @@ first nonzero coordinate times each coordinate.  Seeded random tuples of
 letters with denominators, w parts and zero coordinates are compared with
 it, through the key and through the public constructor's point, its str
 and its sort_key.
+
+A point is its key's int pairs: equality and hashing compare them, and
+the field coordinates are derived from them.  The oracle for the pairs is
+the oracle's coordinates times the lcm of their denominators, checked on
+points from the constructor, from orbits and from act_on_point, with
+mixed norms.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from s6quartic import DEFAULT_ALPHABETS, Eisenstein, ProjectivePoint, scan_alphabet
+from s6quartic import projective_orbit
 from s6quartic.eisenstein import _cleared
+from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS
-from s6quartic.varieties import _scaled
+from s6quartic.varieties import _scaled, act_on_point
 
 EXAMPLES = 400
 SEED = 20151001
@@ -30,6 +39,29 @@ def oracle_coords(coords) -> tuple:
     pivot = next(c for c in vals if c)
     scale = pivot.inverse()
     return tuple(scale * c for c in vals)
+
+
+def oracle_pairs(vals) -> tuple:
+    """Field values times the lcm n of their denominators, as (re, om) int
+    pairs; on the oracle's coordinates the first nonzero one is (n, 0)."""
+    parts = [(c.re, c.om) for c in vals]
+    n = lcm(*(f.denominator for pair in parts for f in pair))
+    return tuple((int(re * n), int(om * n)) for re, om in parts)
+
+
+def assert_normal(p, coords):
+    """p is the point of coords: it carries the oracle's pairs, which are
+    also the _scaled key's, and derives the oracle's coordinates, alike by
+    index, by iteration and through coords; its twin from the constructor
+    on those coordinates is equal and hashes alike."""
+    expected = oracle_coords(coords)
+    ints = key(coords)
+    assert p._pairs == oracle_pairs(expected) == tuple(zip(ints[:-1:2], ints[1::2]))
+    derived = p.coords
+    assert derived == expected
+    assert [p[i] for i in range(NVARS)] == list(p) == list(derived)
+    twin = ProjectivePoint(derived)
+    assert twin == p and hash(twin) == hash(p)
 
 
 def key(coords) -> tuple:
@@ -91,6 +123,28 @@ def test_point_coordinates_match_the_oracle(tuples):
         assert ProjectivePoint(coords).coords == oracle_coords(coords), coords
 
 
+def test_points_carry_the_oracle_pairs(tuples):
+    """Constructor points and their images under a permutation, which are
+    the points of the moved coordinates, and the orbits of a few (most
+    have 720 points)."""
+    images = [2, 3, 1, 6, 4, 5]
+    perm = Permutation(images)
+    norms = set()
+    for coords in tuples[:100]:
+        p = ProjectivePoint(coords)
+        assert_normal(p, coords)
+        moved = [None] * NVARS
+        for i, target in enumerate(images):
+            moved[target - 1] = coords[i]
+        assert_normal(act_on_point(perm, p), moved)
+        norms.add(next(filter(any, p._pairs))[0])
+    for coords in tuples[:3]:
+        for q in projective_orbit(ProjectivePoint(coords)):
+            assert_normal(q, q.coords)
+            norms.add(next(filter(any, q._pairs))[0])
+    assert len(norms) > 10
+
+
 def test_the_key_is_invariant_under_scaling(tuples):
     rng = random.Random(SEED + 1)
     for coords in tuples:
@@ -98,6 +152,7 @@ def test_the_key_is_invariant_under_scaling(tuples):
         scaled = [scale * c for c in coords]
         assert key(scaled) == key(coords), (scale, coords)
         assert point(scaled) == point(coords), (scale, coords)
+        assert hash(ProjectivePoint(scaled)) == hash(ProjectivePoint(coords))
 
 
 def test_keys_agree_exactly_when_the_oracle_points_agree(tuples):
@@ -128,5 +183,5 @@ def test_units_and_integers_need_no_denominator():
 def test_scanned_points_are_in_oracle_normal_form(name):
     found = scan_alphabet(6, DEFAULT_ALPHABETS[name])
     for point in found:
-        assert point.coords == oracle_coords(point.coords)
+        assert_normal(point, point.coords)
     assert len({oracle_coords(p.coords) for p in found}) == len(found)

@@ -73,9 +73,28 @@ class TestProjectivePoint:
         p = ProjectivePoint([0, 0, W, 0, 0, 0])
         assert list(p) == [Eisenstein(0)] * 2 + [Eisenstein(1)] + [Eisenstein(0)] * 3
 
+    def test_indexing_reads_the_coordinates(self):
+        p = ProjectivePoint([0, 2, 2 * W, 1, 0, -1])
+        half = Eisenstein(Fraction(1, 2))
+        assert p[-2] == Eisenstein(0) and p[3] == half
+        assert p[1:4] == p.coords[1:4] == (Eisenstein(1), W, half)
+        assert [p[i] for i in range(6)] == list(p) == list(p.coords)
+        with pytest.raises(IndexError):
+            p[6]
+
     def test_normalization_is_idempotent(self):
         p = ProjectivePoint([3, -3, 0, 0, 0, 0])
         assert ProjectivePoint(list(p)) == p
+
+    def test_coordinates_cannot_be_reassigned(self):
+        """A point's identity is its pairs, and coords is derived from them:
+        reassigning it would leave str and sort_key behind."""
+        p = ProjectivePoint([1, -1, 0, 0, 0, 0])
+        with pytest.raises(AttributeError):
+            p.coords = SIGN_POINT.coords
+        assert p != SIGN_POINT
+        assert str(p) == "[1 : -1 : 0 : 0 : 0 : 0]"
+        assert p == ProjectivePoint([1, -1, 0, 0, 0, 0])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="all coordinates are zero"):
@@ -97,6 +116,13 @@ class TestProjectivePoint:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_a_leading_zero_makes_another_point(self):
+        """Equality compares every pair: these two differ only in the first."""
+        a = ProjectivePoint([1, 1, W, 0, 0, 0])
+        b = ProjectivePoint([0, 1, W, 0, 0, 0])
+        assert a != b
+        assert len({a, b}) == 2
 
     def test_str(self):
         assert str(CUBE_ROOT_POINT) == "[1 : 1 : w : w : -1 - w : -1 - w]"
