@@ -40,6 +40,7 @@ from .varieties import (
     QUADRIC_PAIR,
     QUADRIC_SURFACES,
     SIGN_POINT,
+    _locus,
     act_on_point,
     act_on_variety,
     is_node,
@@ -257,6 +258,9 @@ def _check_sing_orbits(cfg: RunConfig):
         for p in orbit_o + orbit_sign
     )
     disjoint = not set(orbit_o) & set(orbit_sign)
+    # Completeness: the closed-form singular locus of the t = 6 member (see
+    # scan_alphabet) is exactly the two orbits.
+    complete = {p for p, _ in _locus(Fraction(6))[1]} == set(orbit_o + orbit_sign)
     details = {
         "orbit_sizes": [len(orbit_o), len(orbit_sign)],
         "all_singular": all_singular,
@@ -267,6 +271,7 @@ def _check_sing_orbits(cfg: RunConfig):
         and len(orbit_sign) == 10
         and all_singular
         and disjoint
+        and complete
     )
     return ok, details
 

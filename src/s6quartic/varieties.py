@@ -44,8 +44,9 @@ def _scaled(xs, c, d) -> list:
 
 
 def _point(pairs, text, key) -> "ProjectivePoint":
-    """Wrap normalized int pairs with their str and sort_key, skipping the
-    coercion and validation of the public constructor."""
+    """Wrap normalized int pairs with their str and sort_key (None for both
+    until they are read), skipping the coercion and validation of the
+    public constructor."""
     p = _new(ProjectivePoint)
     p._pairs, p._text, p._key = pairs, text, key
     return p
@@ -69,11 +70,12 @@ def _joined(pairs, n, arrangements) -> list:
 
 
 def _normalized(xs) -> "ProjectivePoint":
-    """The point of the int pairs xs, not all (0, 0), as a batch of one
-    arrangement: xs _scaled by its first nonzero pair, which becomes (n, 0)
-    over the norm n, so that the first nonzero coordinate is 1."""
+    """The point of the int pairs xs, not all (0, 0): xs _scaled by its
+    first nonzero pair, which becomes (n, 0) over the norm n, so that the
+    first nonzero coordinate is 1.  Its text and sort key are left for str
+    and sort_key to make on first read."""
     *ints, n = _scaled(xs, *next(filter(any, xs)))
-    return _joined(list(zip(ints[::2], ints[1::2])), n, [range(NVARS)])[0]
+    return _point(tuple(zip(ints[::2], ints[1::2])), None, None)
 
 
 def _orbit_points(xs, seen) -> list:
@@ -124,8 +126,9 @@ class ProjectivePoint:
     That form is unique, so equality and hashing compare the pairs, and
     points can live in sets and dicts; coords is derived and read-only.
     The constructor coerces and validates outside input, clears it to int
-    pairs and _normalizes them, as act_on_point does.  Every point is
-    built by _joined, with two more slots holding its str and sort_key.
+    pairs and _normalizes them, as act_on_point does.  Two more slots hold
+    the str and sort_key: _joined fills them for the points of an orbit,
+    and str or sort_key fills those of a _normalized point on first read.
     """
 
     __slots__ = ("_pairs", "_text", "_key")
@@ -149,7 +152,14 @@ class ProjectivePoint:
         a, b = self._pairs[index]
         return _reduced(a, b, next(filter(any, self._pairs))[0])
 
+    def _join(self):
+        coords = self.coords
+        self._text = "[" + " : ".join(map(str, coords)) + "]"
+        self._key = tuple(c.sort_key() for c in coords)
+
     def sort_key(self):
+        if self._key is None:
+            self._join()
         return self._key
 
     def __eq__(self, other):
@@ -164,6 +174,8 @@ class ProjectivePoint:
         return f"ProjectivePoint({[str(c) for c in self.coords]})"
 
     def __str__(self):
+        if self._text is None:
+            self._join()
         return self._text
 
 
@@ -414,9 +426,105 @@ def singular_t_values(point: ProjectivePoint) -> TSolutionSet:
     return ALL_T if _singular(1, 1, xs) else TSolutionSet.finite([0])
 
 
+# The int pairs of the cube-root tuple [1 : 1 : w : w : w^2 : w^2], and of
+# the tuple whose orbit each special member adds to its orbit.
+_CUBE_ROOTS = ((1, 0), (1, 0), (0, 1), (0, 1), (-1, -1), (-1, -1))
+_EXTRA_ORBITS = {
+    Fraction(6): ((1, 0),) * 3 + ((-1, 0),) * 3,
+    Fraction(2): ((1, 0), (-1, 0)) + ((0, 0),) * 4,
+    Fraction(10, 7): ((5, 0),) + ((-1, 0),) * 5,
+}
+
+# The finite singular locus of each class of members, keyed by the class's
+# extra tuple (() for the generic class): at most four entries, each built
+# once per process.
+_LOCI = {}
+
+
+def _locus(t) -> tuple:
+    """(batches, points) for the t-member, t not 0 or 4: its singular
+    points sorted by sort_key, each with the index in batches of its
+    (values, n), the set of its int pairs and the norm n they are over."""
+    extra = _EXTRA_ORBITS.get(t, ())
+    locus = _LOCI.get(extra)
+    if locus is None:
+        seen = set()
+        points = _orbit_points(_CUBE_ROOTS, seen) + _orbit_points(extra, seen)
+        batches = {}
+        ranked = []
+        for p in sorted(points, key=ProjectivePoint.sort_key):
+            batch = (frozenset(p._pairs), next(filter(any, p._pairs))[0])
+            ranked.append((p, batches.setdefault(batch, len(batches))))
+        locus = _LOCI[extra] = (list(batches), ranked)
+    return locus
+
+
+def _spelled(values, n, table) -> bool:
+    """Whether some nonzero letter l makes l*v a letter for each value v of
+    a batch, an int pair over n.  The table holds the letters' int pairs x,
+    cleared by one denominator, so l*v is a letter iff x*v/n is in it."""
+    return any(
+        all(
+            not (c % n or d % n) and (c // n, d // n) in table
+            for c, d in (_pair_mul(x, v) for v in values)
+        )
+        for x in table
+        if any(x)
+    )
+
+
 def scan_alphabet(t, alphabet) -> list:
     """All singular points of the t-member whose coordinates lie in the
-    alphabet, deduplicated projectively and sorted deterministically.
+    alphabet: the points with a representative whose every coordinate is a
+    letter, sorted deterministically.  SCAN_CAP bounds len(alphabet)^6 at
+    every t.
+
+    For t not 0 or 4 this is a membership test against the proven locus.
+    On sum(x) = 0 a point is singular iff (t*x_i^2 - p2)*x_i = mu for
+    every i (_singular).  For t != 0 every coordinate is then a root of
+    t*x^3 - p2*x - mu, so a point takes at most three values, which sum to
+    0 when there are three:
+      - two values, k and 6 - k times, at ((6 - k)^k, (-k)^(6 - k)):
+        singular only at t = 10/7 for k = 1 (6 points), t = 4 for k = 2
+        (15 points) and t = 6 for k = 3 (10 points);
+      - pattern (1, 1, 4): the repeated value is 0, and (1, -1, 0^4) is
+        singular only at t = 2 (15 points);
+      - pattern (2, 2, 2): either e2 = 0, which gives l*(1, w, w^2), the
+        30 points of the cube-root orbit, singular on every member; or
+        t = 4, where every a + b + c = 0 works: 15 lines, one per pairing
+        of the coordinates;
+      - pattern (1, 2, 3) gives nothing new.
+    So the locus is the cube-root orbit, plus the orbit of _EXTRA_ORBITS[t]
+    at t = 6, 2 and 10/7: 30, 40, 45 and 36 points.  _locus builds each of
+    these four classes once per process, into a table of at most four
+    entries that no t or alphabet adds to.  The points of an _orbit_points
+    batch are the arrangements of one set of values led by 1, so they are
+    found together, iff some nonzero letter maps every value to a letter:
+    one _spelled test per batch, on the letters' int pairs.
+
+    At t = 0 the member is the double quadric -p2^2, singular along the
+    surface sum(x) = p2 = 0, and at t = 4 its locus has the 15 lines, so
+    there _scan_by_enumeration tests each multiset of six letters.
+    """
+    letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
+    if not letters:
+        raise ValueError("the alphabet must be nonempty")
+    if len(letters) ** NVARS > SCAN_CAP:
+        raise ValueError(
+            f"scan space {len(letters)}^{NVARS} exceeds the cap {SCAN_CAP}"
+        )
+    t = family_parameter(t)
+    if not t or t == 4:
+        return _scan_by_enumeration(t, letters)
+    batches, points = _locus(t)
+    table = set(_cleared(letters))
+    found = [_spelled(values, n, table) for values, n in batches]
+    return [p for p, i in points if found[i]]
+
+
+def _scan_by_enumeration(t: Fraction, letters) -> list:
+    """scan_alphabet by enumeration, complete at every t: the singular
+    points of the t-member with coordinates in the letters, sorted.
 
     Every member lies on sum(x) = 0 and is symmetric in the coordinates,
     so each multiset of six letters is tested once.  One table gives each
@@ -427,16 +535,8 @@ def scan_alphabet(t, alphabet) -> list:
     fifth's, and the tuple gets the Jacobian test.  _orbit_points builds
     the points of a passing tuple's rearrangements, each once, and skips
     the orbits the scan has already built: the sixth-root multiples of the
-    cube-root tuple are one orbit.  SCAN_CAP bounds len(alphabet)^6.
+    cube-root tuple are one orbit.
     """
-    letters = sorted({Eisenstein.coerce(c) for c in alphabet}, key=Eisenstein.sort_key)
-    if not letters:
-        raise ValueError("the alphabet must be nonempty")
-    if len(letters) ** NVARS > SCAN_CAP:
-        raise ValueError(
-            f"scan space {len(letters)}^{NVARS} exceeds the cap {SCAN_CAP}"
-        )
-    t = family_parameter(t)
     p, q = t.numerator, t.denominator
     entries = tuple(enumerate(_cleared(letters)))
     index = {x: i for i, x in entries}

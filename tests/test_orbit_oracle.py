@@ -8,9 +8,10 @@ Seeded tuples with zero coordinates (leading ones among them), w parts,
 denominators and repeated values are compared with it, and no point may
 be built twice.
 
-Every point, of a batch or of one arrangement (the constructor and
-act_on_point), is built by varieties._joined, which joins its text and
-sort key from those of its values.  The oracles for those are
+Every point of a batch is built by varieties._joined, which joins its
+text and sort key from those of its values; a point of one arrangement
+(the constructor and act_on_point) makes them when str or sort_key first
+reads them.  The oracles for those are
 Eisenstein.__str__ and Eisenstein.sort_key of each coordinate.  A batch
 takes the distinct arrangements of a tail from a table keyed by the
 tail's multiplicities (perms._arrangements); the oracle for that is
@@ -121,9 +122,9 @@ def test_projective_orbit_matches_the_oracle_in_order():
 
 
 def test_sixth_roots_at_t6_build_each_point_once(monkeypatch):
-    """Five tuples pass the test: three sixth-root multiples of the sign
-    tuple and two of the cube-root tuple.  Each of the 40 points of their
-    two orbits is built once."""
+    """The first scan at t = 6 builds the member's locus, the 40 points of
+    the cube-root and sign orbits, each once; sixth_roots spells them all.
+    A second scan builds no point."""
     built = []
 
     def counted(*args):
@@ -131,10 +132,13 @@ def test_sixth_roots_at_t6_build_each_point_once(monkeypatch):
         built.append(point)
         return point
 
+    monkeypatch.setattr(varieties, "_LOCI", {})
     monkeypatch.setattr(varieties, "_point", counted)
     found = scan_alphabet(6, DEFAULT_ALPHABETS["sixth_roots"])
     assert len(found) == 40
     assert built_once(built) == set(found)
+    assert scan_alphabet(6, DEFAULT_ALPHABETS["sixth_roots"]) == found
+    assert len(built) == 40
 
 
 # -- texts and sort keys ------------------------------------------------------
@@ -149,17 +153,18 @@ def oracle_key(coords) -> tuple:
 
 
 def assert_joined(points):
-    """Every point carries its text and sort key from the start, both
-    equal to the per-coordinate oracles, and str and sort_key read them;
-    its pairs and coordinates are in the oracle's normal form."""
+    """Every point's str and sort_key equal the per-coordinate oracles and
+    are made once: later reads return the objects kept in the slots.  Its
+    pairs and coordinates are in the oracle's normal form."""
     assert points
     for point in points:
+        text, key = str(point), point.sort_key()
         coords = point.coords
         assert_normal(point, coords)
-        assert point._text == oracle_text(coords)
-        assert point._key == oracle_key(coords)
-        assert str(point) is point._text
-        assert point.sort_key() is point._key
+        assert text == oracle_text(coords)
+        assert key == oracle_key(coords)
+        assert str(point) is text is point._text
+        assert point.sort_key() is key is point._key
 
 
 def seeded_alphabets():
@@ -193,6 +198,8 @@ def test_orbit_points_join_their_texts_and_keys():
     norms = set()
     for coords in cases():
         points = _orbit_points(_cleared(coords), set())
+        # A batch joins every text and key as it builds the points.
+        assert None not in {p._text for p in points} | {p._key for p in points}
         assert_joined(points)
         norms |= {c._parts()[2] for p in points for c in p}
     assert len(norms) > 3
@@ -205,6 +212,8 @@ def test_projective_orbit_and_act_on_point_texts_and_keys():
     perm = Permutation(images)
     for coords in cases()[:50]:
         point = ProjectivePoint(coords)
+        # A single point makes its text and key only when they are read.
+        assert point._text is None and point._key is None
         assert_joined([point])
         assert_joined(projective_orbit(point))
         moved = [None] * NVARS
@@ -239,15 +248,27 @@ def test_every_tail_shape_is_arranged_as_the_distinct_permutations():
         assert set(table) == set(permutations(multiset))
 
 
-def test_the_table_is_keyed_by_shape_not_by_t():
-    """Scans at 100 fresh t fill the table once per shape and then only
-    hit it: none of its entries depends on t or on the values.  Each scan
-    finds the cube-root orbit, which lies on every member."""
+def test_the_table_is_keyed_by_shape_not_by_t(monkeypatch):
+    """The first scan at a generic t builds the generic locus, filling the
+    arrangement table once per shape; 99 more fresh t read the locus table
+    and neither table grows.  The special members add one locus each, four
+    in all.  Each scan finds the cube-root orbit, which lies on every
+    member."""
+    monkeypatch.setattr(varieties, "_LOCI", {})
     perms._arrangements.cache_clear()
-    for k in range(100):
-        t = Fraction(2 * k + 1, 11)
-        assert len(scan_alphabet(t, [0, 1, -1, OMEGA, OMEGA_SQUARED])) == 30
+
+    def scan(t):
+        return scan_alphabet(t, [0, 1, -1, OMEGA, OMEGA_SQUARED])
+
+    assert len(scan(Fraction(1, 11))) == 30
+    filled = perms._arrangements.cache_info()
+    for k in range(1, 100):
+        assert len(scan(Fraction(2 * k + 1, 11))) == 30
+    assert perms._arrangements.cache_info() == filled
+    assert list(varieties._LOCI) == [()]
+    for t in (6, 2, Fraction(10, 7)) * 2:
+        assert len(scan(t)) >= 30
+    assert len(varieties._LOCI) == 4
     info = perms._arrangements.cache_info()
     assert info.currsize <= 32
     assert info.misses == info.currsize
-    assert info.hits + info.misses >= 100

@@ -1,7 +1,8 @@
 """scan_alphabet against the enumeration it replaced.
 
-The package enumerates the first five coordinates of each multiset of
-letters once and solves the sixth from the hyperplane sum(x) = 0.  The
+The package answers a scan from the closed-form singular locus, and at
+t = 0 and t = 4 enumerates the first five coordinates of each multiset of
+letters once, solving the sixth from the hyperplane sum(x) = 0.  The
 oracle below is the former loop: it normalises every nonzero tuple of
 len(alphabet)^6, deduplicates the points and keeps the singular ones,
 wherever they lie.  The two are compared list for list, in order.
@@ -10,7 +11,7 @@ wherever they lie.  The two are compared list for list, in order.
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import pytest
 
@@ -77,39 +78,37 @@ class TestScanWork:
 
             monkeypatch.setattr(varieties, fn.__name__, counted)
 
+        monkeypatch.setattr(varieties, "_LOCI", {})
         counting("keys", varieties._scaled)
         counting("points", varieties._point)
         counting("tests", varieties._singular)
         for t in (Fraction(6), Fraction(7), Fraction(-11, 3)):
             for name in ("pm1", "zero_pm1", "cube_roots"):
                 scan_alphabet(t, DEFAULT_ALPHABETS[name])
-        # Per t, each multiset of six letters that sums to zero gets one
-        # Jacobian test, the zero multiset among them.  Every t keeps the
-        # cube-root tuple, scaled once by each of its 3 values (one batch
-        # of 30 points); t = 6 also keeps one sign tuple per alphabet,
-        # scaled by each of its 2 values (one batch of 10 points).
-        multisets = sum(
-            not sum(m, Eisenstein(0))
-            for name in ("pm1", "zero_pm1", "cube_roots")
-            for m in combinations_with_replacement(
-                {Eisenstein.coerce(c) for c in DEFAULT_ALPHABETS[name]}, NVARS
-            )
-        )
-        assert multisets == 1 + 4 + 1
-        assert counts["tests"] == 3 * multisets
-        assert counts["keys"] == 3 * 3 + 2 + 2
-        assert counts["points"] == 3 * 30 + 10 + 10
+        # No tuple gets a Jacobian test: each scan reads the singular
+        # locus of its member's class, built at the class's first scan.
+        # The t = 6 class scales the cube-root tuple by each of its 3
+        # values (one batch of 30 points) and the sign tuple by each of its
+        # 2 (one batch of 10); t = 7 and -11/3 share the generic class, the
+        # cube-root batch alone.
+        assert counts["tests"] == 0
+        assert counts["keys"] == (3 + 2) + 3
+        assert counts["points"] == (30 + 10) + 30
 
-    def test_the_heads_are_streamed_not_stored(self):
+    def test_the_heads_are_streamed_not_stored(self, monkeypatch):
         """Seven letters make C(11, 5) = 462 non-decreasing heads, as a
         stream; a list of all 7^5 = 16,807 ordered heads as tuples would
-        take over a MiB, while the scan peaks near 13 KiB."""
+        take over a MiB, while a scan peaks near 25 KiB.  t = 0 and t = 4
+        enumerate the heads; at t = 6 the bound covers building the
+        member's locus."""
+        monkeypatch.setattr(varieties, "_LOCI", {})
         alphabet = [0, 1, -1, 2, -2, OMEGA, -OMEGA]
-        tracemalloc.start()
-        try:
-            found = scan_alphabet(6, alphabet)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(found) == 10
-        assert peak < 128 * 1024
+        for t, expected in ((6, 10), (0, 0), (4, 60)):
+            tracemalloc.start()
+            try:
+                found = scan_alphabet(t, alphabet)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(found) == expected
+            assert peak < 128 * 1024

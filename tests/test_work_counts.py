@@ -1,9 +1,11 @@
-"""The deterministic work of a default verify, of twelve scans and of
+"""The deterministic work of a default verify, of sixteen scans and of
 nine parsed expansions, pinned.
 
 A profile hook counts the calls of a few functions by their code object,
 so a call is seen whichever module it comes from.  The counts are taken in
-a fresh interpreter, where no cache is warm, and compared exactly with
+a fresh interpreter, where no cache is warm, and each scan starts from an
+empty table of singular loci, so that no count depends on what ran before
+it.  They are compared exactly with
 `tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
 A change that changes a count updates those files and gives the reason.
 
@@ -20,7 +22,8 @@ from functools import lru_cache
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
-SCAN_T_VALUES = (Fraction(6), Fraction(7), Fraction(10, 7))
+# Two special members, a generic one, and t = 4, where the scan enumerates.
+SCAN_T_VALUES = (Fraction(6), Fraction(7), Fraction(10, 7), Fraction(4))
 # One expansion per (terms, exponent) shape of the benchmark's eval-mix
 # schedule, with fixed coefficients, and a power of the zero polynomial.
 EVAL_TEXTS = (
@@ -85,13 +88,15 @@ def measure() -> dict:
         },
     )
     assert all_passed(records)
-    # "tests" counts the Jacobian tests, one per head whose sixth
-    # coordinate is a letter; a scan scales each singular tuple once per
-    # distinct nonzero value.
+    # A scan at t = 4 runs a Jacobian test ("tests") per head whose sixth
+    # coordinate is a letter, and scales each singular tuple once per
+    # distinct nonzero value.  Elsewhere it tests no tuple: it builds the
+    # locus of its member's class, cleared before each scan.
     scan_work = {**work, "tests": varieties._singular}
     scans = []
     for t in SCAN_T_VALUES:
         for name in sorted(DEFAULT_ALPHABETS):
+            varieties._LOCI.clear()
             found, scan = _counted(
                 lambda: scan_alphabet(t, DEFAULT_ALPHABETS[name]), scan_work
             )
