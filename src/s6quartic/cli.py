@@ -145,6 +145,14 @@ def _cmd_eval(args) -> int:
             f"evaluation exceeds {MAX_CONSTANT_BITS} bits (degree "
             f"{poly.degree()} at a {width}-bit coordinate)"
         )
+    # Bounds evaluate's rows of coordinate powers and their denominator.
+    tops = map(max, zip(*poly.terms))
+    bits = sum(top * _bit_length(c) for top, c in zip(tops, coords))
+    if bits > MAX_CONSTANT_BITS:
+        raise ConfigError(
+            f"evaluation exceeds {MAX_CONSTANT_BITS} bits ({bits} bits of "
+            "coordinate powers)"
+        )
     value = poly.evaluate(coords)
     try:
         text = str(value)

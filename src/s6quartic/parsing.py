@@ -282,10 +282,10 @@ def _too_wide(value) -> bool:
     Sums and products are checked once computed: at most one of them past
     the bound is ever built, so a chain of them cannot compound.
     """
-    if type(value) is Eisenstein:
-        a, b, den = value._a, value._b, value._den
-        return abs(a) >= _WIDE or abs(b) >= _WIDE or den >= _WIDE
-    return any(map(_too_wide, value.terms.values()))
+    for c in value.terms.values() if type(value) is Polynomial else (value,):
+        if not (-_WIDE < c._a < _WIDE and -_WIDE < c._b < _WIDE and c._den < _WIDE):
+            return True
+    return False
 
 
 def _constant(value):
@@ -311,10 +311,10 @@ def _parse_bracketed(parser: _Parser):
     entries = []
     if parser.peek()[0] != "]":
         while True:
+            start = parser.peek()[2]
             value = _constant(parser.expression())
             if value is None:
-                pos = parser.peek()[2]
-                raise ParseError("list entries must be constants", pos)
+                raise ParseError("list entries must be constants", start)
             entries.append(value)
             if parser.peek()[0] == ",":
                 parser.advance()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .eisenstein import Eisenstein, ONE, ZERO, _operand, _reduced
 
@@ -64,17 +65,7 @@ class Polynomial:
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, ZERO) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return _raw(terms)
+        return _combined(self, other, Eisenstein.__add__)
 
     __radd__ = __add__
 
@@ -82,25 +73,25 @@ class Polynomial:
         return _raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _combined(self, other, Eisenstein.__sub__)
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = _operand(other)
             if c is NotImplemented:
                 return NotImplemented
-            if not c:
-                return _raw({})
-            return _raw({m: coeff * c for m, coeff in self.terms.items()})
+            return _shifted(self, _CONST, c)
+        # A one-term operand shifts the exponents of the other and scales it.
+        if len(other.terms) == 1:
+            return _shifted(self, *next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return _shifted(other, *next(iter(self.terms.items())))
         width = (_top_exponent(self) + _top_exponent(other)).bit_length()
         d1, left = _int_pairs(self, width)
         d2, right = _int_pairs(other, width)
@@ -117,6 +108,9 @@ class Polynomial:
             raise ValueError("polynomial exponent must be a non-negative integer")
         if exponent == 0:
             return Polynomial.constant(1)
+        if len(self.terms) == 1:
+            ((mono, c),) = self.terms.items()
+            return _raw({tuple([e * exponent for e in mono]): c**exponent})
         # No exponent of an intermediate power passes exponent * top, so
         # fields of its bit length hold them all; the coefficients stay
         # unreduced over den^k and each is reduced once, when unpacked.
@@ -176,31 +170,57 @@ class Polynomial:
     def evaluate(self, point: Sequence):
         """The value at the point.  A Polynomial coordinate is used as it
         is, so the value is then a Polynomial; every other coordinate is
-        coerced to a field element."""
+        coerced to a field element.
+
+        At a field point the sum runs on ints: with coordinate i written
+        (a + b*w)/d, row i holds (a + b*w)^e * d^(top_i - e) up to the top
+        exponent top_i of x_i, each coefficient is taken over the common
+        denominator L, and the value is reduced once, over L * prod d^top_i.
+        """
         if len(point) != NVARS:
             raise ValueError(f"point must have {NVARS} coordinates")
-        # powers[i][e] is the e-th power of coordinate i, built once per call
-        # up to the highest exponent of x_i in any term.
-        tops = [0] * NVARS
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e > tops[i]:
-                    tops[i] = e
-        powers = []
-        for c, top in zip(point, tops):
-            v = c if isinstance(c, Polynomial) else Eisenstein.coerce(c)
-            row = [ONE, v]
-            for _ in range(top - 1):
-                row.append(row[-1] * v)
-            powers.append(row)
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            acc = coeff
-            for row, e in zip(powers, mono):
-                if e:
-                    acc = acc * row[e]
-            total = total + acc
-        return total
+        values = [
+            c if isinstance(c, (Eisenstein, Polynomial)) else Eisenstein.coerce(c)
+            for c in point
+        ]
+        tops = list(map(max, zip(*self.terms))) or [0] * NVARS
+        if Polynomial in map(type, values):
+            return _substituted(self, values, tops)
+        rows = []
+        den = 1
+        for i, top in enumerate(tops):
+            if not top:
+                continue
+            v = values[i]
+            a, b, d = v._a, v._b, v._den
+            s = d**top
+            den *= s
+            row = []
+            x, y = 1, 0
+            for _ in range(top):
+                row.append((x * s, y * s))
+                s //= d
+                # (x + y*w)(a + b*w) with w^2 = -1 - w
+                yb = y * b
+                x, y = x * a - yb, x * b + y * a - yb
+            row.append((x, y))
+            rows.append((i, row))
+        common = lcm(*(c._den for c in self.terms.values()))
+        total_x = total_y = 0
+        for mono, c in self.terms.items():
+            k = common // c._den
+            x, y = c._a * k, c._b * k
+            for i, row in rows:
+                p, q = row[mono[i]]
+                if q:
+                    qy = q * y
+                    x, y = x * p - qy, x * q + y * p - qy
+                elif p != 1:
+                    x *= p
+                    y *= p
+            total_x += x
+            total_y += y
+        return _reduced(total_x, total_y, common * den)
 
     def substitute_linear(self, assignments: Mapping[int, object]) -> "Polynomial":
         """Replace variables by polynomials of degree <= 1 (constants allowed)."""
@@ -267,6 +287,46 @@ def _raw(terms: dict) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p.terms = terms
     return p
+
+
+def _combined(p: Polynomial, other, op):
+    """p + other or p - other, with op the field's add or sub."""
+    other = _coerce_poly(other)
+    if other is NotImplemented:
+        return NotImplemented
+    terms = dict(p.terms)
+    for mono, coeff in other.terms.items():
+        acc = op(terms.get(mono, ZERO), coeff)
+        if acc:
+            terms[mono] = acc
+        else:
+            terms.pop(mono, None)
+    return _raw(terms)
+
+
+def _shifted(p: Polynomial, mono: Monomial, c: Eisenstein) -> Polynomial:
+    """p times the term c*mono: its exponents shifted and coefficients scaled."""
+    if not c:
+        return _raw({})
+    return _raw({tuple(map(add, m, mono)): coeff * c for m, coeff in p.terms.items()})
+
+
+def _substituted(p: Polynomial, values: list, tops: list):
+    """p at a point with a Polynomial coordinate, from a table of powers."""
+    powers = []
+    for v, top in zip(values, tops):
+        row = [ONE, v]
+        for _ in range(top - 1):
+            row.append(row[-1] * v)
+        powers.append(row)
+    total = ZERO
+    for mono, coeff in p.terms.items():
+        acc = coeff
+        for row, e in zip(powers, mono):
+            if e:
+                acc = acc * row[e]
+        total = total + acc
+    return total
 
 
 def _top_exponent(p: Polynomial) -> int:

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from s6quartic import Eisenstein
 from s6quartic.checks import REGISTRY_CHECK_IDS
 from s6quartic.cli import main
 from test_checks import WIDE_ALPHABET
@@ -305,6 +307,43 @@ class TestHostileInput:
         assert out == ""
         assert err.startswith("error: parentheses nested deeper than")
         assert "Traceback" not in err
+
+    # (x0 + ... + x5 + 1)^8 has 3,003 terms and the top exponent 8 in every
+    # variable.  At the six coordinates (3 + w)/p^k its degree times the
+    # widest coordinate stays under 65,536 bits up to k = 100, but its rows
+    # of coordinate powers take 8 * (sum of the coordinate widths) bits.
+    DENSE = "(x0 + x1 + x2 + x3 + x4 + x5 + 1)^8"
+    PRIMES = (2**61 - 1, 2**59 - 55, 2**57 - 13, 2**55 - 55, 2**53 - 111, 2**51 - 129)
+
+    def dense_point(self, k):
+        return "[" + ", ".join(f"(3 + w)/{p}^{k}" for p in self.PRIMES) + "]"
+
+    def test_evaluation_past_the_row_bound_is_refused(self, capsys):
+        # Unbounded, this evaluation ran for more than 90 s.
+        code = main(["eval", "--poly", self.DENSE, "--point", self.dense_point(100)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: evaluation exceeds 65536 bits "
+            "(268800 bits of coordinate powers)\n"
+        )
+
+    def test_evaluation_under_the_row_bound_prints_its_value(self, capsys):
+        # 26,880 bits of rows: evaluated, and printed past the default
+        # limit on decimal digits.
+        coords = [Eisenstein(Fraction(3, p**10), Fraction(1, p**10))
+                  for p in self.PRIMES]
+        expected = (sum(coords, Eisenstein(1))) ** 8
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code = main(["eval", "--poly", self.DENSE, "--point", self.dense_point(10)])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, "")
+            assert out == f"{expected}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_huge_expansion_is_a_clean_error(self, capsys):
         poly = "(x0+x1+x2+x3+x4+x5+w)^60"

@@ -265,6 +265,89 @@ class TestEvaluateAgainstNaive:
         value = poly.evaluate(point)
         _check(value, _naive_evaluate(poly, [(Fraction(c), 0) for c in point]))
 
+    def test_zero_values_and_zero_coordinates(self):
+        zero = Polynomial.zero()
+        rng = random.Random(5)
+        point = [(_rational(rng), _rational(rng)) for _ in range(NVARS)]
+        _check(zero.evaluate([Eisenstein(re, om) for re, om in point]), Ref(0))
+        # x0^2 + x0 + 1 vanishes at w and at w^2, over any denominator.
+        p = X[0] ** 2 + X[0] + 1
+        for root in (OMEGA, OMEGA * OMEGA):
+            _check((p * X[1] / 7).evaluate([root, Fraction(3, 4), 0, 0, 0, 0]), Ref(0))
+        # A sum whose terms cancel only at the point.
+        p = X[0] * X[1] - X[2] ** 2 / 3 + X[5] ** 4
+        _check(p.evaluate([Fraction(2, 3), Fraction(1, 2), 1, 7, 5, 0]), Ref(0))
+        for _ in range(20):
+            poly = _random_polynomial(rng, rng.randint(1, 10), 4)
+            point = [
+                (Fraction(0), Fraction(0)) if rng.random() < 0.5
+                else (_rational(rng), _rational(rng))
+                for _ in range(NVARS)
+            ]
+            value = poly.evaluate([Eisenstein(re, om) for re, om in point])
+            _check(value, _naive_evaluate(poly, point))
+
+    def test_w_parts_and_mixed_denominators(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            poly = _random_polynomial(rng, rng.randint(1, 8), 6)
+            point = [
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 30)),
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 30)))
+                for _ in range(NVARS)
+            ]
+            value = poly.evaluate([Eisenstein(re, om) for re, om in point])
+            _check(value, _naive_evaluate(poly, point))
+
+    def test_sparse_high_degree(self):
+        rng = random.Random(7)
+        for _ in range(6):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                mono = [0] * NVARS
+                for i in rng.sample(range(NVARS), rng.randint(1, 2)):
+                    mono[i] = rng.randint(40, 200)
+                terms[tuple(mono)] = Eisenstein(_rational(rng), _rational(rng))
+            poly = Polynomial(terms)
+            point = [(_rational(rng), _rational(rng)) for _ in range(NVARS)]
+            value = poly.evaluate([Eisenstein(re, om) for re, om in point])
+            _check(value, _naive_evaluate(poly, point))
+
+    def test_int_fraction_and_field_coordinates(self):
+        rng = random.Random(8)
+        poly = _random_polynomial(rng, 12, 3)
+        point = [3, Fraction(-5, 6), Eisenstein(Fraction(1, 2), -2), 0,
+                 OMEGA, Fraction(7)]
+        ref = [(Fraction(3), 0), (Fraction(-5, 6), 0), (Fraction(1, 2), -2),
+               (0, 0), (0, 1), (Fraction(7), 0)]
+        _check(poly.evaluate(point), _naive_evaluate(poly, ref))
+        for bad in (0.5, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                poly.evaluate(point[:5] + [bad])
+        # A coordinate is coerced even where no term uses its variable.
+        with pytest.raises(TypeError):
+            X[0].evaluate([1, 0, 0, 0, 0, 0.0])
+
+    def test_polynomial_coordinates_take_the_term_by_term_path(self):
+        rng = random.Random(9)
+        for _ in range(10):
+            poly = _random_polynomial(rng, rng.randint(1, 8), 3)
+            assert poly.evaluate(X) == poly
+            point = [(_rational(rng), _rational(rng)) for _ in range(NVARS)]
+            field = [Eisenstein(re, om) for re, om in point]
+            # One constant Polynomial coordinate sends the whole point down
+            # the generic loop, which must agree with the int-pair sum.
+            mixed = field[:5] + [Polynomial.constant(field[5])]
+            value = poly.evaluate(mixed)
+            assert isinstance(value, Polynomial)
+            assert value == Polynomial.constant(poly.evaluate(field))
+            _check(value.constant_value(), _naive_evaluate(poly, point))
+            assigned = {i: c for i, c in enumerate(field) if i % 2}
+            substituted = poly.substitute_linear(assigned)
+            rest = [X[i] if i % 2 == 0 else field[i] for i in range(NVARS)]
+            assert substituted == poly.evaluate(rest)
+            assert substituted.evaluate(field) == poly.evaluate(field)
+
 
 def _termwise_product(p, q):
     """The product with one Eisenstein operation per pair of terms."""

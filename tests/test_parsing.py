@@ -154,7 +154,17 @@ class TestLists:
     def test_point_entries_must_be_constant(self):
         with pytest.raises(ParseError) as info:
             parse_point_coordinates("[1, w, x0, 0, 0, 0]")
-        assert "list entries must be constants" in str(info.value)
+        # The position is the entry's first token, not the comma after it.
+        assert str(info.value) == "list entries must be constants (at position 7)"
+        assert info.value.position == 7
+
+    def test_scalar_list_entries_must_be_constant(self):
+        for text, position in (("[1, 2*x1 + 3]", 4), ("[ (x0), 1]", 2)):
+            with pytest.raises(ParseError) as info:
+                parse_scalar_list(text)
+            assert str(info.value) == (
+                f"list entries must be constants (at position {position})"
+            )
 
     def test_scalar_list(self):
         assert parse_scalar_list("[1, -1, w]") == (

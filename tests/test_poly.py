@@ -489,6 +489,26 @@ class TestPackedProducts:
 
         check()
 
+    def test_one_term_operands_match_the_oracle(self):
+        # A one-term operand skips the packed product: its monomial shifts
+        # the other's exponents and its coefficient scales them.
+        rng = random.Random(14)
+        for _ in range(40):
+            p = _random_polynomial(rng, 6, 4)
+            mono = tuple(rng.randint(0, 5) for _ in range(NVARS))
+            coeff = _random_scalar(rng) or Eisenstein(Fraction(1, 3), 1)
+            term = Polynomial({mono: coeff})
+            for left, right in ((term, p), (p, term), (term, term)):
+                assert left * right == product_oracle(left, right)
+            for k in range(5):
+                assert term**k == power_oracle(term, k)
+        # (1 - w)^2 = -3w, so the power of ((1 - w)/3) must be reduced.
+        third = Eisenstein(Fraction(1, 3), Fraction(-1, 3))
+        term = Polynomial({(1, 0, 0, 0, 0, 2): third})
+        assert term**2 == power_oracle(term, 2)
+        assert term**2 == Polynomial({(2, 0, 0, 0, 0, 4): -OMEGA / 3})
+        assert term * term == product_oracle(term, term)
+
     def test_zero_polynomial(self):
         zero = X1 - X1
         assert zero**2 == Polynomial.zero()

@@ -8,6 +8,8 @@ empty table of singular loci, so that no count depends on what ran before
 it.  They are compared exactly with
 `tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
 A change that changes a count updates those files and gives the reason.
+`pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
+the scans, the node test and the Gram rank multiply.
 
     PYTHONPATH=src python tests/test_work_counts.py          # print the counts
     PYTHONPATH=src python tests/test_work_counts.py --write  # store them
@@ -83,6 +85,7 @@ def measure() -> dict:
             **{name: getattr(varieties, name) for name in calls},
             **work,
             "multiplications": Eisenstein.__mul__,
+            "pair_mul": eisenstein._pair_mul,
             "validated_permutations": perms.Permutation.__init__,
             "polynomial_mul": Polynomial.__mul__,
         },
@@ -92,7 +95,7 @@ def measure() -> dict:
     # coordinate is a letter, and scales each singular tuple once per
     # distinct nonzero value.  Elsewhere it tests no tuple: it builds the
     # locus of its member's class, cleared before each scan.
-    scan_work = {**work, "tests": varieties._singular}
+    scan_work = {**work, "tests": varieties._singular, "pair_mul": eisenstein._pair_mul}
     scans = []
     for t in SCAN_T_VALUES:
         for name in sorted(DEFAULT_ALPHABETS):
@@ -105,6 +108,7 @@ def measure() -> dict:
         "mul": Polynomial.__mul__,
         "product": poly._product,
         "reduced": eisenstein._reduced,
+        "pair_mul": eisenstein._pair_mul,
     }
     evals = []
     for text in EVAL_TEXTS:
