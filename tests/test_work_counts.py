@@ -9,7 +9,9 @@ it.  They are compared exactly with
 `tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
 A change that changes a count updates those files and gives the reason.
 `pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
-the scans, the node test and the Gram rank multiply.
+the scans, the node test and the Gram rank multiply.  `echelon_bits` is the
+bit length of the widest entry that `linalg._echelon` leaves in a verify:
+without its exact Bareiss division the entries grow exponentially.
 
     PYTHONPATH=src python tests/test_work_counts.py          # print the counts
     PYTHONPATH=src python tests/test_work_counts.py --write  # store them
@@ -58,6 +60,31 @@ def _counted(run, targets: dict) -> tuple:
     return result, counts
 
 
+def _widest_echelon_entry(run) -> tuple:
+    """run()'s result and the largest bit length of any entry, a or b of
+    a + b*w, in the rows that linalg._echelon leaves, over all its calls.
+
+    varieties imports _echelon by name, so both modules' names are wrapped.
+    """
+    from s6quartic import linalg, varieties
+
+    echelon = linalg._echelon
+    widest = 0
+
+    def wrapped(rows):
+        nonlocal widest
+        pivots = echelon(rows)
+        bits = (abs(x).bit_length() for row in rows for pair in row for x in pair)
+        widest = max(widest, *bits)
+        return pivots
+
+    linalg._echelon = varieties._echelon = wrapped
+    try:
+        return run(), widest
+    finally:
+        linalg._echelon = varieties._echelon = echelon
+
+
 def measure() -> dict:
     from s6quartic import DEFAULT_ALPHABETS, Eisenstein
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
@@ -79,17 +106,18 @@ def measure() -> dict:
         "projective_orbit",
         "canonicalize",
     )
-    records, verify = _counted(
-        lambda: run_checks(RunConfig()),
-        {
-            **{name: getattr(varieties, name) for name in calls},
-            **work,
-            "multiplications": Eisenstein.__mul__,
-            "pair_mul": eisenstein._pair_mul,
-            "validated_permutations": perms.Permutation.__init__,
-            "polynomial_mul": Polynomial.__mul__,
-        },
+    verify_targets = {
+        **{name: getattr(varieties, name) for name in calls},
+        **work,
+        "multiplications": Eisenstein.__mul__,
+        "pair_mul": eisenstein._pair_mul,
+        "validated_permutations": perms.Permutation.__init__,
+        "polynomial_mul": Polynomial.__mul__,
+    }
+    (records, verify), widest = _widest_echelon_entry(
+        lambda: _counted(lambda: run_checks(RunConfig()), verify_targets)
     )
+    verify["echelon_bits"] = widest
     assert all_passed(records)
     # A scan at t = 4 runs a Jacobian test ("tests") per head whose sixth
     # coordinate is a letter, and scales each singular tuple once per
