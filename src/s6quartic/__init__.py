@@ -11,90 +11,69 @@ the benchmark use, plus the entry points of a verification run.  Every
 other name is importable from its submodule.
 """
 
-from .eisenstein import (
-    Eisenstein,
-    OMEGA,
-)
-from .poly import (
-    Polynomial,
-    quartic_family,
-)
-from .parsing import (
-    ParseError,
-    parse_point_coordinates,
-    parse_polynomial,
-)
-from .linalg import gram_rank
-from .perms import (
-    PermGroup,
-    STANDARD_LABELS,
-    irreducible_degrees,
-    orbit_and_stabilizer,
-    semidirect_structure_check,
-)
-from .varieties import (
-    CUBE_ROOT_POINT,
-    PLANE_FORMS,
-    ProjectivePoint,
-    QUADRIC_PAIR,
-    QUADRIC_SURFACES,
-    SIGN_POINT,
-    act_on_variety,
-    family_member,
-    is_node,
-    is_singular_on_family,
-    projective_orbit,
-    restrict_to_plane,
-    restriction_factorization_check,
-    scan_alphabet,
-    singular_t_values,
-)
-from .checks import (
-    DEFAULT_ALPHABETS,
-    H_SHIFT,
-    RunConfig,
-    TAU,
-    all_passed,
-    emit_report,
-    run_checks,
-)
+# The exported names of each submodule.  A submodule is imported on the
+# first use of one of its names (PEP 562), so a process pays only for the
+# modules it reads: `import s6quartic` loads no submodule.
+_EXPORTS = {
+    "eisenstein": ("Eisenstein", "OMEGA"),
+    "poly": ("Polynomial", "quartic_family"),
+    "parsing": ("ParseError", "parse_point_coordinates", "parse_polynomial"),
+    "linalg": ("gram_rank",),
+    "perms": (
+        "PermGroup",
+        "STANDARD_LABELS",
+        "irreducible_degrees",
+        "orbit_and_stabilizer",
+        "semidirect_structure_check",
+    ),
+    "varieties": (
+        "CUBE_ROOT_POINT",
+        "PLANE_FORMS",
+        "ProjectivePoint",
+        "QUADRIC_PAIR",
+        "QUADRIC_SURFACES",
+        "SIGN_POINT",
+        "act_on_variety",
+        "family_member",
+        "is_node",
+        "is_singular_on_family",
+        "projective_orbit",
+        "restrict_to_plane",
+        "restriction_factorization_check",
+        "scan_alphabet",
+        "singular_t_values",
+    ),
+    "checks": (
+        "DEFAULT_ALPHABETS",
+        "H_SHIFT",
+        "RunConfig",
+        "TAU",
+        "all_passed",
+        "emit_report",
+        "run_checks",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CUBE_ROOT_POINT",
-    "DEFAULT_ALPHABETS",
-    "Eisenstein",
-    "H_SHIFT",
-    "OMEGA",
-    "PLANE_FORMS",
-    "ParseError",
-    "PermGroup",
-    "Polynomial",
-    "ProjectivePoint",
-    "QUADRIC_PAIR",
-    "QUADRIC_SURFACES",
-    "RunConfig",
-    "SIGN_POINT",
-    "STANDARD_LABELS",
-    "TAU",
-    "act_on_variety",
-    "all_passed",
-    "emit_report",
-    "family_member",
-    "gram_rank",
-    "irreducible_degrees",
-    "is_node",
-    "is_singular_on_family",
-    "orbit_and_stabilizer",
-    "parse_point_coordinates",
-    "parse_polynomial",
-    "projective_orbit",
-    "quartic_family",
-    "restrict_to_plane",
-    "restriction_factorization_check",
-    "run_checks",
-    "scan_alphabet",
-    "semidirect_structure_check",
-    "singular_t_values",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # The builtin __import__, not importlib: under -S importlib is not
+    # loaded yet, and importing it would load two more modules.
+    module = _HOME.get(name)
+    if module is None and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a submodule binds it in these globals.
+    __import__(f"{__name__}.{module or name}")
+    if module is None:
+        return globals()[name]
+    value = globals()[name] = getattr(globals()[module], name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import comb
 
 from .eisenstein import Eisenstein, OMEGA, _make
-from .poly import NVARS, Polynomial, X, _int_pairs
+from .poly import NVARS, Polynomial, X, _CONST, _combined, _int_pairs
 
 MAX_EXPONENT = 1000
 # An input bound: open parentheses are a list, not Python recursion.
@@ -113,7 +113,9 @@ def _expression(tokens: list, k: int):
     makes it a Polynomial.
     """
     frames = []
-    total = product = None  # (value, operator token), or None
+    # (value, operator token) or None; the sum so far also records whether
+    # its value is a polynomial that this loop built and holds alone.
+    total = product = None
     negate = False
     while True:
         kind, value, pos = tokens[k]
@@ -156,13 +158,22 @@ def _expression(tokens: list, k: int):
             if op[0] in ("*", "/"):
                 product = (result, op)
                 break
+            owned = False
             if total is not None:
-                lhs, (kind, _, pos) = total
-                result = lhs + result if kind == "+" else lhs - result
-                if _too_wide(result):
+                lhs, (kind, _, pos), owned = total
+                rhs = result
+                if owned:
+                    # A polynomial sum that this loop built and holds alone
+                    # grows in place, so a long sum is not copied per term.
+                    add = Eisenstein.__add__ if kind == "+" else Eisenstein.__sub__
+                    result = _combined(lhs, rhs, add, True)
+                else:
+                    result = lhs + rhs if kind == "+" else lhs - rhs
+                if _too_wide(result, rhs if type(lhs) is Polynomial else None):
                     raise ParseError(_WIDE_MESSAGE, pos)
+                owned = type(result) is Polynomial
             if op[0] in ("+", "-"):
-                total = (result, op)
+                total = (result, op, owned)
                 product = None
                 break
             if not frames:
@@ -254,18 +265,29 @@ _WIDE = 1 << MAX_CONSTANT_BITS
 _WIDE_MESSAGE = f"constant exceeds {MAX_CONSTANT_BITS} bits"
 
 
-def _too_wide(value) -> bool:
-    """Whether a coefficient of a parsed value passes MAX_CONSTANT_BITS bits.
+def _too_wide(value, operand=None) -> bool:
+    """Whether a coefficient of a parsed value passes MAX_CONSTANT_BITS bits;
+    given the right operand of a sum, only at that operand's monomials.
 
     Sums and products are checked once computed: at most one of them past
-    the bound is ever built, so a chain of them cannot compound.
+    the bound is ever built, so a chain of them cannot compound.  Every
+    polynomial the parser holds is a variable or has passed this check or
+    the a-priori bound of a power.  So past a polynomial on the left, a sum
+    needs reading only at its right operand's monomials, and a long sum is
+    checked in linear time.  A field element on the left may be a literal
+    that no operator has checked, and then every coefficient is read.
     """
     if type(value) is not Polynomial:
         return not (
             -_WIDE < value._a < _WIDE and -_WIDE < value._b < _WIDE
             and value._den < _WIDE
         )
-    for c in value.terms.values():
+    coeffs = value.terms.values()
+    if operand is not None:
+        terms = value.terms
+        touched = operand.terms if type(operand) is Polynomial else (_CONST,)
+        coeffs = [terms[m] for m in touched if m in terms]
+    for c in coeffs:
         if not (-_WIDE < c._a < _WIDE and -_WIDE < c._b < _WIDE and c._den < _WIDE):
             return True
     return False

@@ -289,19 +289,23 @@ def _raw(terms: dict) -> Polynomial:
     return p
 
 
-def _combined(p: Polynomial, other, op):
-    """p + other or p - other, with op the field's add or sub."""
+def _combined(p: Polynomial, other, op, in_place: bool = False):
+    """p + other or p - other, with op the field's add or sub.
+
+    In place, p's own terms are updated and p is returned, in time linear
+    in other alone: only for a p that nothing else holds.
+    """
     other = _coerce_poly(other)
     if other is NotImplemented:
         return NotImplemented
-    terms = dict(p.terms)
+    terms = p.terms if in_place else dict(p.terms)
     for mono, coeff in other.terms.items():
         acc = op(terms.get(mono, ZERO), coeff)
         if acc:
             terms[mono] = acc
         else:
             terms.pop(mono, None)
-    return _raw(terms)
+    return p if in_place else _raw(terms)
 
 
 def _shifted(p: Polynomial, mono: Monomial, c: Eisenstein) -> Polynomial:

@@ -91,6 +91,9 @@ def test_all_is_the_agreed_sorted_list():
 
 
 def test_the_package_root_binds_only_exported_names():
+    # Names are bound on first use, so every one is read first.
+    for name in PUBLIC:
+        getattr(s6quartic, name)
     bound = {
         name
         for name, value in vars(s6quartic).items()
@@ -149,13 +152,12 @@ def test_readme_library_tour_runs(capsys):
     ]
 
 
-@functools.lru_cache(maxsize=1)
-def modules_loaded_by_the_cli() -> list:
-    """The sorted new entries of sys.modules after `import s6quartic.cli`
-    in a fresh interpreter.  Only a fresh one shows what the import itself
-    loads, and only one started with -S: a site hook may preload typing."""
+def modules_loaded_by(code: str) -> list:
+    """The sorted new entries of sys.modules after running code in a fresh
+    interpreter.  Only a fresh one shows what the import itself loads, and
+    only one started with -S: a site hook may preload typing."""
     probe = (
-        "import sys; before = set(sys.modules); import s6quartic.cli; "
+        f"import sys; before = set(sys.modules)\n{code}\n"
         "print(*sorted(set(sys.modules) - before), sep='\\n')"
     )
     src = str(Path(s6quartic.__file__).resolve().parent.parent)
@@ -167,6 +169,11 @@ def modules_loaded_by_the_cli() -> list:
         check=True,
     )
     return result.stdout.split()
+
+
+@functools.lru_cache(maxsize=1)
+def modules_loaded_by_the_cli() -> list:
+    return modules_loaded_by("import s6quartic.cli")
 
 
 def test_import_loads_no_decorator_machinery():
@@ -189,3 +196,64 @@ def test_import_loads_the_pinned_modules():
     if name not in pins:
         pytest.skip(f"no import pin for {name}")
     assert modules_loaded_by_the_cli() == pins[name]
+
+
+SUBMODULES = {
+    "eisenstein", "poly", "parsing", "linalg", "perms", "varieties", "checks", "cli"
+}
+GEOMETRY = {"eisenstein", "poly", "linalg", "perms", "varieties"}
+
+
+def submodules_loaded_by(code: str) -> set:
+    loaded = modules_loaded_by(code)
+    assert "s6quartic" in loaded
+    prefix = "s6quartic."
+    return {m.removeprefix(prefix) for m in loaded if m.startswith(prefix)}
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        ("import s6quartic", set()),
+        (
+            "from s6quartic import parse_point_coordinates, parse_polynomial\n"
+            "parse_polynomial('x0^2 - w').evaluate("
+            "parse_point_coordinates('[1, 0, 0, 0, 0, 0]'))",
+            {"eisenstein", "poly", "parsing"},
+        ),
+        ("from s6quartic import scan_alphabet\nscan_alphabet(6, (1, -1))", GEOMETRY),
+        ("import s6quartic\ns6quartic.varieties", GEOMETRY),
+        ("import s6quartic.cli", SUBMODULES),
+    ],
+    ids=["package", "eval", "scan", "submodule", "cli"],
+)
+def test_each_entry_point_loads_only_the_submodules_it_uses(code, expected):
+    # Unlike the full pin above, this holds on every Python version.
+    assert submodules_loaded_by(code) == expected
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from s6quartic import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC
+    assert namespace["scan_alphabet"] is s6quartic.varieties.scan_alphabet
+    assert namespace["RunConfig"] is s6quartic.checks.RunConfig
+
+
+def test_dir_lists_every_exported_name_and_submodule():
+    assert set(dir(s6quartic)) >= set(PUBLIC) | SUBMODULES
+
+
+def test_submodules_are_package_attributes():
+    for name in sorted(SUBMODULES):
+        assert getattr(s6quartic, name) is sys.modules[f"s6quartic.{name}"]
+
+
+def test_unknown_names_raise_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        s6quartic.no_such_name
+    assert str(info.value) == "module 's6quartic' has no attribute 'no_such_name'"
+    assert not hasattr(s6quartic, "__main__")
+    with pytest.raises(ImportError):
+        exec("from s6quartic import no_such_name", {})

@@ -17,6 +17,7 @@ from s6quartic import (
     parse_polynomial,
 )
 from s6quartic.eisenstein import OMEGA_SQUARED, ONE
+from s6quartic import poly
 from s6quartic.poly import X, format_polynomial
 from s6quartic.parsing import (
     MAX_CONSTANT_BITS,
@@ -411,6 +412,80 @@ class TestConstantBound:
         assert str(info.value) == (
             f"constant exceeds {MAX_CONSTANT_BITS} bits (at position 11)"
         )
+
+
+def _sum_work(n):
+    """The lines the package runs, and the coefficients it stores in new
+    polynomials, while it parses a sum of n distinct monomials."""
+    # Exponents of one bit length, so that every term costs the same.
+    text = " + ".join(f"x{e % 6}^{e // 6 + 256}" for e in range(n))
+    package = str(Path(poly.__file__).parent)
+    lines = stored = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    raw = poly._raw
+
+    def counted(terms):
+        nonlocal stored
+        stored += len(terms)
+        return raw(terms)
+
+    previous = sys.gettrace()
+    poly._raw = counted
+    sys.settrace(tracer)
+    try:
+        result = parse_polynomial(text)
+    finally:
+        sys.settrace(previous)
+        poly._raw = raw
+    assert len(result.terms) == n
+    return lines, stored
+
+
+class TestLongSums:
+    def test_a_long_sum_takes_linear_work(self):
+        # Counts, not times: a sum that re-read or copied every coefficient
+        # so far at each '+' would grow sixteen-fold, not four-fold.
+        for small, large in zip(_sum_work(300), _sum_work(1200)):
+            assert large < 4.5 * small
+
+    def test_a_sum_leaves_its_operands_unchanged(self):
+        assert parse_polynomial("x0 + x1 - x0 + x2") == X1 + X2
+        assert parse_polynomial("(x0 + x1) + x2 - (x0 + x1)^1") == X2
+        assert X0 == Polynomial.variable(0) and X1 == Polynomial.variable(1)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    @pytest.mark.parametrize("wrap", ["{}", "({})", "-{}", "-(-{})"])
+    def test_a_wide_literal_left_of_a_sum_is_refused_at_its_operator(self, wrap):
+        # Only past Python's digit limit can a literal exceed the bound, and
+        # no operator checks it before the sum that takes it.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            literal = wrap.format(1 << MAX_CONSTANT_BITS)
+            for text in (literal + " + x0", literal + " - x1 + x0"):
+                with pytest.raises(ParseError) as info:
+                    parse_polynomial(text)
+                assert str(info.value) == (
+                    f"constant exceeds {MAX_CONSTANT_BITS} bits "
+                    f"(at position {len(literal) + 1})"
+                )
+            # The bound applies to the sum, not to its operands.
+            sign = -1 if wrap.count("-") % 2 else 1
+            within = parse_polynomial(f"{literal} + (x0 - {sign})")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        top = Eisenstein(1 << MAX_CONSTANT_BITS)
+        assert within == X0 + sign * (top - 1)
 
 
 class TestAsciiTokens:

@@ -9,7 +9,9 @@ it.  They are compared exactly with
 `tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
 A change that changes a count updates those files and gives the reason.
 `pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
-the scans, the node test and the Gram rank multiply.  `echelon_bits` is the
+the scans, the node test and the Gram rank multiply; `keys` and `squares`
+count the calls of `varieties._scaled` and `varieties._squares`, which
+multiply int pairs inline.  `echelon_bits` is the
 bit length of the widest entry that `linalg._echelon` leaves in a verify:
 without its exact Bareiss division the entries grow exponentially.
 
@@ -98,6 +100,7 @@ def measure() -> dict:
         "points_built": varieties._point,
         "additions": Eisenstein.__add__,
         "keys": varieties._scaled,
+        "squares": varieties._squares,
     }
     calls = (
         "act_on_variety",
