@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import lcm
 
 from .checks import (
     ALL_CHECK_IDS,
@@ -138,13 +139,6 @@ def _cmd_scan(args) -> int:
 def _cmd_eval(args) -> int:
     poly = parse_polynomial(args.poly)
     coords = parse_point_coordinates(args.point)
-    # Evaluation builds the powers of each coordinate up to the degree.
-    width = max(map(_bit_length, coords))
-    if poly.degree() * width > MAX_CONSTANT_BITS:
-        raise ConfigError(
-            f"evaluation exceeds {MAX_CONSTANT_BITS} bits (degree "
-            f"{poly.degree()} at a {width}-bit coordinate)"
-        )
     # Bounds evaluate's rows of coordinate powers and their denominator.
     tops = map(max, zip(*poly.terms))
     bits = sum(top * _bit_length(c) for top, c in zip(tops, coords))
@@ -153,6 +147,15 @@ def _cmd_eval(args) -> int:
             f"evaluation exceeds {MAX_CONSTANT_BITS} bits ({bits} bits of "
             "coordinate powers)"
         )
+    # Bounds the common denominator evaluate takes the coefficients over.
+    common = 1
+    for c in poly.terms.values():
+        common = lcm(common, c._den)
+        if common.bit_length() > MAX_CONSTANT_BITS:
+            raise ConfigError(
+                f"evaluation exceeds {MAX_CONSTANT_BITS} bits (the common "
+                "denominator of the coefficients)"
+            )
     value = poly.evaluate(coords)
     try:
         text = str(value)

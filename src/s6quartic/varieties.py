@@ -15,10 +15,9 @@ family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
-from . import perms
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED, ONE
 from .eisenstein import _cleared, _pair_mul, _reduced
 from .linalg import ALL_T, EMPTY, TSolutionSet, _echelon, rref_linear_forms
@@ -43,39 +42,21 @@ def _scaled(xs, c, d) -> list:
     return ints if g == 1 else [v // g for v in ints]
 
 
-def _point(pairs, text, key) -> "ProjectivePoint":
-    """Wrap normalized int pairs with their str and sort_key (None for both
-    until they are read), skipping the coercion and validation of the
-    public constructor."""
+def _point(pairs) -> "ProjectivePoint":
+    """Wrap normalized int pairs, skipping the coercion and validation of
+    the public constructor; str and sort_key fill their slots on first
+    read."""
     p = _new(ProjectivePoint)
-    p._pairs, p._text, p._key = pairs, text, key
+    p._pairs, p._text, p._key = pairs, None, None
     return p
-
-
-def _joined(pairs, n, arrangements) -> list:
-    """One point per index tuple a of arrangements, with int pairs pairs[i]
-    for i in a over the norm n.  Each pair's field value, text and sort key
-    are made once; every point's str and sort_key are joined from them."""
-    values = [_reduced(a, b, n) for a, b in pairs]
-    texts = list(map(str, values))
-    keys = [c.sort_key() for c in values]
-    return [
-        _point(
-            tuple(map(pairs.__getitem__, a)),
-            "[" + " : ".join(map(texts.__getitem__, a)) + "]",
-            tuple(map(keys.__getitem__, a)),
-        )
-        for a in arrangements
-    ]
 
 
 def _normalized(xs) -> "ProjectivePoint":
     """The point of the int pairs xs, not all (0, 0): xs _scaled by its
     first nonzero pair, which becomes (n, 0) over the norm n, so that the
-    first nonzero coordinate is 1.  Its text and sort key are left for str
-    and sort_key to make on first read."""
+    first nonzero coordinate is 1."""
     *ints, n = _scaled(xs, *next(filter(any, xs)))
-    return _point(tuple(zip(ints[::2], ints[1::2])), None, None)
+    return _point(tuple(zip(ints[::2], ints[1::2])))
 
 
 def _orbit_points(xs, seen) -> list:
@@ -83,16 +64,13 @@ def _orbit_points(xs, seen) -> list:
     nonzero scalar, skipping the batches named in seen and adding new ones.
 
     xs is _scaled once per distinct nonzero value v.  Each distinct
-    arrangement of the image that starts, after zeros, with v's image
-    (n, 0) is in _normalized form as it stands, and each point of the
-    orbit arises so.  A batch is named by its sorted pairs and n: the
-    scalings of the cube-root tuple by 1, w and w^2 give the same points,
-    but [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
-    with n = 1 and 2.
-
-    Each batch _joins its points from its at most six distinct pairs.  The
-    distinct arrangements of a tail come from perms._arrangements, a table
-    keyed by the tail's multiplicities alone.
+    arrangement of the image whose first nonzero pair is v's image (n, 0)
+    is in _normalized form as it stands, and each point of the orbit
+    arises so.  A batch is named by its sorted pairs and n: the scalings
+    of the cube-root tuple by 1, w and w^2 give the same points, but
+    [1 : 2 : -3 : 1 : 2 : -3] scales to the same pairs by 1 and by 2,
+    with n = 1 and 2.  The arrangements are one set of the permutations
+    of the scaled pairs.
     """
     points = []
     for v in set(xs) - {(0, 0)}:
@@ -102,20 +80,11 @@ def _orbit_points(xs, seen) -> list:
         if batch in seen:
             continue
         seen.add(batch)
-        rest = [x for x in pairs if any(x)]
-        rest.remove((n, 0))
-        zeros = NVARS - 1 - len(rest)
-        distinct = sorted(set(rest))
-        counts = tuple(map(rest.count, distinct))
-        # Index i < len(distinct) stands for distinct[i], then 0 and 1.
-        zero = len(distinct)
-        # k zeros, then v's image 1, then any arrangement of what is left.
-        arrangements = []
-        for k in range(zeros + 1):
-            head = (zero,) * k + (zero + 1,)
-            shape = counts + (zeros - k,) if k < zeros else counts
-            arrangements += [head + tail for tail in perms._arrangements(shape)]
-        points += _joined(distinct + [(0, 0), (n, 0)], n, arrangements)
+        points += [
+            _point(a)
+            for a in set(permutations(pairs))
+            if next(filter(any, a)) == (n, 0)
+        ]
     return points
 
 
@@ -127,8 +96,7 @@ class ProjectivePoint:
     points can live in sets and dicts; coords is derived and read-only.
     The constructor coerces and validates outside input, clears it to int
     pairs and _normalizes them, as act_on_point does.  Two more slots hold
-    the str and sort_key: _joined fills them for the points of an orbit,
-    and str or sort_key fills those of a _normalized point on first read.
+    the str and sort_key, each made from coords on first read.
     """
 
     __slots__ = ("_pairs", "_text", "_key")
@@ -140,26 +108,19 @@ class ProjectivePoint:
         if not any(vals):
             raise ValueError("all coordinates are zero")
         p = _normalized(_cleared(vals))
-        self._pairs, self._text, self._key = p._pairs, p._text, p._key
+        self._pairs, self._text, self._key = p._pairs, None, None
 
     @property
     def coords(self) -> tuple:
-        return tuple(map(self.__getitem__, range(NVARS)))
+        n = next(filter(any, self._pairs))[0]
+        return tuple(_reduced(a, b, n) for a, b in self._pairs)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.coords[index]
-        a, b = self._pairs[index]
-        return _reduced(a, b, next(filter(any, self._pairs))[0])
-
-    def _join(self):
-        coords = self.coords
-        self._text = "[" + " : ".join(map(str, coords)) + "]"
-        self._key = tuple(c.sort_key() for c in coords)
+        return self.coords[index]
 
     def sort_key(self):
         if self._key is None:
-            self._join()
+            self._key = tuple(c.sort_key() for c in self.coords)
         return self._key
 
     def __eq__(self, other):
@@ -175,7 +136,7 @@ class ProjectivePoint:
 
     def __str__(self):
         if self._text is None:
-            self._join()
+            self._text = "[" + " : ".join(map(str, self.coords)) + "]"
         return self._text
 
 

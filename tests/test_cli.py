@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from s6quartic import Eisenstein
+from s6quartic import Eisenstein, Polynomial
 from s6quartic.checks import REGISTRY_CHECK_IDS
 from s6quartic.cli import main
 from test_checks import WIDE_ALPHABET
@@ -309,9 +309,8 @@ class TestHostileInput:
         assert "Traceback" not in err
 
     # (x0 + ... + x5 + 1)^8 has 3,003 terms and the top exponent 8 in every
-    # variable.  At the six coordinates (3 + w)/p^k its degree times the
-    # widest coordinate stays under 65,536 bits up to k = 100, but its rows
-    # of coordinate powers take 8 * (sum of the coordinate widths) bits.
+    # variable.  At the six coordinates (3 + w)/p^k its rows of coordinate
+    # powers take 8 * (sum of the coordinate widths) bits.
     DENSE = "(x0 + x1 + x2 + x3 + x4 + x5 + 1)^8"
     PRIMES = (2**61 - 1, 2**59 - 55, 2**57 - 13, 2**55 - 55, 2**53 - 111, 2**51 - 129)
 
@@ -344,6 +343,37 @@ class TestHostileInput:
             assert out == f"{expected}\n"
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_a_wide_coordinate_that_no_term_raises_is_evaluated(self, capsys):
+        # The degree times the widest coordinate is 200 * 55,001 bits, but
+        # no term holds x1, so its row holds only x1^0.
+        point = "[1, 2^1000^55, 0, 0, 0, 0]"
+        code = main(["eval", "--poly", "x0^200", "--point", point])
+        assert (code, *capsys.readouterr()) == (0, "1\n", "")
+
+    def test_a_wide_common_denominator_is_refused_before_evaluating(
+        self, capsys, monkeypatch
+    ):
+        # Each coefficient 1/p^1000 has 60,000 bits, but over the 80 largest
+        # primes below 2^60 their common denominator has 4.8 million.  (A
+        # base-2 Fermat test passes no composite in this range.)  Unbounded,
+        # the evaluation ran 105 s, and the value was then too large to print.
+        primes = [
+            n for n in range(2**60 - 1, 2**60 - 10**4, -2) if pow(2, n - 1, n) == 1
+        ][:80]
+        poly = "+".join(f"x0^{k}/{p}^1000" for k, p in enumerate(primes, 1))
+
+        def evaluate(*args):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+        code = main(["eval", "--poly", poly, "--point", "[1, 0, 0, 0, 0, 0]"])
+        assert (code, *capsys.readouterr()) == (
+            2,
+            "",
+            "error: evaluation exceeds 65536 bits "
+            "(the common denominator of the coefficients)\n",
+        )
 
     def test_huge_expansion_is_a_clean_error(self, capsys):
         poly = "(x0+x1+x2+x3+x4+x5+w)^60"
@@ -439,12 +469,12 @@ class TestHostileInput:
                 # a MemoryError.
                 ["eval", "--poly", "x0^1000", "--point", "[2^1000^65,1,1,1,1,1]"],
                 "error: evaluation exceeds 65536 bits "
-                "(degree 1000 at a 65001-bit coordinate)",
+                "(65001000 bits of coordinate powers)",
             ),
             (
                 ["eval", "--poly", "x0^300", "--point", "[2^1000^65,1,1,1,1,1]"],
                 "error: evaluation exceeds 65536 bits "
-                "(degree 300 at a 65001-bit coordinate)",
+                "(19500300 bits of coordinate powers)",
             ),
             (
                 # Fraction reads Arabic-Indic three as 3.

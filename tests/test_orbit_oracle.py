@@ -8,14 +8,12 @@ Seeded tuples with zero coordinates (leading ones among them), w parts,
 denominators and repeated values are compared with it, and no point may
 be built twice.
 
-Every point of a batch is built by varieties._joined, which joins its
-text and sort key from those of its values; a point of one arrangement
-(the constructor and act_on_point) makes them when str or sort_key first
-reads them.  The oracles for those are
-Eisenstein.__str__ and Eisenstein.sort_key of each coordinate.  A batch
-takes the distinct arrangements of a tail from a table keyed by the
-tail's multiplicities (perms._arrangements); the oracle for that is
-set(permutations(...)) of each multiset.  Every such point also carries
+A batch takes its arrangements from one set of the permutations of its
+scaled pairs, keeping those led, after zeros, by the batch's (n, 0).
+Every point, of a batch or of one arrangement (the constructor and
+act_on_point), makes its text and sort key when str or sort_key first
+reads them.  The oracles for those are Eisenstein.__str__ and
+Eisenstein.sort_key of each coordinate.  Every such point also carries
 the normal int pairs of its coordinates, checked against the field
 oracle of tests/test_point_oracle.py.
 """
@@ -27,7 +25,7 @@ from itertools import permutations
 import pytest
 
 from s6quartic import DEFAULT_ALPHABETS, Eisenstein, ProjectivePoint, scan_alphabet
-from s6quartic import projective_orbit, perms, varieties
+from s6quartic import projective_orbit, varieties
 from s6quartic.eisenstein import OMEGA, OMEGA_SQUARED, _cleared
 from s6quartic.perms import Permutation
 from s6quartic.poly import NVARS
@@ -198,8 +196,6 @@ def test_orbit_points_join_their_texts_and_keys():
     norms = set()
     for coords in cases():
         points = _orbit_points(_cleared(coords), set())
-        # A batch joins every text and key as it builds the points.
-        assert None not in {p._text for p in points} | {p._key for p in points}
         assert_joined(points)
         norms |= {c._parts()[2] for p in points for c in p}
     assert len(norms) > 3
@@ -224,51 +220,22 @@ def test_projective_orbit_and_act_on_point_texts_and_keys():
         assert image == ProjectivePoint(moved)
 
 
-# -- the arrangement table ----------------------------------------------------
-
-
-def compositions(size):
-    """The ordered multiplicity tuples of positive parts that sum to size."""
-    if not size:
-        yield ()
-    for first in range(1, size + 1):
-        for rest in compositions(size - first):
-            yield (first,) + rest
-
-
-SHAPES = [shape for size in range(NVARS) for shape in compositions(size)]
-
-
-def test_every_tail_shape_is_arranged_as_the_distinct_permutations():
-    assert len(SHAPES) == 32
-    for shape in SHAPES:
-        multiset = [i for i, m in enumerate(shape) for _ in range(m)]
-        table = perms._arrangements(shape)
-        assert len(set(table)) == len(table)
-        assert set(table) == set(permutations(multiset))
+# -- the locus table ----------------------------------------------------------
 
 
 def test_the_table_is_keyed_by_shape_not_by_t(monkeypatch):
-    """The first scan at a generic t builds the generic locus, filling the
-    arrangement table once per shape; 99 more fresh t read the locus table
-    and neither table grows.  The special members add one locus each, four
-    in all.  Each scan finds the cube-root orbit, which lies on every
-    member."""
+    """The first scan at a generic t builds the generic locus; 99 more
+    fresh t read the locus table and it does not grow.  The special
+    members add one locus each, four in all.  Each scan finds the
+    cube-root orbit, which lies on every member."""
     monkeypatch.setattr(varieties, "_LOCI", {})
-    perms._arrangements.cache_clear()
 
     def scan(t):
         return scan_alphabet(t, [0, 1, -1, OMEGA, OMEGA_SQUARED])
 
-    assert len(scan(Fraction(1, 11))) == 30
-    filled = perms._arrangements.cache_info()
-    for k in range(1, 100):
+    for k in range(100):
         assert len(scan(Fraction(2 * k + 1, 11))) == 30
-    assert perms._arrangements.cache_info() == filled
     assert list(varieties._LOCI) == [()]
     for t in (6, 2, Fraction(10, 7)) * 2:
         assert len(scan(t)) >= 30
     assert len(varieties._LOCI) == 4
-    info = perms._arrangements.cache_info()
-    assert info.currsize <= 32
-    assert info.misses == info.currsize

@@ -11,7 +11,10 @@ A change that changes a count updates those files and gives the reason.
 `pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
 the scans, the node test and the Gram rank multiply; `keys` and `squares`
 count the calls of `varieties._scaled` and `varieties._squares`, which
-multiply int pairs inline.  `echelon_bits` is the
+multiply int pairs inline.  `coordinate_keys` and `coordinate_texts`
+count the calls of `Eisenstein.sort_key` and `Eisenstein.__str__`, which
+a point makes per coordinate the first time its sort key or its text is
+read.  `echelon_bits` is the
 bit length of the widest entry that `linalg._echelon` leaves in a verify:
 without its exact Bareiss division the entries grow exponentially.
 
@@ -101,6 +104,8 @@ def measure() -> dict:
         "additions": Eisenstein.__add__,
         "keys": varieties._scaled,
         "squares": varieties._squares,
+        "coordinate_keys": Eisenstein.sort_key,
+        "coordinate_texts": Eisenstein.__str__,
     }
     calls = (
         "act_on_variety",
