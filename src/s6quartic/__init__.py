@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli")
+_SUBMODULES = (*_EXPORTS, "errors", "cli")
 
 __version__ = "0.1.0"
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .eisenstein import Eisenstein, OMEGA, OMEGA_SQUARED
+from .errors import ConfigError
 from .linalg import TSolutionSet, gram_rank
-from .parsing import ParseError, parse_scalar_list
 from .perms import (
     PermGroup,
     Permutation,
@@ -71,10 +71,6 @@ DEFAULT_ALPHABETS = {
         -OMEGA_SQUARED,
     ),
 }
-
-
-class ConfigError(ValueError):
-    """A configuration or usage problem; maps to process exit code 2."""
 
 
 class RunConfig(
@@ -472,13 +468,16 @@ def parse_rational(text: str) -> Fraction:
 
 def alphabet_letters(text: str) -> tuple:
     """The letters of an alphabet given as one of DEFAULT_ALPHABETS' names
-    or as a bracketed list of field elements like '[1, -1, w]'."""
+    or as a bracketed list of field elements like '[1, -1, w]'.  Only a
+    list loads the parser."""
     text = text.strip()
     if not text.startswith("["):
         if text in DEFAULT_ALPHABETS:
             return DEFAULT_ALPHABETS[text]
         known = ", ".join(sorted(DEFAULT_ALPHABETS))
         raise ConfigError(f"unknown alphabet {text!r}; known: {known}")
+    from .parsing import ParseError, parse_scalar_list
+
     try:
         return parse_scalar_list(text)
     except ParseError as exc:

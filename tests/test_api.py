@@ -171,20 +171,31 @@ def modules_loaded_by(code: str) -> list:
     return result.stdout.split()
 
 
+def run_quietly(call: str) -> str:
+    """Code that runs a cli call with its stdout thrown away, so that the
+    probe's own output is the module list alone."""
+    return (
+        "import io, sys\n"
+        "sys.stdout = io.TextIOWrapper(io.BytesIO())\n"
+        f"from s6quartic.cli import main\n{call}\n"
+        "sys.stdout = sys.__stdout__"
+    )
+
+
 @functools.lru_cache(maxsize=1)
-def modules_loaded_by_the_cli() -> list:
-    return modules_loaded_by("import s6quartic.cli")
+def modules_loaded_by_a_verify_run() -> list:
+    return modules_loaded_by(run_quietly("main(['verify', '--check', 'special-t'])"))
 
 
 def test_import_loads_no_decorator_machinery():
     # The package needs none of these; dataclasses alone pulls in inspect,
     # ast, dis and tokenize.
     forbidden = {"configparser", "dataclasses", "inspect", "string", "typing"}
-    assert not forbidden & set(modules_loaded_by_the_cli())
+    assert not forbidden & set(modules_loaded_by_a_verify_run())
 
 
 def test_import_loads_the_pinned_modules():
-    """The modules `import s6quartic.cli` loads, pinned per interpreter in
+    """The modules a `verify` run loads, pinned per interpreter in
     tests/reference/import-modules.json, so an import regression fails
     whatever the machine load.  The standard library's own imports differ
     between Python versions, so a version without a pin is skipped."""
@@ -195,13 +206,22 @@ def test_import_loads_the_pinned_modules():
     name = f"{sys.implementation.name}-{v.major}.{v.minor}-{sys.platform}"
     if name not in pins:
         pytest.skip(f"no import pin for {name}")
-    assert modules_loaded_by_the_cli() == pins[name]
+    assert modules_loaded_by_a_verify_run() == pins[name]
 
 
 SUBMODULES = {
-    "eisenstein", "poly", "parsing", "linalg", "perms", "varieties", "checks", "cli"
+    "eisenstein",
+    "poly",
+    "parsing",
+    "linalg",
+    "perms",
+    "varieties",
+    "checks",
+    "errors",
+    "cli",
 }
 GEOMETRY = {"eisenstein", "poly", "linalg", "perms", "varieties"}
+EVAL = {"eisenstein", "poly", "parsing"}
 
 
 def submodules_loaded_by(code: str) -> set:
@@ -219,17 +239,38 @@ def submodules_loaded_by(code: str) -> set:
             "from s6quartic import parse_point_coordinates, parse_polynomial\n"
             "parse_polynomial('x0^2 - w').evaluate("
             "parse_point_coordinates('[1, 0, 0, 0, 0, 0]'))",
-            {"eisenstein", "poly", "parsing"},
+            EVAL,
         ),
         ("from s6quartic import scan_alphabet\nscan_alphabet(6, (1, -1))", GEOMETRY),
         ("import s6quartic\ns6quartic.varieties", GEOMETRY),
-        ("import s6quartic.cli", SUBMODULES),
+        ("import s6quartic.cli", {"cli", "errors"}),
+        (
+            run_quietly("main(['verify', '--check', 'special-t'])"),
+            GEOMETRY | {"checks", "errors", "cli"},
+        ),
+        (
+            run_quietly("main(['scan', '--t', '6', '--alphabet', 'pm1'])"),
+            GEOMETRY | {"checks", "errors", "cli"},
+        ),
+        (
+            run_quietly(
+                "main(['eval', '--poly', '-x0^2', '--point', '[1, 0, 0, 0, 0, 0]'])"
+            ),
+            EVAL | {"errors", "cli"},
+        ),
     ],
-    ids=["package", "eval", "scan", "submodule", "cli"],
+    ids=["package", "eval", "scan", "submodule", "cli", "cli-verify", "cli-scan",
+         "cli-eval"],
 )
 def test_each_entry_point_loads_only_the_submodules_it_uses(code, expected):
     # Unlike the full pin above, this holds on every Python version.
     assert submodules_loaded_by(code) == expected
+
+
+def test_a_verify_run_loads_neither_argparse_nor_the_parser():
+    # argparse brings gettext, and locale once it translates a message.
+    forbidden = {"argparse", "gettext", "locale", "s6quartic.parsing"}
+    assert not forbidden & set(modules_loaded_by_a_verify_run())
 
 
 def test_star_import_binds_every_exported_name():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from s6quartic import Eisenstein, Polynomial
 from s6quartic.checks import REGISTRY_CHECK_IDS
 from s6quartic.cli import main
 from test_checks import WIDE_ALPHABET
+
+REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 class TestVerifyCommand:
@@ -66,8 +69,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "error: unknown check ids: bogus" in err
 
+    def test_a_check_repeated_in_both_spellings_runs_once(self, capsysbinary):
+        code = main(
+            ["verify", "--check", "special-t", "--check=special-t", "--format",
+             "json"]
+        )
+        out, _ = capsysbinary.readouterr()
+        assert code == 0
+        assert [json.loads(line)["check_id"] for line in out.splitlines()] == [
+            "special-t"
+        ]
+
     def test_check_id_with_a_leading_dash_is_a_config_error(self, capsys):
-        # main passes '-x' on as '--check=-x'; no check has that id.
+        # '-x' is the value of --check; no check has that id.
         code = main(["verify", "--check", "-x"])
         _, err = capsys.readouterr()
         assert code == 2
@@ -82,20 +96,30 @@ class TestVerifyCommand:
         assert code == 0
         assert record["details"]["per_t"] == {"7": {"found": 0, "nodes": 0}}
 
-    def test_negative_fraction_t_after_a_space(self, capsysbinary):
-        """argparse alone takes '-3/2' for an option; main passes it on
-        as '--t=-3/2'.  Both members have the cube-root orbit."""
+    # Both members have the cube-root orbit; t = 6 has the sign orbit too.
+    NEGATIVE_T = {
+        "-3/2": {"found": 30, "nodes": 30},
+        "6": {"found": 40, "nodes": 40},
+    }
+
+    def scan_todd_per_t(self, capsysbinary, *t_flags):
         code = main(
-            ["verify", "--check", "scan-todd", "--t", "-3/2", "--t", "6",
+            ["verify", "--check", "scan-todd", *t_flags, "--t", "6",
              "--alphabet", "sixth_roots", "--format", "json"]
         )
         out, _ = capsysbinary.readouterr()
-        record = json.loads(out.splitlines()[0])
         assert code == 0
-        assert record["details"]["per_t"] == {
-            "-3/2": {"found": 30, "nodes": 30},
-            "6": {"found": 40, "nodes": 40},
-        }
+        return json.loads(out.splitlines()[0])["details"]["per_t"]
+
+    def test_negative_fraction_t_after_a_space(self, capsysbinary):
+        """The word after a value-taking option is its value, even when it
+        starts with '-'."""
+        per_t = self.scan_todd_per_t(capsysbinary, "--t", "-3/2")
+        assert per_t == self.NEGATIVE_T
+
+    def test_negative_fraction_t_after_an_equals_sign(self, capsysbinary):
+        per_t = self.scan_todd_per_t(capsysbinary, "--t=-3/2")
+        assert per_t == self.NEGATIVE_T
 
     @pytest.mark.parametrize(
         "alphabet,found", [("sixth_roots", 40), ("[1, -1, w]", 10)]
@@ -195,7 +219,7 @@ class TestScanCommand:
         assert code == 2
         assert "bad rational" in err
 
-    def test_missing_t_value_is_argparse_error(self, capsys):
+    def test_missing_t_value_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["scan", "--t", "--alphabet", "pm1"])
         out, err = capsys.readouterr()
@@ -234,8 +258,8 @@ class TestEvalCommand:
         "poly, value", [("-x0^2", "-1"), ("-w", "-w"), ("-x1 + 2", "2")]
     )
     def test_negated_poly_after_a_space(self, capsys, poly, value):
-        """argparse alone takes '-x0^2' for an option; main passes it on
-        as '--poly=-x0^2'."""
+        """The word after --poly is its value, although it starts with
+        '-'."""
         code = main(["eval", "--poly", poly, "--point", "[1, 0, 0, 0, 0, 0]"])
         out, _ = capsys.readouterr()
         assert code == 0
@@ -252,6 +276,82 @@ class TestEvalCommand:
         _, err = capsys.readouterr()
         assert code == 2
         assert "exactly 6 coordinates" in err
+
+
+# Help and usage errors as printed at COLUMNS=80; help goes to stdout with
+# exit 0, a usage error to stderr with exit 2.
+HELP_PAGES = [
+    ([], "help.txt"),
+    (["verify"], "help-verify.txt"),
+    (["scan"], "help-scan.txt"),
+    (["eval"], "help-eval.txt"),
+]
+USAGE_ERRORS = [
+    ([], "usage-no-command.txt"),
+    (["verify", "--format", "yaml"], "usage-verify-format-yaml.txt"),
+    (["scan", "--t", "6"], "usage-scan-no-alphabet.txt"),
+    (["verify", "--config", "run.ini"], "usage-verify-config.txt"),
+    (["scan", "--t", "--alphabet", "pm1"], "usage-scan-t-no-value.txt"),
+]
+
+
+class TestUsage:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def exits(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        return (info.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "command, reference", HELP_PAGES, ids=[name for _, name in HELP_PAGES]
+    )
+    def test_help_matches_reference(self, command, reference, capsys):
+        page = (REFERENCE / reference).read_text()
+        for flag in ("--help", "-h"):
+            assert self.exits([*command, flag], capsys) == (0, page, "")
+
+    @pytest.mark.parametrize(
+        "argv, reference", USAGE_ERRORS, ids=[name for _, name in USAGE_ERRORS]
+    )
+    def test_usage_error_matches_reference(self, argv, reference, capsys):
+        message = (REFERENCE / reference).read_text()
+        assert self.exits(argv, capsys) == (2, "", message)
+
+    def test_help_after_a_command_and_its_options(self, capsys):
+        page = (REFERENCE / "help-scan.txt").read_text()
+        assert self.exits(["scan", "--t", "6", "-h"], capsys) == (0, page, "")
+
+    def test_unambiguous_prefixes_name_their_options(self, capsys):
+        code = main(["scan", "--alph", "pm1", "--t=6"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert out == (REFERENCE / "scan-t6-pm1.txt").read_text()
+        code, out, err = self.exits(
+            ["eval", "--po", "x0", "--point", "[1, 0, 0, 0, 0, 0]"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: ambiguous option: --po could match --poly, --point\n"
+        )
+
+    def test_unrecognized_words_are_listed_in_order(self, capsys):
+        code, out, err = self.exits(
+            ["verify", "stray", "--check", "special-t", "-x", "--"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("s6quartic: error: unrecognized arguments: stray -x --\n")
+
+    def test_unknown_command(self, capsys):
+        code, out, err = self.exits(["foo"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: s6quartic [-h] {verify,scan,eval} ...\n"
+            "s6quartic: error: argument command: invalid choice: 'foo' "
+            "(choose from 'verify', 'scan', 'eval')\n"
+        )
 
 
 class TestEntryPoints:
