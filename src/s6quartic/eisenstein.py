@@ -253,23 +253,24 @@ class Eisenstein:
         return f"Eisenstein({self.re!r}, {self.om!r})"
 
     def __str__(self):
-        if self._den == 1:
-            re, om = self._a, self._b
-        else:
-            re, om = self.re, self.om
-        if om == 0:
-            return str(re)
-        if om == 1:
-            wpart = "w"
-        elif om == -1:
-            wpart = "-w"
-        else:
-            wpart = f"{om}*w"
-        if re == 0:
-            return wpart
-        sign = "-" if om < 0 else "+"
-        mag = wpart.lstrip("-")
-        return f"{re} {sign} {mag}"
+        """a + b*w as the parser reads it back, each component reduced as
+        str of its Fraction would write it: "-3/2", "w", "1/2 - 3/4*w".
+        Each component is written from its int pair over den, with one gcd.
+        """
+        a, b, den = self._a, self._b, self._den
+        re = _ratio_text(a, den)
+        if not b:
+            return re
+        mag = "w" if abs(b) == den else f"{_ratio_text(abs(b), den)}*w"
+        if not a:
+            return mag if b > 0 else f"-{mag}"
+        return f"{re} {'-' if b < 0 else '+'} {mag}"
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """n/den in lowest terms, as str(Fraction(n, den)) writes it, den > 0."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 ZERO = Eisenstein(0)

@@ -30,10 +30,10 @@ the same operator, in the same order, with the same position.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 
 from .eisenstein import Eisenstein, OMEGA, _make
-from .poly import NVARS, Polynomial, X, _CONST, _combined, _int_pairs
+from .poly import NVARS, Polynomial, X, _CONST, _combined
 
 MAX_EXPONENT = 1000
 # An input bound: open parentheses are a list, not Python recursion.
@@ -153,7 +153,19 @@ def _expression(tokens: list, k: int):
             if negate:
                 result = -result
             if product is not None:
-                result = _product_of(*product, result)
+                lhs, op = product
+                if type(lhs) is Eisenstein and type(result) is Eisenstein:
+                    # Two field elements fold at once, with the refusals
+                    # of _product_of at the same position.
+                    if op[0] == "/":
+                        if not result:
+                            raise ParseError("division by zero", op[2])
+                        result = result.inverse()
+                    result = lhs * result
+                    if _too_wide(result):
+                        raise ParseError(_WIDE_MESSAGE, op[2])
+                else:
+                    result = _product_of(lhs, op, result)
             op = tokens[k]
             if op[0] in ("*", "/"):
                 product = (result, op)
@@ -254,10 +266,12 @@ def _power_bits(base: Polynomial, exponent: int) -> int:
     |a| + |b| <= 2M, and a component of z = a + b*w is below 2|z|, so each
     component is below 2*(2*M*T)^n, and the denominator is D^n.
     """
-    # Only the coefficients are read, so the monomials need no field width.
-    den, pairs = _int_pairs(base, 0)
-    largest = max((max(abs(a), abs(b)) for _, a, b in pairs), default=0)
-    width = max(largest, den).bit_length() + len(pairs).bit_length() + 1
+    coeffs = base.terms.values()
+    den = lcm(*(c._den for c in coeffs))
+    largest = max(
+        (max(abs(c._a), abs(c._b)) * (den // c._den) for c in coeffs), default=0
+    )
+    width = max(largest, den).bit_length() + len(coeffs).bit_length() + 1
     return exponent * width + 1
 
 
@@ -332,9 +346,10 @@ def _parse_bracketed(text: str) -> tuple:
         while True:
             start = tokens[k][2]
             value, k = _expression(tokens, k)
-            value = _constant(value)
-            if value is None:
-                raise ParseError("list entries must be constants", start)
+            if type(value) is not Eisenstein:
+                value = _constant(value)
+                if value is None:
+                    raise ParseError("list entries must be constants", start)
             entries.append(value)
             if tokens[k][0] != ",":
                 break

@@ -104,6 +104,9 @@ class Polynomial:
         return self * c.inverse()
 
     def __pow__(self, exponent: int):
+        """self**exponent by square and multiply: p**8 is three squarings,
+        and each squaring (_square) multiplies each unordered pair of terms
+        once, T(T + 1)/2 term products for T terms instead of T^2."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
         if exponent == 0:
@@ -124,7 +127,7 @@ class Polynomial:
             e >>= 1
             if not e:
                 return _unpacked(result, den**exponent, width)
-            base = _product(base, base)
+            base = _square(base)
 
     # -- queries -------------------------------------------------------------
 
@@ -347,16 +350,20 @@ def _int_pairs(p: Polynomial, width: int):
     A monomial is packed into one int, x0 in the most significant of six
     fields of width bits.  While every exponent of a product stays below
     2**width no field carries into the next, so multiplying two monomials
-    is adding their packed ints.
+    is adding their packed ints.  A width of at most 8 packs the exponents
+    as bytes, in fields of 8 bits, which int.from_bytes builds at once.
     """
     den = lcm(*(c._den for c in p.terms.values()))
     pairs = []
     for mono, c in p.terms.items():
         a, b, d = c._parts()
         k = den // d
-        packed = 0
-        for e in mono:
-            packed = packed << width | e
+        if width <= 8:
+            packed = int.from_bytes(bytes(mono), "big")
+        else:
+            packed = 0
+            for e in mono:
+                packed = packed << width | e
         pairs.append((packed, a * k, b * k))
     return den, pairs
 
@@ -380,9 +387,40 @@ def _product(left: list, right: list) -> list:
     return [(m, x, y) for m, (x, y) in acc.items() if x or y]
 
 
+def _square(pairs: list) -> list:
+    """_product(pairs, pairs) from T(T + 1)/2 term products, not T^2: each
+    unordered pair of terms is multiplied once and a cross term doubled.
+
+    Its terms come in the same order: a monomial first appears at the same
+    pair i <= j of indices.
+    """
+    acc: dict = {}
+    get = acc.get
+    for i, (m1, a, b) in enumerate(pairs):
+        # (a + b*w)^2 = a^2 - b^2 + (2ab - b^2)*w
+        m = m1 + m1
+        bb = b * b
+        x, y = a * a - bb, 2 * a * b - bb
+        old = get(m)
+        acc[m] = (x, y) if old is None else (old[0] + x, old[1] + y)
+        a, b = 2 * a, 2 * b
+        for m2, c, d in pairs[i + 1 :]:
+            m = m1 + m2
+            bd = b * d
+            x = a * c - bd
+            y = a * d + b * c - bd
+            old = get(m)
+            acc[m] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    return [(m, x, y) for m, (x, y) in acc.items() if x or y]
+
+
 def _unpacked(pairs: list, den: int, width: int) -> Polynomial:
-    """The polynomial of a packed pair list over den; each coefficient is
-    reduced here, once."""
+    """The polynomial of a packed pair list over den, packed by _int_pairs
+    at width; each coefficient is reduced here, once."""
+    if width <= 8:
+        return _raw(
+            {tuple(m.to_bytes(NVARS, "big")): _reduced(x, y, den) for m, x, y in pairs}
+        )
     mask = (1 << width) - 1
     shifts = [width * i for i in range(NVARS - 1, -1, -1)]
     return _raw(

@@ -197,6 +197,13 @@ class TestAgainstReference:
             assert e.sort_key() == (re, om)
         ordered = sorted(elements, key=Eisenstein.sort_key)
         assert [(e.re, e.om) for e in ordered] == sorted(OPERANDS)
+        # Every (a + b*w)/den on a grid: negative and zero parts, w parts of
+        # +-1 (b = +-den) and parts that share a factor with den.
+        for den in range(1, 13):
+            for a in range(-13, 14):
+                for b in range(-13, 14):
+                    re, om = Fraction(a, den), Fraction(b, den)
+                    assert str(Eisenstein(re, om)) == Ref(re, om).text()
 
     def test_random_triples_property(self):
         # (a + b*w)/den for any nonzero den, either sign, unreduced.

@@ -398,15 +398,20 @@ def test_term_text_matches_the_fraction_oracle():
 
 
 def _count_products(monkeypatch):
-    """Count calls of the packed product loop from here on."""
+    """Count calls of the packed product and square loops from here on."""
     calls = []
-    original = poly._product
+    product, square = poly._product, poly._square
 
-    def counting(left, right):
+    def counting_product(left, right):
         calls.append(1)
-        return original(left, right)
+        return product(left, right)
 
-    monkeypatch.setattr(poly, "_product", counting)
+    def counting_square(pairs):
+        calls.append(1)
+        return square(pairs)
+
+    monkeypatch.setattr(poly, "_product", counting_product)
+    monkeypatch.setattr(poly, "_square", counting_square)
     return calls
 
 
@@ -524,3 +529,34 @@ class TestPackedProducts:
         p = X0**700 + OMEGA * X5**3 / 2
         assert p * (X0**900 - X5) == product_oracle(p, X0**900 - X5)
         assert (X5**255 + X4) ** 3 == power_oracle(X5**255 + X4, 3)
+
+    @pytest.mark.parametrize(
+        "top,powers", [(255, [(85, 3), (51, 5)]), (256, [(128, 2), (64, 4)])]
+    )
+    def test_byte_fields_end_at_255(self, top, powers):
+        # Exponents up to 255 are packed as bytes, in 8-bit fields; 256
+        # needs 9-bit fields, packed by shifts.
+        p = X0**128 + OMEGA * X3**2 / 3 - X5
+        q = X0 ** (top - 128) - X1 * X3**5 / 2 + 2
+        assert p * q == product_oracle(p, q)
+        for e, exponent in powers:
+            base = X2**e - OMEGA * X4 / 2 + 1
+            assert (0, 0, top, 0, 0, 0) in (base**exponent).terms
+            assert base**exponent == power_oracle(base, exponent)
+
+    def test_square_is_the_product_with_itself(self):
+        # 2*1*(-2) + 2^2 = 0: the square has no x0^2*x1^2 term.
+        cancelling = X0**2 - 2 * X1**2 + 2 * X0 * X1
+        assert (2, 2, 0, 0, 0, 0) not in (cancelling**2).terms
+        assert cancelling**2 == product_oracle(cancelling, cancelling)
+        cases = [poly._int_pairs(cancelling, 3)[1]]
+        rng = random.Random(38)
+        for _ in range(60):
+            p = _random_polynomial(rng, 7, 6)
+            cases.append(poly._int_pairs(p, rng.choice([4, 8, 9, 12]))[1])
+        # A repeated monomial whose terms cancel squares to nothing.
+        m = int.from_bytes(bytes([1, 0, 2, 0, 0, 3]), "big")
+        cases += [[(m, 3, -2), (m, -3, 2)], []]
+        for pairs in cases:
+            assert poly._square(pairs) == poly._product(pairs, pairs)
+        assert poly._square(cases[-2]) == []

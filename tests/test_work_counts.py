@@ -8,6 +8,10 @@ empty table of singular loci, so that no count depends on what ran before
 it.  They are compared exactly with
 `tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
 A change that changes a count updates those files and gives the reason.
+In an expansion, `product` counts the packed products and squares of
+`poly._product` and `poly._square`, and `term_products` the term products
+they make: len(left) * len(right) per product, T(T + 1)/2 per square of
+T terms.
 `pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
 the scans, the node test and the Gram rank multiply; `keys` and `squares`
 count the calls of `varieties._scaled` and `varieties._squares`, which
@@ -65,6 +69,33 @@ def _counted(run, targets: dict) -> tuple:
     return result, counts
 
 
+def _expansions(run) -> tuple:
+    """run()'s result, the calls of poly._product and poly._square
+    ("product") and the term products they make ("term_products"):
+    len(left) * len(right) per product, T(T + 1)/2 per square of T terms.
+    """
+    from s6quartic import poly
+
+    product, square = poly._product, poly._square
+    counts = {"product": 0, "term_products": 0}
+
+    def counted_product(left, right):
+        counts["product"] += 1
+        counts["term_products"] += len(left) * len(right)
+        return product(left, right)
+
+    def counted_square(pairs):
+        counts["product"] += 1
+        counts["term_products"] += len(pairs) * (len(pairs) + 1) // 2
+        return square(pairs)
+
+    poly._product, poly._square = counted_product, counted_square
+    try:
+        return run(), counts
+    finally:
+        poly._product, poly._square = product, square
+
+
 def _widest_echelon_entry(run) -> tuple:
     """run()'s result and the largest bit length of any entry, a or b of
     a + b*w, in the rows that linalg._echelon leaves, over all its calls.
@@ -93,7 +124,7 @@ def _widest_echelon_entry(run) -> tuple:
 def measure() -> dict:
     from s6quartic import DEFAULT_ALPHABETS, Eisenstein
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
-    from s6quartic import Polynomial, eisenstein, parse_polynomial, perms, poly
+    from s6quartic import Polynomial, eisenstein, parse_polynomial, perms
 
     # Every point the package derives is wrapped by one _point call (the
     # public constructor is not called after import); "keys" counts the
@@ -140,16 +171,17 @@ def measure() -> dict:
                 lambda: scan_alphabet(t, DEFAULT_ALPHABETS[name]), scan_work
             )
             scans.append({"t": str(t), "alphabet": name, **scan, "found": len(found)})
-    products = {
+    eval_targets = {
         "mul": Polynomial.__mul__,
-        "product": poly._product,
         "reduced": eisenstein._reduced,
         "pair_mul": eisenstein._pair_mul,
     }
     evals = []
     for text in EVAL_TEXTS:
-        result, expansion = _counted(lambda: parse_polynomial(text), products)
-        evals.append({"text": text, **expansion, "terms": len(result.terms)})
+        (result, counts), products = _expansions(
+            lambda: _counted(lambda: parse_polynomial(text), eval_targets)
+        )
+        evals.append({"text": text, **counts, **products, "terms": len(result.terms)})
     return {"verify": verify, "scan": scans, "eval": evals}
 
 
