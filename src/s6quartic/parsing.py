@@ -10,15 +10,18 @@ unary minus is allowed and whitespace is insignificant.  'w' is the cube
 root of unity (w^2 parses and reduces to -1 - w).  '/' is division by a
 nonzero constant, which is how rational scalars like 2/3 are written.
 Parentheses nest at most MAX_NESTING deep, no product or power may
-expand to more than MAX_TERMS terms or have a degree past MAX_EXPONENT,
-and no sum, difference, product, quotient or power may have a
-coefficient of more than MAX_CONSTANT_BITS bits.  A power is refused
-before it is expanded, from a bound on its coefficients.
+expand to more than MAX_TERMS terms, to more than MAX_EXPANSION_BITS bits
+of coefficients in all, or have a degree past MAX_EXPONENT, and no sum,
+difference, product, quotient or power may have a coefficient of more
+than MAX_CONSTANT_BITS bits.  An expansion is refused before it is
+computed, from bounds on its terms and coefficients.
 
 Tokens are ASCII: integers are runs of 0-9 and names start with A-Z or
 a-z.  A literal longer than Python's limit on decimal conversion is a
-ParseError.  Constant subexpressions are folded as field elements; only a
-variable makes a value a Polynomial.
+ParseError.  A parenthesised field-element literal such as (1/2 - 3*w) is
+read as one token, with the value, refusals and positions of its tokens.
+Constant subexpressions are folded as field elements; only a variable
+makes a value a Polynomial.
 
 Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
 
@@ -30,9 +33,10 @@ the same operator, in the same order, with the same position.
 
 from __future__ import annotations
 
-from math import comb, lcm
+import re
+from math import comb, gcd, lcm
 
-from .eisenstein import Eisenstein, OMEGA, _make
+from .eisenstein import Eisenstein, OMEGA, _make, _reduced
 from .poly import NVARS, Polynomial, X, _CONST, _combined
 
 MAX_EXPONENT = 1000
@@ -41,6 +45,9 @@ MAX_NESTING = 100
 MAX_TERMS = 10_000
 # About 4.5 times the 14,284 bits of Python's 4,300-digit print limit.
 MAX_CONSTANT_BITS = 1 << 16
+# Terms times coefficient bits of an expansion, bounded before it is
+# computed.
+MAX_EXPANSION_BITS = 1 << 23
 
 
 class ParseError(ValueError):
@@ -56,6 +63,41 @@ _SYMBOLS = set("+-*/^()[],")
 _DIGITS = set("0123456789")
 _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
+# A parenthesised field-element literal, in the forms that str of a field
+# element writes: (p), (-p/q), (w), (-r/s*w), (p/q - r/s*w), ...  \s is
+# str.isspace, the whitespace the tokenizer skips.  A run has at most 640
+# digits, the lowest limit Python's decimal conversion can be set to, so
+# that int() cannot refuse it.
+_RATIO = r"([0-9]{1,640})(?:\s*/\s*([0-9]{1,640}))?"
+_LITERAL = re.compile(
+    rf"\((-)?\s*(?:{_RATIO}(?:\s*([-+])\s*(?:{_RATIO}\s*\*\s*)?w)?"
+    rf"|(?:{_RATIO}\s*\*\s*)?w)\s*\)"
+)
+_LITERAL_START = _DIGITS | {"-", "w"}
+
+
+def _literal(match):
+    """The field element of a _LITERAL match; None for a zero denominator,
+    which the general path refuses at its '/'."""
+    minus, p, q, op, r, s, r1, s1 = match.groups()
+    if p is None:
+        # A multiple of w alone: the sign is its own.
+        p, op, r, s, minus = "0", minus or "+", r1, s1, None
+    a = -int(p) if minus else int(p)
+    b = 0 if op is None else int(r) if r else 1
+    if op == "-":
+        b = -b
+    q = int(q) if q else 1
+    s = int(s) if s else 1
+    if not q or not s:
+        return None
+    if q == s:
+        den = q
+    else:
+        den = q * s // gcd(q, s)
+        a *= den // q
+        b *= den // s
+    return _make(a, b, 1) if den == 1 else _reduced(a, b, den)
 
 
 def _tokenize(text: str):
@@ -65,6 +107,14 @@ def _tokenize(text: str):
     while i < n:
         ch = text[i]
         if ch in _SYMBOLS:
+            if ch == "(" and i + 1 < n and text[i + 1] in _LITERAL_START:
+                match = _LITERAL.match(text, i)
+                if match:
+                    value = _literal(match)
+                    if value is not None:
+                        tokens.append(("(", value, i))
+                        i = match.end()
+                        continue
             tokens.append((ch, ch, i))
             i += 1
         elif ch.isspace():
@@ -128,11 +178,14 @@ def _expression(tokens: list, k: int):
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING}", pos
                 )
-            frames.append((total, product, negate))
-            total = product = None
-            negate = False
-            continue
-        if kind == "int":
+            if type(value) is str:
+                frames.append((total, product, negate))
+                total = product = None
+                negate = False
+                continue
+            # A literal read as one token is an atom.
+            result = value
+        elif kind == "int":
             result = _make(value, 0, 1)
         elif kind == "w":
             result = OMEGA
@@ -203,10 +256,13 @@ def _power(base, exponent: int, pos: int, caret: int):
         degree = base.degree() * exponent
         if degree > MAX_EXPONENT:
             raise ParseError(f"degree exceeds {MAX_EXPONENT}", caret)
-        if len(base.terms) ** exponent > MAX_TERMS:
-            _bound_monomials((base,), degree, caret)
-        if _power_bits(base, exponent) > MAX_CONSTANT_BITS:
+        bits = _power_bits(base, exponent)
+        count = len(base.terms) ** exponent
+        terms = _term_bound((base,), count, degree, caret, bits)
+        if bits > MAX_CONSTANT_BITS:
             raise ParseError(_WIDE_MESSAGE, caret)
+        if terms * bits > MAX_EXPANSION_BITS:
+            raise ParseError(_WORK_MESSAGE, caret)
     elif exponent * (_bit_length(base) + 2) > MAX_CONSTANT_BITS:
         raise ParseError(_WIDE_MESSAGE, caret)
     return base ** exponent
@@ -225,25 +281,38 @@ def _product_of(lhs, op: tuple, rhs):
         degree = lhs.degree() + rhs.degree()
         if degree > MAX_EXPONENT:
             raise ParseError(f"degree exceeds {MAX_EXPONENT}", pos)
-        if len(lhs.terms) * len(rhs.terms) > MAX_TERMS:
-            _bound_monomials((lhs, rhs), degree, pos)
+        count = len(lhs.terms) * len(rhs.terms)
+        _term_bound((lhs, rhs), count, degree, pos)
+        # A product multiplies every pair of terms, however many of them
+        # collapse, and a coefficient sums at most min(T1, T2) of those
+        # products over the operands' common denominators.  A one-term
+        # operand only shifts and scales the other.
+        if min(len(lhs.terms), len(rhs.terms)) > 1:
+            bits = _power_bits(lhs, 1) + _power_bits(rhs, 1)
+            if count * bits > MAX_EXPANSION_BITS:
+                raise ParseError(_WORK_MESSAGE, pos)
     result = lhs * rhs
     if _too_wide(result):
         raise ParseError(_WIDE_MESSAGE, pos)
     return result
 
 
-def _bound_monomials(operands, degree: int, pos: int):
-    """Refuse an expansion that multiplying out term by term could grow
-    past MAX_TERMS terms, unless its degree keeps it small.
+def _term_bound(operands, count: int, degree: int, pos: int, bits: int = 0) -> int:
+    """A bound on the terms of an expansion that multiplying out term by
+    term makes at most count of; refused past MAX_TERMS terms before any
+    of it is computed.
 
     A result of degree d in the k variables of the operands has at most
-    C(k + d, k) monomials.  When that bound also passes the cap, the
-    input is refused before any of the expansion is computed.
+    C(k + d, k) monomials.  That bound is computed only when count alone
+    passes MAX_TERMS, or when count times a power's coefficient bits
+    passes MAX_EXPANSION_BITS.
     """
-    k = len(set().union(*(p.variables_used() for p in operands)))
-    if comb(k + degree, k) > MAX_TERMS:
-        raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
+    if count > MAX_TERMS or count * bits > MAX_EXPANSION_BITS:
+        k = len(set().union(*(p.variables_used() for p in operands)))
+        count = min(count, comb(k + degree, k))
+        if count > MAX_TERMS:
+            raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
+    return count
 
 
 def _bit_length(value: Eisenstein) -> int:
@@ -277,6 +346,7 @@ def _power_bits(base: Polynomial, exponent: int) -> int:
 
 _WIDE = 1 << MAX_CONSTANT_BITS
 _WIDE_MESSAGE = f"constant exceeds {MAX_CONSTANT_BITS} bits"
+_WORK_MESSAGE = f"expansion exceeds {MAX_EXPANSION_BITS} coefficient bits"
 
 
 def _too_wide(value, operand=None) -> bool:

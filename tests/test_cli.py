@@ -483,6 +483,23 @@ class TestHostileInput:
         assert out == ""
         assert err.startswith("error: expansion exceeds")
 
+    def test_a_wide_expansion_is_refused_before_it_is_computed(
+        self, capsys, monkeypatch
+    ):
+        # At most 1,001 terms of 64,001 bits each: unbounded, it ran 13 s.
+        def expand(*args):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(Polynomial, "__pow__", expand)
+        code = main(
+            ["eval", "--poly", "(x0/2^60+1)^1000", "--point", "[1,0,0,0,0,0]"]
+        )
+        assert (code, *capsys.readouterr()) == (
+            2,
+            "",
+            "error: expansion exceeds 8388608 coefficient bits (at position 11)\n",
+        )
+
     @pytest.mark.parametrize(
         "argv,message",
         [

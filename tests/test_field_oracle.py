@@ -7,10 +7,13 @@ not, zero and negative included) checks every operation independently.
 The same reference evaluates polynomials term by term, as an oracle for the
 power-table evaluation, and evaluates seeded expression trees, as an oracle
 for the constant-folding parser.  The term-by-term Eisenstein product is
-kept here as the oracle for the integer-pair polynomial product.
+kept here as the oracle for the integer-pair polynomial product, and the
+Fraction pairs are the oracle for the parenthesised literals that the
+tokenizer reads as one token.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -19,11 +22,13 @@ import pytest
 from s6quartic import (
     OMEGA,
     Eisenstein,
+    ParseError,
     Polynomial,
     parse_point_coordinates,
     parse_polynomial,
 )
 from s6quartic.eisenstein import ZERO
+from s6quartic.parsing import _tokenize
 from s6quartic.poly import NVARS, X
 from test_eisenstein import conjugate, norm
 from test_parsing import parse_field_element
@@ -518,3 +523,74 @@ class TestParserAgainstTreeEvaluation:
             poly = parse_polynomial(_tree_text(tree))
             assert poly.is_constant()
             _check(poly.constant_value(), expected)
+
+
+# -- literals read as one token against their Fraction pairs ------------------
+
+
+def _literal_ratio(rng, value, space):
+    """|value| as p or p/q, often not in lowest terms."""
+    k = rng.choice((1, 1, 2, 6))
+    p, q = abs(value.numerator) * k, value.denominator * k
+    if q == 1 and rng.random() < 0.7:
+        return str(p)
+    return f"{p}{space}/{space}{q}"
+
+
+def _literal(rng, re, om):
+    """re + om*w in a shape that str of a field element writes, with random
+    inner spacing: (p), (-p/q), (w), (-r/s*w), (p/q - r/s*w), ..."""
+    space = rng.choice(("", " ", "  ", "\u2003"))
+    sign = f"-{space}" if re < 0 else ""
+    if om == 0:
+        return f"({sign}{_literal_ratio(rng, re, space)})"
+    wpart = "w"
+    if abs(om) != 1 or rng.random() < 0.3:
+        wpart = f"{_literal_ratio(rng, om, space)}{space}*{space}w"
+    if re == 0 and rng.random() < 0.7:
+        return f"({f'-{space}' if om < 0 else ''}{wpart})"
+    op = "-" if om < 0 else "+"
+    return f"({sign}{_literal_ratio(rng, re, space)}{space}{op}{space}{wpart})"
+
+
+class TestLiteralTokens:
+    def test_literals_match_their_fraction_pairs(self):
+        rng = random.Random(39)
+        for _ in range(400):
+            re, om = _rational(rng), _rational(rng)
+            if rng.random() < 0.2:
+                re *= rng.randint(10**30, 10**40)
+            text = _literal(rng, re, om)
+            # One token for the literal, and the end.
+            assert len(_tokenize(text)) == 2, text
+            expected = Ref(re, om)
+            _check(parse_field_element(text), expected)
+            point = parse_point_coordinates(f"[1, {text}, 0, 0, w, -{text}]")
+            _check(point[1], expected)
+            _check(point[5], Ref(0) - expected)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_a_run_past_the_lowest_digit_limit_is_refused_where_it_starts(self):
+        run = "7" * 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            within = parse_field_element(f"(-1/{run} + {run}*w)")
+            for text, position in (
+                (f"({run}7)", 1), (f"(1/{run}7)", 3), (f"(1/2 - {run}7*w)", 7)
+            ):
+                for parse, shift in (
+                    (parse_polynomial, 0),
+                    (lambda t: parse_point_coordinates(f"[{t}, 0, 0, 0, 0, 0]"), 1),
+                ):
+                    with pytest.raises(ParseError) as info:
+                        parse(text)
+                    assert str(info.value) == (
+                        "integer literal too long (641 digits) "
+                        f"(at position {position + shift})"
+                    )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        _check(within, Ref(Fraction(-1, int(run)), int(run)))

@@ -21,6 +21,7 @@ from s6quartic import poly
 from s6quartic.poly import X, format_polynomial
 from s6quartic.parsing import (
     MAX_CONSTANT_BITS,
+    MAX_EXPANSION_BITS,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERMS,
@@ -414,6 +415,45 @@ class TestConstantBound:
         )
 
 
+class TestExpansionWork:
+    BASE = "(x0+x1+2^1000^4)"
+    WORK = f"expansion exceeds {MAX_EXPANSION_BITS} coefficient bits"
+
+    def test_power_bound_sits_between_neighbouring_exponents(self):
+        # A base of 3 terms and 4,001 bits: the 15th power has at most
+        # C(2 + 15, 2) = 136 terms of 60,061 bits, 8,168,296 in all; the
+        # 16th 153 terms of 64,065 bits, 9,801,945 in all.
+        base = parse_polynomial(self.BASE)
+        assert 136 * _power_bits(base, 15) <= MAX_EXPANSION_BITS
+        assert 153 * _power_bits(base, 16) > MAX_EXPANSION_BITS
+        assert parse_polynomial(f"{self.BASE}^15") == base**15
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"{self.BASE}^16")
+        assert str(info.value) == f"{self.WORK} (at position 16)"
+
+    def test_product_bound_counts_every_pair_of_terms(self):
+        # S^2 * S multiplies 28 * 7 = 196 pairs of terms.  Their bits are
+        # those of the operands added: 28,008 + 14,006 for 2^14000, 8,234,744
+        # in all, and 28,608 + 14,306 for 2^14300, 8,411,144.  S^3 has at
+        # most 84 terms of 42,016 or 42,916 bits, so it is expanded.
+        within = "(x0+x1+x2+x3+x4+x5+2^1000^14)"
+        past = "(x0+x1+x2+x3+x4+x5+2^1000^14*2^300)"
+        cube = parse_polynomial(f"{within}^3")
+        assert parse_polynomial(f"{within}^2*{within}") == cube
+        assert len(parse_polynomial(f"{past}^3").terms) == 84
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"{past}^2*{past}")
+        assert str(info.value) == f"{self.WORK} (at position 37)"
+
+    def test_a_one_term_operand_is_not_an_expansion(self):
+        # 131 terms of 7,811 bits times one term of 65,004 bits: counted as
+        # an expansion, 9,538,765 bits, but it only scales the terms.
+        wide = parse_polynomial("(x0/2^60+1)^130")
+        assert parse_polynomial("(x0/2^60+1)^130*(2^1000^65*x1)") == (
+            wide * (2**65000 * X1)
+        )
+
+
 def _sum_work(n):
     """The lines the package runs, and the coefficients it stores in new
     polynomials, while it parses a sum of n distinct monomials."""
@@ -593,6 +633,99 @@ def corpus_inputs():
     ]
 
 
+LITERAL_CORPUS = CORPUS.with_name("parse-literal-corpus.txt")
+# Near misses of a parenthesised field-element literal, and literals in
+# the contexts that apply to an atom.
+LITERAL_NEAR_MISSES = (
+    "( 1/2)", "(1 /2)", "(+1/2)", "(--3)", "(2 w)", "(1/0)", "(1/00)",
+    "(1/2)^3", "-(1/2)", "x0/(7/8)", "(1/2 + w)*x1", "(0/5)", "(-0)",
+    "(0*w)", "(1/2", "(1/2))", "(1/2 + )", "(w w)", "(2*w1)", "(1/2x0)",
+    "(2*w*x0)", "(-w)^2", "x0^(2)", "x0 (1/2)", "(x0 (1/2)", "(1/2)(3)",
+    "(1/2 +- w)", "(1/2 + -w)", "(- 1 / 2 - 3 / 4 * w)", "(1/2 - 0/3*w)",
+)
+LITERAL_DIGITS = (639, 640, 641, 5000)
+# Inner spacing: none, ASCII, a no-break space and an em space.
+LITERAL_SPACES = ("", "", " ", "  ", "\u00a0", "\u2003")
+
+
+def _literal_ratio(rng, space):
+    """An unsigned p or p/q, now and then with a zero or a leading zero."""
+    p = rng.choice(("0", "1", "2", "7", "12", "05", str(rng.randint(0, 999))))
+    if rng.random() < 0.5:
+        return p
+    q = rng.choice(("1", "2", "3", "9", "04", str(rng.randint(1, 99))))
+    if rng.random() < 0.04:
+        q = rng.choice(("0", "00"))
+    return f"{p}{space}/{space}{q}"
+
+
+def _literal_text(rng):
+    """One literal shape, now and then with a stray sign or operator."""
+    space = rng.choice(LITERAL_SPACES)
+    sign = rng.choice(("", "", "", "-", "-", "+", "--", f"-{space}"))
+    wpart = "w"
+    if rng.random() < 0.6:
+        wpart = f"{_literal_ratio(rng, space)}{space}*{space}w"
+    shape = rng.randrange(3)
+    if shape == 0:
+        inner = sign + _literal_ratio(rng, space)
+    elif shape == 1:
+        inner = sign + wpart
+    else:
+        op = rng.choice(("+", "-", "+", "-", "+-", "*"))
+        inner = f"{sign}{_literal_ratio(rng, space)}{space}{op}{space}{wpart}"
+    return f"({inner})"
+
+
+def _literal_context(rng, literal):
+    """The literal alone or as an operand, a power base or a divisor."""
+    context = rng.choice(
+        ("{}", "{}", "{}^2", "-{}", "x0*{}", "x1/{}", "{}*x2 + 1", "({} - x3)^2")
+    )
+    return context.format(literal)
+
+
+def literal_corpus_inputs():
+    """The near misses, a literal innermost in 100 and 101 parentheses,
+    digit runs about Python's lowest digit limit, and 300 seeded
+    literal-shaped inputs for each parser, a fifth of them with one token
+    inserted or one character deleted."""
+    inputs = [("polynomial", text) for text in LITERAL_NEAR_MISSES]
+    inputs += [
+        ("point", f"[{text}, 0, 0, 0, 0, 0]") for text in LITERAL_NEAR_MISSES
+    ]
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        nested = "(" * (depth - 1) + "(1/2 - 3*w)" + ")" * (depth - 1)
+        inputs += [("polynomial", nested), ("scalars", f"[{nested}]")]
+    for count in LITERAL_DIGITS:
+        run = "7" * count
+        for literal in (f"({run})", f"(-1/{run})", f"(1/2 + {run}*w)"):
+            inputs += [("polynomial", literal), ("scalars", f"[1, {literal}]")]
+    rng = random.Random(3900)
+    for parser in CORPUS_PARSERS:
+        for _ in range(300):
+            if parser == "polynomial":
+                text = _literal_context(rng, _literal_text(rng))
+            else:
+                count = 6 if rng.random() < 0.7 else rng.randint(1, 8)
+                text = "[" + ", ".join(
+                    _literal_text(rng) if rng.random() < 0.8 else "1"
+                    for _ in range(count)
+                ) + "]"
+            roll = rng.random()
+            if roll < 0.1:
+                i = rng.randint(0, len(text))
+                text = text[:i] + rng.choice(CORPUS_NOISE + ("w", "0")) + text[i:]
+            elif roll < 0.2:
+                i = rng.randrange(len(text))
+                text = text[:i] + text[i + 1:]
+            inputs.append((parser, text))
+    return inputs
+
+
+CORPORA = {CORPUS: corpus_inputs, LITERAL_CORPUS: literal_corpus_inputs}
+
+
 def corpus_outcome(parser, text):
     """str of the parsed value (a list as [a, b, ...]), or the exception's
     class and text."""
@@ -606,15 +739,19 @@ def corpus_outcome(parser, text):
 
 
 def test_corpus_outcomes_are_unchanged():
-    for line in CORPUS.read_text(encoding="utf-8").splitlines():
-        parser, text, outcome = line.split("\t")
-        assert corpus_outcome(parser, text) == outcome, (parser, text)
+    for path, inputs in CORPORA.items():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [tuple(line.split("\t")[:2]) for line in lines] == inputs()
+        for line in lines:
+            parser, text, outcome = line.split("\t")
+            assert corpus_outcome(parser, text) == outcome, (parser, text)
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_parsing.py rewrites the corpus from
-    # the package on the path.  Its outcomes are pinned: rewrite it only
+    # PYTHONPATH=src python tests/test_parsing.py rewrites both corpora from
+    # the package on the path.  Their outcomes are pinned: rewrite them only
     # for a change of outcome that is meant and recorded.
-    with CORPUS.open("w", encoding="utf-8") as out:
-        for parser, text in corpus_inputs():
-            out.write(f"{parser}\t{text}\t{corpus_outcome(parser, text)}\n")
+    for path, inputs in CORPORA.items():
+        with path.open("w", encoding="utf-8") as out:
+            for parser, text in inputs():
+                out.write(f"{parser}\t{text}\t{corpus_outcome(parser, text)}\n")
