@@ -135,14 +135,7 @@ class Eisenstein:
             other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
-        d, f = self._den, other._den
-        if d == f:
-            if d == 1:
-                return _make(self._a - other._a, self._b - other._b, 1)
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(
-            self._a * f - other._a * d, self._b * f - other._b * d, d * f
-        )
+        return self + _make(-other._a, -other._b, other._den)
 
     def __rsub__(self, other):
         other = _operand(other)

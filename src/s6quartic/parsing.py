@@ -206,19 +206,7 @@ def _expression(tokens: list, k: int):
             if negate:
                 result = -result
             if product is not None:
-                lhs, op = product
-                if type(lhs) is Eisenstein and type(result) is Eisenstein:
-                    # Two field elements fold at once, with the refusals
-                    # of _product_of at the same position.
-                    if op[0] == "/":
-                        if not result:
-                            raise ParseError("division by zero", op[2])
-                        result = result.inverse()
-                    result = lhs * result
-                    if _too_wide(result):
-                        raise ParseError(_WIDE_MESSAGE, op[2])
-                else:
-                    result = _product_of(lhs, op, result)
+                result = _product_of(*product, result)
             op = tokens[k]
             if op[0] in ("*", "/"):
                 product = (result, op)
@@ -269,6 +257,12 @@ def _power(base, exponent: int, pos: int, caret: int):
 
 
 def _product_of(lhs, op: tuple, rhs):
+    """lhs * rhs, or lhs / rhs for a '/' op, with every refusal at the op's
+    position.  Field elements and polynomials alike need a nonzero constant
+    divisor and a result within MAX_CONSTANT_BITS bits.  Two polynomials are
+    refused before they are multiplied past MAX_EXPONENT degree, MAX_TERMS
+    terms, or MAX_EXPANSION_BITS bits in T1*T2 term products summed at most
+    min(T1, T2) to a coefficient; a one-term operand only shifts and scales."""
     kind, _, pos = op
     if kind == "/":
         value = _constant(rhs)
@@ -283,10 +277,6 @@ def _product_of(lhs, op: tuple, rhs):
             raise ParseError(f"degree exceeds {MAX_EXPONENT}", pos)
         count = len(lhs.terms) * len(rhs.terms)
         _term_bound((lhs, rhs), count, degree, pos)
-        # A product multiplies every pair of terms, however many of them
-        # collapse, and a coefficient sums at most min(T1, T2) of those
-        # products over the operands' common denominators.  A one-term
-        # operand only shifts and scales the other.
         if min(len(lhs.terms), len(rhs.terms)) > 1:
             bits = _power_bits(lhs, 1) + _power_bits(rhs, 1)
             if count * bits > MAX_EXPANSION_BITS:
@@ -362,12 +352,10 @@ def _too_wide(value, operand=None) -> bool:
     that no operator has checked, and then every coefficient is read.
     """
     if type(value) is not Polynomial:
-        return not (
-            -_WIDE < value._a < _WIDE and -_WIDE < value._b < _WIDE
-            and value._den < _WIDE
-        )
-    coeffs = value.terms.values()
-    if operand is not None:
+        coeffs = (value,)
+    elif operand is None:
+        coeffs = value.terms.values()
+    else:
         terms = value.terms
         touched = operand.terms if type(operand) is Polynomial else (_CONST,)
         coeffs = [terms[m] for m in touched if m in terms]

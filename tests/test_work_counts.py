@@ -11,7 +11,9 @@ A change that changes a count updates those files and gives the reason.
 In an expansion, `product` counts the packed products and squares of
 `poly._product` and `poly._square`, and `term_products` the term products
 they make: len(left) * len(right) per product, T(T + 1)/2 per square of
-T terms.
+T terms.  `product_of` counts the calls of `parsing._product_of`, one per
+`*` or `/` the parser reads; one inside a literal token such as
+`(3 - 2*w)` is not read as an operator.
 `pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
 the scans, the node test and the Gram rank multiply; `keys` and `squares`
 count the calls of `varieties._scaled` and `varieties._squares`, which
@@ -124,12 +126,13 @@ def _widest_echelon_entry(run) -> tuple:
 def measure() -> dict:
     from s6quartic import DEFAULT_ALPHABETS, Eisenstein
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
-    from s6quartic import Polynomial, eisenstein, parse_polynomial, perms
+    from s6quartic import Polynomial, eisenstein, parse_polynomial, parsing, perms
 
     # Every point the package derives is wrapped by one _point call (the
     # public constructor is not called after import); "keys" counts the
     # normalizations, one _scaled call per key or per distinct value of an
-    # orbit's tuple.
+    # orbit's tuple.  "additions" counts subtractions too: __sub__ adds
+    # the negation.
     work = {
         "points_built": varieties._point,
         "additions": Eisenstein.__add__,
@@ -175,6 +178,7 @@ def measure() -> dict:
         "mul": Polynomial.__mul__,
         "reduced": eisenstein._reduced,
         "pair_mul": eisenstein._pair_mul,
+        "product_of": parsing._product_of,
     }
     evals = []
     for text in EVAL_TEXTS:
