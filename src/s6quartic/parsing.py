@@ -23,7 +23,10 @@ read as one token, with the value, refusals and positions of its tokens.
 Constant subexpressions are folded as field elements; only a variable
 makes a value a Polynomial.
 
-Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].
+Coordinate lists use square brackets: [1, 1, w, w, w^2, w^2].  A list
+whose entries are all literal tokens (digit runs, w and parenthesised
+literals) is read in one pass, without tokens, with the same values; any
+other list is read token by token, with the same refusals.
 
 Parsing is one flat pass over the tokens, without recursion: open
 parentheses are a list of saved accumulators.  It reduces where a
@@ -37,7 +40,7 @@ import re
 from math import comb, gcd, lcm
 
 from .eisenstein import Eisenstein, OMEGA, _make, _reduced
-from .poly import NVARS, Polynomial, X, _CONST, _combined
+from .poly import NVARS, Polynomial, X, _CONST, _combined, _shifted
 
 MAX_EXPONENT = 1000
 # An input bound: open parentheses are a list, not Python recursion.
@@ -65,10 +68,12 @@ _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 # A parenthesised field-element literal, in the forms that str of a field
 # element writes: (p), (-p/q), (w), (-r/s*w), (p/q - r/s*w), ...  \s is
-# str.isspace, the whitespace the tokenizer skips.  A run has at most 640
-# digits, the lowest limit Python's decimal conversion can be set to, so
-# that int() cannot refuse it.
-_RATIO = r"([0-9]{1,640})(?:\s*/\s*([0-9]{1,640}))?"
+# str.isspace, the whitespace the tokenizer skips.  A run has at most
+# _MAX_RUN digits, the lowest limit Python's decimal conversion can be set
+# to, so that int() cannot refuse it.
+_MAX_RUN = 640
+_RUN = f"[0-9]{{1,{_MAX_RUN}}}"
+_RATIO = rf"({_RUN})(?:\s*/\s*({_RUN}))?"
 _LITERAL = re.compile(
     rf"\((-)?\s*(?:{_RATIO}(?:\s*([-+])\s*(?:{_RATIO}\s*\*\s*)?w)?"
     rf"|(?:{_RATIO}\s*\*\s*)?w)\s*\)"
@@ -84,10 +89,15 @@ def _literal(match):
         # A multiple of w alone: the sign is its own.
         p, op, r, s, minus = "0", minus or "+", r1, s1, None
     a = -int(p) if minus else int(p)
-    b = 0 if op is None else int(r) if r else 1
+    q = int(q) if q else 1
+    if op is None:
+        if not q:
+            return None
+        g = gcd(a, q)
+        return _make(a // g, 0, q // g)
+    b = int(r) if r else 1
     if op == "-":
         b = -b
-    q = int(q) if q else 1
     s = int(s) if s else 1
     if not q or not s:
         return None
@@ -106,7 +116,9 @@ def _tokenize(text: str):
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch in _SYMBOLS:
+        if ch == " ":
+            i += 1
+        elif ch in _SYMBOLS:
             if ch == "(" and i + 1 < n and text[i + 1] in _LITERAL_START:
                 match = _LITERAL.match(text, i)
                 if match:
@@ -215,11 +227,16 @@ def _expression(tokens: list, k: int):
             if total is not None:
                 lhs, (kind, _, pos), owned = total
                 rhs = result
-                if owned:
+                if type(lhs) is Polynomial:
                     # A polynomial sum that this loop built and holds alone
                     # grows in place, so a long sum is not copied per term.
                     add = Eisenstein.__add__ if kind == "+" else Eisenstein.__sub__
-                    result = _combined(lhs, rhs, add, True)
+                    result = _combined(lhs, rhs, add, owned)
+                elif type(rhs) is Polynomial:
+                    # c + p, or c - p as -p + c, grown in the fresh -p.
+                    minus = kind == "-"
+                    term = -rhs if minus else rhs
+                    result = _combined(term, lhs, Eisenstein.__add__, minus)
                 else:
                     result = lhs + rhs if kind == "+" else lhs - rhs
                 if _too_wide(result, rhs if type(lhs) is Polynomial else None):
@@ -231,7 +248,9 @@ def _expression(tokens: list, k: int):
                 break
             if not frames:
                 return result, k
-            k = _expect(tokens, k, ")")
+            if op[0] != ")":
+                _expect(tokens, k, ")")
+            k += 1
             total, product, negate = frames.pop()
         k += 1
         negate = False
@@ -262,7 +281,9 @@ def _product_of(lhs, op: tuple, rhs):
     divisor and a result within MAX_CONSTANT_BITS bits.  Two polynomials are
     refused before they are multiplied past MAX_EXPONENT degree, MAX_TERMS
     terms, or MAX_EXPANSION_BITS bits in T1*T2 term products summed at most
-    min(T1, T2) to a coefficient; a one-term operand only shifts and scales."""
+    min(T1, T2) to a coefficient; a one-term operand only shifts and scales.
+    A polynomial times a field element, in either order, calls the kernel's
+    scaling directly, without the operators' coercion."""
     kind, _, pos = op
     if kind == "/":
         value = _constant(rhs)
@@ -271,7 +292,7 @@ def _product_of(lhs, op: tuple, rhs):
         if not value:
             raise ParseError("division by zero", pos)
         rhs = value.inverse()
-    elif isinstance(lhs, Polynomial) and isinstance(rhs, Polynomial):
+    if type(lhs) is Polynomial and type(rhs) is Polynomial:
         degree = lhs.degree() + rhs.degree()
         if degree > MAX_EXPONENT:
             raise ParseError(f"degree exceeds {MAX_EXPONENT}", pos)
@@ -281,7 +302,13 @@ def _product_of(lhs, op: tuple, rhs):
             bits = _power_bits(lhs, 1) + _power_bits(rhs, 1)
             if count * bits > MAX_EXPANSION_BITS:
                 raise ParseError(_WORK_MESSAGE, pos)
-    result = lhs * rhs
+        result = lhs * rhs
+    elif type(lhs) is Polynomial:
+        result = _shifted(lhs, _CONST, rhs)
+    elif type(rhs) is Polynomial:
+        result = _shifted(rhs, _CONST, lhs)
+    else:
+        result = lhs * rhs
     if _too_wide(result):
         raise ParseError(_WIDE_MESSAGE, pos)
     return result
@@ -397,6 +424,34 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def _parse_bracketed(text: str) -> tuple:
+    """The entries of a bracketed list.  A list whose entries are all
+    digit runs of at most _MAX_RUN digits, w or parenthesised literals is
+    read in one pass, with no tokens and no expression: a lone atom has no
+    operator to refuse it.  Any other list, a literal with a zero
+    denominator among them, is read by _token_list, which makes every
+    refusal."""
+    body = text.strip()
+    if body[:1] == "[" and body[-1:] == "]":
+        entries = []
+        for entry in body[1:-1].split(","):
+            entry = entry.strip()
+            if entry.isdigit() and entry.isascii() and len(entry) <= _MAX_RUN:
+                entries.append(_make(int(entry), 0, 1))
+            elif entry == "w":
+                entries.append(OMEGA)
+            else:
+                match = _LITERAL.fullmatch(entry)
+                value = _literal(match) if match else None
+                if value is None:
+                    break
+                entries.append(value)
+        else:
+            return tuple(entries)
+    return _token_list(text)
+
+
+def _token_list(text: str) -> tuple:
+    """The entries of a bracketed list, read from its tokens."""
     tokens = _tokenize(text)
     k = _expect(tokens, 0, "[")
     entries = []

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .eisenstein import Eisenstein, ONE, ZERO, _operand, _reduced
+from .eisenstein import Eisenstein, ONE, ZERO, _make, _operand, _reduced
 
 NVARS = 6
 
@@ -296,13 +296,18 @@ def _combined(p: Polynomial, other, op, in_place: bool = False):
     """p + other or p - other, with op the field's add or sub.
 
     In place, p's own terms are updated and p is returned, in time linear
-    in other alone: only for a p that nothing else holds.
+    in other alone: only for a p that nothing else holds.  A field element
+    is one constant term, and zero adds nothing.
     """
-    other = _coerce_poly(other)
-    if other is NotImplemented:
-        return NotImplemented
+    if type(other) is Eisenstein:
+        items = ((_CONST, other),) if other else ()
+    else:
+        other = _coerce_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        items = other.terms.items()
     terms = p.terms if in_place else dict(p.terms)
-    for mono, coeff in other.terms.items():
+    for mono, coeff in items:
         acc = op(terms.get(mono, ZERO), coeff)
         if acc:
             terms[mono] = acc
@@ -417,15 +422,16 @@ def _square(pairs: list) -> list:
 def _unpacked(pairs: list, den: int, width: int) -> Polynomial:
     """The polynomial of a packed pair list over den, packed by _int_pairs
     at width; each coefficient is reduced here, once."""
+    reduced = _make if den == 1 else _reduced
     if width <= 8:
         return _raw(
-            {tuple(m.to_bytes(NVARS, "big")): _reduced(x, y, den) for m, x, y in pairs}
+            {tuple(m.to_bytes(NVARS, "big")): reduced(x, y, den) for m, x, y in pairs}
         )
     mask = (1 << width) - 1
     shifts = [width * i for i in range(NVARS - 1, -1, -1)]
     return _raw(
         {
-            tuple([m >> s & mask for s in shifts]): _reduced(x, y, den)
+            tuple([m >> s & mask for s in shifts]): reduced(x, y, den)
             for m, x, y in pairs
         }
     )

@@ -9,7 +9,8 @@ power-table evaluation, and evaluates seeded expression trees, as an oracle
 for the constant-folding parser.  The term-by-term Eisenstein product is
 kept here as the oracle for the integer-pair polynomial product, and the
 Fraction pairs are the oracle for the parenthesised literals that the
-tokenizer reads as one token.
+tokenizer reads as one token, and the token path is the oracle for the
+coordinate lists read in one pass.
 """
 
 import random
@@ -28,10 +29,11 @@ from s6quartic import (
     parse_polynomial,
 )
 from s6quartic.eisenstein import ZERO
-from s6quartic.parsing import _tokenize
+from s6quartic import parsing
+from s6quartic.parsing import _parse_bracketed, _token_list, _tokenize
 from s6quartic.poly import NVARS, X
 from test_eisenstein import conjugate, norm
-from test_parsing import parse_field_element
+from test_parsing import CORPORA, parse_field_element
 
 
 class Ref:
@@ -594,3 +596,155 @@ class TestLiteralTokens:
         finally:
             sys.set_int_max_str_digits(limit)
         _check(within, Ref(Fraction(-1, int(run)), int(run)))
+
+
+# -- coordinate lists read in one pass against the token path -----------------
+
+# Around entries and brackets: none, ASCII, a no-break space, an em space
+# and the file separator \x1c, which str.isspace and str.strip count too.
+LIST_SPACES = ("", " ", "\u00a0", "\u2003", "\x1c")
+LIST_EDGES = (
+    "[]", "[,]", "[ ]", "[1,]", "[,1]", "[1,,2]", "[[1]]", "[1]]", "[[1]",
+    "-3", "[-3]", "[1, 2, 3, 4, 5]", "[1, 2, 3, 4, 5, 6, 7]", "1, 2", "[1",
+    "[(1/0)]", "[(1/00)]", "[(0/0*w)]", "[(1/2 - 3/0*w)]", "[(-w/0)]",
+    "[1, (2/0), w]", "[(1/2), (-7/0 + w), 3]", "[w, W]", "[ w , ww ]",
+    "[\u0661]", "[1\u00b2]", "[(1/2)^2]", "[(1/2) (3)]", "[( 1/2)]",
+)
+
+
+def _list_outcome(read, text):
+    """The entries' types and int triples, or the refusal's message and
+    position."""
+    try:
+        return [(type(v), v._parts()) for v in read(text)]
+    except ParseError as error:
+        return (str(error), error.position)
+
+
+def _run_lists(count):
+    """Every entry a digit run of count digits, as an integer and inside a
+    literal."""
+    run = "7" * count
+    return [
+        f"[{run}]", f"[1, {run}, 2]", f"[({run})]", f"[(-1/{run})]",
+        f"[(1/2 + {run}*w)]", f"[0{run}]",
+    ]
+
+
+def _spaced(rng, text):
+    return rng.choice(LIST_SPACES) + text + rng.choice(LIST_SPACES)
+
+
+def _seeded_lists():
+    """(text, literal) for 400 lists of literal shapes, now and then with
+    an entry that is not a literal token."""
+    rng = random.Random(41)
+    lists = []
+    for _ in range(400):
+        entries = []
+        literal = True
+        for _ in range(rng.choice((6, 6, 6, 1, 5, 7))):
+            roll = rng.random()
+            if roll < 0.6:
+                entry = _literal(rng, _rational(rng), _rational(rng))
+            elif roll < 0.75:
+                entry = str(rng.randint(0, 10 ** rng.randint(1, 40)))
+            elif roll < 0.9:
+                entry = "w"
+            else:
+                entry = rng.choice(("-3", "2^3", "x0", "1/2", "(w)^2", ""))
+                literal = False
+            entries.append(_spaced(rng, entry))
+        lists.append((_spaced(rng, "[" + ",".join(entries) + "]"), literal))
+    return lists
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_one_pass_lists_match_the_token_path(limit, monkeypatch):
+    """Each list gives the token path's value or refusal, and a list of
+    literal tokens is read without tokens; at Python's lowest digit limit
+    too, where a run past 640 digits is refused."""
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int digit limit")
+    texts = [
+        line.split("\t")[1]
+        for path in CORPORA
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.split("\t")[0] in ("point", "scalars")
+    ]
+    seeded = _seeded_lists()
+    texts += [text for text, _ in seeded]
+    texts += [text for count in (639, 640, 641) for text in _run_lists(count)]
+    texts += LIST_EDGES
+    read_from_tokens = []
+
+    def token_list(text):
+        read_from_tokens.append(text)
+        return _token_list(text)
+
+    monkeypatch.setattr(parsing, "_token_list", token_list)
+    previous = sys.get_int_max_str_digits() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(limit)
+    try:
+        for text in texts:
+            assert _list_outcome(_parse_bracketed, text) == _list_outcome(
+                _token_list, text
+            ), text
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(previous)
+    assert not {text for text, literal in seeded if literal} & set(read_from_tokens)
+    assert sum(literal for _, literal in seeded) > 200
+
+
+class TestSumChains:
+    def test_a_long_chain_at_one_level_matches_term_by_term(self):
+        """2,000 terms, variables and constants, zero among them, joined by
+        + and -, then cancelled at the constant term and at x0: no sum
+        leaves a zero coefficient."""
+        rng = random.Random(42)
+        constants = (
+            ("0", Ref(0)), ("1", Ref(1)), ("2", Ref(2)), ("(-3)", Ref(-3)),
+            ("(1/2)", Ref(Fraction(1, 2))), ("w", Ref(0, 1)), ("(1 - w)", Ref(1, -1)),
+        )
+        scales = (
+            ("", Ref(1)), ("2*", Ref(2)), ("(1/3)*", Ref(Fraction(1, 3))),
+            ("w*", Ref(0, 1)),
+        )
+        const = (0,) * NVARS
+        # It starts with a constant, so 1 - x.. is a field element minus a
+        # polynomial.
+        expected = {const: Ref(1)}
+        parts = ["1"]
+
+        def term(sign, text, mono, value):
+            expected[mono] = expected.get(mono, Ref(0)) + (
+                Ref(0) - value if sign == "-" else value
+            )
+            return f" {sign} {text}"
+
+        for i in range(2000):
+            sign = "-" if i == 0 else rng.choice("+-")
+            if i % 2 == 0:
+                v, e = rng.randrange(NVARS), rng.randint(1, 2)
+                mono = tuple(e if j == v else 0 for j in range(NVARS))
+                scale, value = rng.choice(scales)
+                parts.append(term(sign, f"{scale}x{v}^{e}", mono, value))
+            else:
+                text, value = rng.choice(constants)
+                parts.append(term(sign, text, const, value))
+        for mono, value in list(expected.items()):
+            if not any(mono[1:]):
+                text = f"({_const_text(value.re, value.om)})"
+                if any(mono):
+                    text += f"*x0^{mono[0]}"
+                parts.append(term("-", text, mono, value))
+        result = parse_polynomial("".join(parts))
+        oracle = {m: v for m, v in expected.items() if v.pair() != (0, 0)}
+        assert len(oracle) > 6
+        assert set(result.terms) == set(oracle)
+        assert not any(m[0] for m in result.terms)
+        for mono, coeff in result.terms.items():
+            assert coeff
+            _check(coeff, oracle[mono])

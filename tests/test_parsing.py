@@ -16,7 +16,7 @@ from s6quartic import (
     parse_point_coordinates,
     parse_polynomial,
 )
-from s6quartic.eisenstein import OMEGA_SQUARED, ONE
+from s6quartic.eisenstein import OMEGA_SQUARED, ONE, ZERO
 from s6quartic import poly
 from s6quartic.poly import X, format_polynomial
 from s6quartic.parsing import (
@@ -526,6 +526,44 @@ class TestLongSums:
             sys.set_int_max_str_digits(limit)
         top = Eisenstein(1 << MAX_CONSTANT_BITS)
         assert within == X0 + sign * (top - 1)
+
+
+def _seeded_polynomial(rng):
+    """One to five terms of degree at most 3, a variable among them."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = [0] * 6
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(6)] += 1
+        terms[tuple(mono)] = Eisenstein(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3)
+        )
+    return Polynomial(terms) + X[rng.randrange(6)]
+
+
+class TestTypedDispatch:
+    def test_mixed_sums_and_products_match_the_polynomial_operators(self):
+        """The parser's own sums and products of a field element and a
+        polynomial, in either order, against Polynomial's operators: on
+        seeded polynomials, the zero polynomial and a zero field element."""
+        rng = random.Random(43)
+        polynomials = [_seeded_polynomial(rng) for _ in range(60)] + [Polynomial()]
+        for p in polynomials:
+            # The zero polynomial's text "0" would parse to a field element.
+            text = format_polynomial(p) if p else "x0 - x0"
+            for c in (ZERO, OMEGA, Eisenstein(Fraction(-3, 2), 2)):
+                expected = {
+                    f"({c}) + ({text})": c + p,
+                    f"({text}) + ({c})": p + c,
+                    f"({c}) - ({text})": c - p,
+                    f"({text}) - ({c})": p - c,
+                    f"({text})*({c})": p * c,
+                    f"({c})*({text})": c * p,
+                }
+                for source, value in expected.items():
+                    result = parse_polynomial(source)
+                    assert result.terms == value.terms, source
+                    assert all(result.terms.values()), source
 
 
 class TestAsciiTokens:

@@ -1,19 +1,23 @@
-"""The deterministic work of a default verify, of sixteen scans and of
-nine parsed expansions, pinned.
+"""The deterministic work of a default verify, of sixteen scans, of
+nine parsed expansions and of two coordinate lists, pinned.
 
 A profile hook counts the calls of a few functions by their code object,
 so a call is seen whichever module it comes from.  The counts are taken in
 a fresh interpreter, where no cache is warm, and each scan starts from an
 empty table of singular loci, so that no count depends on what ran before
 it.  They are compared exactly with
-`tests/reference/work-verify.json`, `work-scan.json` and `work-eval.json`.
+`tests/reference/work-verify.json`, `work-scan.json`, `work-eval.json` and
+`work-lists.json`.
 A change that changes a count updates those files and gives the reason.
 In an expansion, `product` counts the packed products and squares of
 `poly._product` and `poly._square`, and `term_products` the term products
 they make: len(left) * len(right) per product, T(T + 1)/2 per square of
 T terms.  `product_of` counts the calls of `parsing._product_of`, one per
 `*` or `/` the parser reads; one inside a literal token such as
-`(3 - 2*w)` is not read as an operator.
+`(3 - 2*w)` is not read as an operator.  `list_expressions` counts the
+calls of `parsing._expression` while a coordinate list is read: none for
+a list of literal tokens, read in one pass, and one per entry for a list
+read from its tokens.
 `pair_mul` counts the int-pair products of `eisenstein._pair_mul`, where
 the scans, the node test and the Gram rank multiply; `keys` and `squares`
 count the calls of `varieties._scaled` and `varieties._squares`, which
@@ -51,6 +55,11 @@ EVAL_TEXTS = (
     "(x0 + 2*x1 + 3*x2 + 4*x3 + 5*x4 + 6*x5 + 7/5)^2",
     "(1/2*x0 - x1 + w*x2 + 3*x3 - 2/7*x4 + x5 - (1 - w))^3",
     "(x1 - x1)^2",
+)
+# A list of literal tokens, and the same list with one entry that is not.
+LIST_TEXTS = (
+    "[1, (-2/3), w, (1/2 - 3*w), 0, (-w)]",
+    "[1, (-2/3), w, 2^3, 0, (-w)]",
 )
 
 
@@ -127,6 +136,7 @@ def measure() -> dict:
     from s6quartic import DEFAULT_ALPHABETS, Eisenstein
     from s6quartic import RunConfig, all_passed, run_checks, scan_alphabet, varieties
     from s6quartic import Polynomial, eisenstein, parse_polynomial, parsing, perms
+    from s6quartic import parse_point_coordinates
 
     # Every point the package derives is wrapped by one _point call (the
     # public constructor is not called after import); "keys" counts the
@@ -186,7 +196,14 @@ def measure() -> dict:
             lambda: _counted(lambda: parse_polynomial(text), eval_targets)
         )
         evals.append({"text": text, **counts, **products, "terms": len(result.terms)})
-    return {"verify": verify, "scan": scans, "eval": evals}
+    lists = []
+    for text in LIST_TEXTS:
+        _, counts = _counted(
+            lambda: parse_point_coordinates(text),
+            {"list_expressions": parsing._expression},
+        )
+        lists.append({"text": text, **counts})
+    return {"verify": verify, "scan": scans, "eval": evals, "lists": lists}
 
 
 @lru_cache(maxsize=1)
@@ -216,6 +233,11 @@ def test_scan_work_matches_reference():
 def test_eval_work_matches_reference():
     stored = json.loads((REFERENCE / "work-eval.json").read_text())
     assert fresh_measurement()["eval"] == stored
+
+
+def test_list_work_matches_reference():
+    stored = json.loads((REFERENCE / "work-lists.json").read_text())
+    assert fresh_measurement()["lists"] == stored
 
 
 if __name__ == "__main__":
